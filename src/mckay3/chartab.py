@@ -16,9 +16,9 @@ same order on every run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt, lcm
+from math import lcm
 
-from .exactnum import Cyclotomic, root
+from .exactnum import Cyclotomic, dot, root
 from .matgroup import FiniteMatrixGroup, SquareMatrix, _is_prime, _primitive_root
 
 
@@ -424,27 +424,33 @@ def _split_subspace(
 
 
 def verify_orthogonality(table: CharacterTable) -> bool:
-    """Exact row and column orthogonality for the whole table."""
+    """Exact orthogonality of the whole table, certified from its rows.
+
+    Let X be the table, n = |G|, Y[i][k] = X[i][inv k] and D = diag(|C_k|).
+    The loop checks (X.D.Y^T)[i][j] = n*delta_ij for i <= j.  When inv is an
+    involution with |C_(inv k)| = |C_k|, substituting k -> inv k shows that
+    X.D.Y^T is symmetric, so all of it equals n*I.  X is square, so then
+    D.Y^T = n*X^-1, hence Y^T.X = n*D^-1, and its transpose X^T.Y = n*D^-1 is
+    the column relation sum_i X[i][k]*X[i][inv l] = delta_kl*n/|C_k|.  A
+    column check compares that sum with the integer n // |C_k|, and the two
+    agree exactly when |C_k| divides n, which is checked too.  Conversely,
+    rows (i <= j) and columns (k <= l) that both pass, with n >= 1, force inv
+    to be such an involution and every |C_k| to divide n, so this verdict is
+    the one that checking both would give.
+    """
     r = table.count
     n = table.order
     sizes = table.class_sizes
     inv = table.inverse_class
+    if any(inv[inv[k]] != k or sizes[inv[k]] != sizes[k] for k in range(r)):
+        return False
+    weighted = [[sizes[k] * row[k] for k in range(r)] for row in table.values]
+    flipped = [[row[inv[k]] for k in range(r)] for row in table.values]
     for i in range(r):
         for j in range(i, r):
-            total = Cyclotomic.rational(0, table.conductor)
-            for k in range(r):
-                total = total + sizes[k] * table.values[i][k] * table.values[j][inv[k]]
-            if total != (n if i == j else 0):
+            if dot(weighted[i], flipped[j]) != (n if i == j else 0):
                 return False
-    for k in range(r):
-        for l in range(k, r):
-            total = Cyclotomic.rational(0, table.conductor)
-            for i in range(r):
-                total = total + table.values[i][k] * table.values[i][inv[l]]
-            expect = n // sizes[k] if k == l else 0
-            if total != expect:
-                return False
-    if sum(d * d for d in table.dims) != n:
+    if any(n % s for s in sizes) or sum(d * d for d in table.dims) != n:
         return False
     return all(table.values[i][0] == table.dims[i] for i in range(r))
 
@@ -454,14 +460,6 @@ def natural_character(
 ) -> tuple[Cyclotomic, ...]:
     """Traces of the matrix representatives: the defining character."""
     return tuple(group.elements[g].trace() for g in classes.reps)
-
-
-def inner_product(f, g, table: CharacterTable) -> Cyclotomic:
-    """<f, g> = (1/|G|) sum_C |C| f(C) g(C^-1) for class functions."""
-    total = Cyclotomic.rational(0, f[0].conductor)
-    for k in range(table.count):
-        total = total + table.class_sizes[k] * f[k] * g[table.inverse_class[k]]
-    return total / table.order
 
 
 def decompose_product(
@@ -480,14 +478,13 @@ def decompose_product(
     r = table.count
     sizes = table.class_sizes
     inv = table.inverse_class
+    flipped = [[row[inv[k]] for k in range(r)] for row in rows]
     out: list[list[int]] = []
     for i in range(r):
-        f = [chi_p[k] * rows[i][k] for k in range(r)]
+        weighted = [sizes[k] * (chi_p[k] * rows[i][k]) for k in range(r)]
         line = []
         for j in range(r):
-            total = Cyclotomic.rational(0, target)
-            for k in range(r):
-                total = total + sizes[k] * f[k] * rows[j][inv[k]]
+            total = dot(weighted, flipped[j])
             q = total.try_rational()
             if q is None or q.denominator != 1 or q < 0 or q.numerator % table.order:
                 raise NonIntegralMultiplicity(

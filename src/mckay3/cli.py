@@ -9,10 +9,13 @@ Subcommands:
 * cartan  - M, B or A plus a verification summary
 * verify  - run every structural check; exit 1 on any failure
 
-Exit codes: 0 success, 1 a verification check failed, 2 malformed spec or
-usage, 3 the closure hit its order bound.  All payloads are byte
-deterministic; elapsed-time fields are the only exception and are clearly
-named (elapsedMs).
+Exit codes: 0 success, 1 a verification check failed, 2 malformed spec,
+usage or an unwritable --out file, 3 the closure hit its order bound.  All
+payloads are byte deterministic; elapsed-time fields are the only exception
+and are clearly named (elapsedMs).
+
+The analysis itself lives in `pipeline`; this module only parses
+arguments, formats payloads and maps errors to exit codes.
 """
 
 from __future__ import annotations
@@ -20,40 +23,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
-from fractions import Fraction
 
-from . import catalog, chartab, mckay, published
+from . import catalog, mckay, pipeline
 from .catalog import CatalogError, SpecError
+from .chartab import NonIntegralMultiplicity, OrthogonalityFailure
 from .matgroup import OrderBoundExceeded
-
-
-# ---------------------------------------------------------------------------
-# shared analysis pipeline
-
-
-class _Analysis:
-    """Everything the subcommands need for one group, computed once."""
-
-    def __init__(self, spec: catalog.GroupSpec, max_order: int):
-        self.spec = spec
-        self.group = catalog.build_group(spec, max_order=max_order)
-        self.classes = chartab.conjugacy_classes(self.group)
-        self.table = chartab.dixon_table(self.group, self.classes)
-        self.chi = chartab.natural_character(self.group, self.classes)
-        self.quiver = mckay.adjacency(self.table, self.chi)
-        self.b = mckay.pre_cartan(self.quiver)
-        self.a = mckay.gen_cartan(self.b)
-
-
-_CACHE: dict[tuple[str, int], _Analysis] = {}
-
-
-def _analyze(spec: catalog.GroupSpec, max_order: int) -> _Analysis:
-    key = (spec.name, max_order)
-    if key not in _CACHE:
-        _CACHE[key] = _Analysis(spec, max_order)
-    return _CACHE[key]
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +100,7 @@ def _cmd_list(args) -> tuple[int, str]:
 
 def _cmd_info(args) -> tuple[int, str]:
     spec = catalog.parse_spec(args.group)
-    an = _analyze(spec, args.max_order)
+    an = pipeline.analyze(spec, args.max_order)
     dims = sorted(an.table.dims)
     profile = catalog.expected_profile(spec)
     degenerate = bool(profile and profile.degenerate)
@@ -158,7 +132,7 @@ def _cmd_info(args) -> tuple[int, str]:
 
 def _cmd_chartab(args) -> tuple[int, str]:
     spec = catalog.parse_spec(args.group)
-    an = _analyze(spec, args.max_order)
+    an = pipeline.analyze(spec, args.max_order)
     t = an.table
     if args.format == "json":
         payload = {
@@ -193,16 +167,15 @@ def _cmd_chartab(args) -> tuple[int, str]:
 
 def _cmd_quiver(args) -> tuple[int, str]:
     spec = catalog.parse_spec(args.group)
-    an = _analyze(spec, args.max_order)
+    an = pipeline.analyze(spec, args.max_order)
     if args.format == "json":
         payload = {"group": spec.name, **mckay.export_json(an.quiver)}
         return 0, _dump_json(payload)
     return 0, mckay.export_dot(an.quiver)
 
 
-def _published_match(name: str, quiver) -> dict | None:
+def _published_match(audit) -> dict | None:
     """The `publishedMatch` payload: how the recorded matrix compares."""
-    audit = published.audit_cartan(name, quiver)
     if audit is None:
         return None
     against = {
@@ -220,18 +193,17 @@ def _published_match(name: str, quiver) -> dict | None:
 
 def _cmd_cartan(args) -> tuple[int, str]:
     spec = catalog.parse_spec(args.group)
-    an = _analyze(spec, args.max_order)
+    an = pipeline.analyze(spec, args.max_order)
     chosen = {"M": an.quiver.matrix, "B": an.b, "A": an.a}[args.print]
-    psd = mckay.psd_check(an.a)
-    eig = mckay.eigenvector_check(an.table, an.quiver, an.chi)
+    eig = an.eigen
     report = {
-        "charPolyA": list(psd.char_poly),
-        "psd": psd.is_psd,
-        "deltaInKernelOfA": mckay.kernel_delta(an.a, an.quiver.dims),
-        "deltaInKernelOfB": mckay.kernel_delta(an.b, an.quiver.dims),
+        "charPolyA": list(an.psd.char_poly),
+        "psd": an.psd.is_psd,
+        "deltaInKernelOfA": an.kernel[0],
+        "deltaInKernelOfB": an.kernel[1],
         "eigenChecks": list(eig),
-        "dualTransposeOk": mckay.dual_transpose_check(an.table, an.quiver, an.chi),
-        "publishedMatch": _published_match(spec.name, an.quiver),
+        "dualTransposeOk": an.dual_transpose,
+        "publishedMatch": _published_match(an.audit),
     }
     if args.format == "json":
         payload = {
@@ -268,130 +240,14 @@ def _cmd_cartan(args) -> tuple[int, str]:
 # verify
 
 
-_CHECK_NAMES = (
-    "orthogonality",
-    "sumOfSquares",
-    "integrality",
-    "dimensionBalance",
-    "psd",
-    "kernelDelta",
-    "eigenvectorProp",
-    "dualTranspose",
-    "profileMatch",
-    "expectedQuiverMatch",
-    "publishedMatrixMatch",
-    "publishedTableMatch",
-)
-
-
-def _verify_one(spec: catalog.GroupSpec, max_order: int) -> dict:
-    t0 = time.monotonic()
-    an = _analyze(spec, max_order)
-    table, quiver, chi = an.table, an.quiver, an.chi
-    checks: dict[str, str] = {}
-    discrepancies: list[dict] = []
-
-    checks["orthogonality"] = "pass" if chartab.verify_orthogonality(table) else "fail"
-    ok = sum(d * d for d in table.dims) == table.order
-    checks["sumOfSquares"] = "pass" if ok else "fail"
-    ok = all(v >= 0 for row in quiver.matrix for v in row)
-    checks["integrality"] = "pass" if ok else "fail"
-
-    dims, m, r = quiver.dims, quiver.matrix, quiver.count
-    ok = all(
-        sum(m[i][j] * dims[j] for j in range(r)) == 3 * dims[i] for i in range(r)
-    ) and all(
-        sum(dims[i] * m[i][j] for i in range(r)) == 3 * dims[j] for j in range(r)
-    )
-    checks["dimensionBalance"] = "pass" if ok else "fail"
-
-    checks["psd"] = "pass" if mckay.psd_check(an.a).is_psd else "fail"
-    bt = tuple(tuple(an.b[j][i] for j in range(r)) for i in range(r))
-    ok = (
-        mckay.kernel_delta(an.a, dims)
-        and mckay.kernel_delta(an.b, dims)
-        and mckay.kernel_delta(bt, dims)
-    )
-    checks["kernelDelta"] = "pass" if ok else "fail"
-    eig = mckay.eigenvector_check(table, quiver, chi)
-    checks["eigenvectorProp"] = "pass" if all(eig) else "fail"
-    ok = mckay.dual_transpose_check(table, quiver, chi)
-    checks["dualTranspose"] = "pass" if ok else "fail"
-
-    profile = catalog.expected_profile(spec)
-    if profile is None:
-        checks["profileMatch"] = "skip"
-    else:
-        ok = (
-            profile.order == table.order
-            and profile.class_count == table.count
-            and profile.dims == tuple(sorted(table.dims))
-        )
-        checks["profileMatch"] = "pass" if ok else "fail"
-        if profile.degenerate:
-            discrepancies.append(
-                {
-                    "kind": "degenerate",
-                    "detail": "; ".join(profile.notes) or "collapses to a smaller group",
-                }
-            )
-
-    expected = catalog.expected_adjacency(spec)
-    if expected is None:
-        checks["expectedQuiverMatch"] = "skip"
-    else:
-        witness = mckay.quiver_iso(quiver, expected)
-        checks["expectedQuiverMatch"] = "pass" if witness is not None else "fail"
-
-    audit = published.audit_cartan(spec.name, quiver)
-    if audit is None:
-        checks["publishedMatrixMatch"] = "skip"
-    else:
-        checks["publishedMatrixMatch"] = "pass" if audit.as_expected else "fail"
-        for note in audit.notes:
-            discrepancies.append({"kind": "published-cartan", "detail": note})
-        if audit.status == "mismatch":
-            discrepancies.append(
-                {
-                    "kind": "published-cartan",
-                    "detail": "recorded matrix matches the computed quiver under "
-                    "no dimension-preserving relabeling",
-                }
-            )
-
-    recorded = published.PRINTED_TABLES.get(spec.name)
-    if not recorded:
-        checks["publishedTableMatch"] = "skip"
-    else:
-        ok = True
-        for printed, should_match in recorded:
-            got = published.match_printed_table(table, printed)
-            if got != should_match:
-                ok = False
-            for note in printed.notes:
-                discrepancies.append({"kind": "published-table", "detail": note})
-        checks["publishedTableMatch"] = "pass" if ok else "fail"
-
-    elapsed = int(round((time.monotonic() - t0) * 1000))
-    return {
-        "groupSpec": spec.name,
-        "order": table.order,
-        "classCount": table.count,
-        "dimMultiset": sorted(table.dims),
-        "checks": checks,
-        "discrepancies": discrepancies,
-        "elapsedMs": elapsed,
-    }
-
-
 def _format_report_text(report: dict) -> str:
     dims = ",".join(map(str, report["dimMultiset"]))
     lines = [
         f"{report['groupSpec']}: order {report['order']}, "
         f"{report['classCount']} classes, dims {dims}"
     ]
-    for name in _CHECK_NAMES:
-        lines.append(f"  {name.ljust(22)}{report['checks'][name]}")
+    for name, verdict in report["checks"].items():
+        lines.append(f"  {name.ljust(22)}{verdict}")
     for d in report["discrepancies"]:
         lines.append(f"  note ({d['kind']}): {d['detail']}")
     lines.append(f"  elapsed {report['elapsedMs']} ms")
@@ -403,7 +259,7 @@ def _cmd_verify(args) -> tuple[int, str]:
         specs = list(catalog.all_specs(max_m=args.max_m))
     else:
         specs = [catalog.parse_spec(args.group)]
-    reports = [_verify_one(spec, args.max_order) for spec in specs]
+    reports = [pipeline.verify(spec, args.max_order) for spec in specs]
     failures = sum(
         1 for rep in reports if any(v == "fail" for v in rep["checks"].values())
     )
@@ -494,13 +350,17 @@ def main(argv=None) -> int:
     except OrderBoundExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except CatalogError as exc:
+    except (CatalogError, OrthogonalityFailure, NonIntegralMultiplicity) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     out = getattr(args, "out", None)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            print(f"error: cannot write {out}: {exc.strerror}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(payload)
     return code

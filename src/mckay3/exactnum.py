@@ -342,17 +342,6 @@ class Cyclotomic:
 
     # -- display -----------------------------------------------------------
 
-    def to_complex(self) -> complex:
-        """Floating approximation; for display only, never for decisions."""
-        import cmath
-
-        z = cmath.exp(2j * cmath.pi / self.conductor)
-        total = 0j
-        for k, c in enumerate(self._num):
-            if c:
-                total += c * z**k
-        return total / self._den
-
     def __str__(self) -> str:
         terms: list[tuple[str, str]] = []
         for k, c in enumerate(self._num):

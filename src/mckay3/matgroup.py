@@ -18,13 +18,13 @@ to exact products.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
-from .exactnum import Cyclotomic, ConductorMismatch, dot, root
+from .exactnum import Cyclotomic, ConductorMismatch, dot
 
 
 class SingularMatrix(ValueError):
-    """Matrix inversion was asked of a non-invertible matrix."""
+    """A generator handed to closure is not invertible."""
 
 
 class OrderBoundExceeded(RuntimeError):
@@ -137,29 +137,9 @@ class SquareMatrix:
             total = total + term if j % 2 == 0 else total - term
         return total
 
-    def inv(self) -> "SquareMatrix":
-        """Gauss-Jordan elimination with exact division."""
-        n = self.dim
-        zero = Cyclotomic.rational(0, self.conductor)
-        one = Cyclotomic.rational(1, self.conductor)
-        work = [list(r) + [one if i == j else zero for j in range(n)]
-                for i, r in enumerate(self.rows)]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if work[r][col]), None)
-            if pivot is None:
-                raise SingularMatrix("matrix has no inverse")
-            work[col], work[pivot] = work[pivot], work[col]
-            scale = work[col][col].inv()
-            work[col] = [e * scale for e in work[col]]
-            for r in range(n):
-                if r != col and work[r][col]:
-                    factor = work[r][col]
-                    work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-        return SquareMatrix([r[n:] for r in work])
-
     def __pow__(self, k: int) -> "SquareMatrix":
         if k < 0:
-            return self.inv() ** (-k)
+            raise ValueError("negative matrix powers are not supported")
         result = SquareMatrix.identity(self.dim, self.conductor)
         base = self
         while k:

@@ -1,0 +1,156 @@
+"""The analysis pipeline: one catalog group from spec to audited quiver.
+
+generators -> closure -> conjugacy classes -> Dixon table -> quiver -> B, A,
+then the certificates.  `analyze` builds the exact objects once per
+(spec, max_order); each certificate is computed on first use and kept, so
+the `cartan` and `verify` commands read the same verdicts.  `verify` turns
+one analysis into the report that `mckay verify` prints.
+"""
+
+from __future__ import annotations
+
+import time
+from functools import cache, cached_property
+
+from . import catalog, chartab, mckay, published
+
+
+class Analysis:
+    """Everything known about one group, each part computed once."""
+
+    def __init__(self, spec: catalog.GroupSpec, max_order: int):
+        self.spec = spec
+        self.group = catalog.build_group(spec, max_order=max_order)
+        self.classes = chartab.conjugacy_classes(self.group)
+        # dixon_table returns only tables that passed verify_orthogonality
+        self.table = chartab.dixon_table(self.group, self.classes)
+        self.chi = chartab.natural_character(self.group, self.classes)
+        self.quiver = mckay.adjacency(self.table, self.chi)
+        self.b = mckay.pre_cartan(self.quiver)
+        self.a = mckay.gen_cartan(self.b)
+
+    @cached_property
+    def psd(self) -> mckay.PsdReport:
+        """Characteristic polynomial of A and its semidefiniteness verdict."""
+        return mckay.psd_check(self.a)
+
+    @cached_property
+    def kernel(self) -> tuple[bool, bool, bool]:
+        """Does the dimension vector lie in the kernel of A, of B, of B^T?"""
+        bt = tuple(zip(*self.b))
+        return tuple(mckay.kernel_delta(m, self.quiver.dims) for m in (self.a, self.b, bt))
+
+    @cached_property
+    def eigen(self) -> tuple[bool, ...]:
+        """Per class: is the table column an eigenvector of M?"""
+        return mckay.eigenvector_check(self.table, self.quiver, self.chi)
+
+    @cached_property
+    def dual_transpose(self) -> bool:
+        """Does the dual representation give the transposed quiver?"""
+        return mckay.dual_transpose_check(self.table, self.quiver, self.chi)
+
+    @cached_property
+    def audit(self) -> published.CartanAudit | None:
+        """The recorded Cartan matrix against the quiver; None if none is kept."""
+        return published.audit_cartan(self.spec.name, self.quiver)
+
+
+@cache
+def analyze(spec: catalog.GroupSpec, max_order: int) -> Analysis:
+    """The analysis of one group, memoised per (spec, max_order)."""
+    return Analysis(spec, max_order)
+
+
+def _verdict(ok: bool) -> str:
+    return "pass" if ok else "fail"
+
+
+def verify(spec: catalog.GroupSpec, max_order: int) -> dict:
+    """Every structural check on one group, as the `verify` report."""
+    t0 = time.monotonic()
+    an = analyze(spec, max_order)
+    table, quiver = an.table, an.quiver
+    checks: dict[str, str] = {}
+    discrepancies: list[dict] = []
+
+    # a table that failed orthogonality raised OrthogonalityFailure above
+    checks["orthogonality"] = "pass"
+    checks["sumOfSquares"] = _verdict(sum(d * d for d in table.dims) == table.order)
+    checks["integrality"] = _verdict(all(v >= 0 for row in quiver.matrix for v in row))
+
+    dims, m, r, n = quiver.dims, quiver.matrix, quiver.count, quiver.rep_dim
+    ok = all(
+        sum(m[i][j] * dims[j] for j in range(r)) == n * dims[i] for i in range(r)
+    ) and all(
+        sum(dims[i] * m[i][j] for i in range(r)) == n * dims[j] for j in range(r)
+    )
+    checks["dimensionBalance"] = _verdict(ok)
+
+    checks["psd"] = _verdict(an.psd.is_psd)
+    checks["kernelDelta"] = _verdict(all(an.kernel))
+    checks["eigenvectorProp"] = _verdict(all(an.eigen))
+    checks["dualTranspose"] = _verdict(an.dual_transpose)
+
+    profile = catalog.expected_profile(spec)
+    if profile is None:
+        checks["profileMatch"] = "skip"
+    else:
+        ok = (
+            profile.order == table.order
+            and profile.class_count == table.count
+            and profile.dims == tuple(sorted(table.dims))
+        )
+        checks["profileMatch"] = _verdict(ok)
+        if profile.degenerate:
+            discrepancies.append(
+                {
+                    "kind": "degenerate",
+                    "detail": "; ".join(profile.notes) or "collapses to a smaller group",
+                }
+            )
+
+    expected = catalog.expected_adjacency(spec)
+    if expected is None:
+        checks["expectedQuiverMatch"] = "skip"
+    else:
+        checks["expectedQuiverMatch"] = _verdict(mckay.quiver_iso(quiver, expected) is not None)
+
+    audit = an.audit
+    if audit is None:
+        checks["publishedMatrixMatch"] = "skip"
+    else:
+        checks["publishedMatrixMatch"] = _verdict(audit.as_expected)
+        for note in audit.notes:
+            discrepancies.append({"kind": "published-cartan", "detail": note})
+        if audit.status == "mismatch":
+            discrepancies.append(
+                {
+                    "kind": "published-cartan",
+                    "detail": "recorded matrix matches the computed quiver under "
+                    "no dimension-preserving relabeling",
+                }
+            )
+
+    recorded = published.PRINTED_TABLES.get(spec.name)
+    if not recorded:
+        checks["publishedTableMatch"] = "skip"
+    else:
+        ok = True
+        for printed, should_match in recorded:
+            if published.match_printed_table(table, printed) != should_match:
+                ok = False
+            for note in printed.notes:
+                discrepancies.append({"kind": "published-table", "detail": note})
+        checks["publishedTableMatch"] = _verdict(ok)
+
+    elapsed = int(round((time.monotonic() - t0) * 1000))
+    return {
+        "groupSpec": spec.name,
+        "order": table.order,
+        "classCount": table.count,
+        "dimMultiset": sorted(table.dims),
+        "checks": checks,
+        "discrepancies": discrepancies,
+        "elapsedMs": elapsed,
+    }

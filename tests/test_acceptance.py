@@ -12,13 +12,13 @@ import sys
 import pytest
 
 from mckay3 import catalog, chartab, mckay, published
-from mckay3.cli import _analyze, _verify_one
+from mckay3.pipeline import analyze, verify
 
 _MAX_ORDER = 20000
 
 
 def _an(name):
-    return _analyze(catalog.parse_spec(name), _MAX_ORDER)
+    return analyze(catalog.parse_spec(name), _MAX_ORDER)
 
 
 # criterion 1 -- exact group orders
@@ -125,7 +125,7 @@ def test_c5_theorem_suite_everywhere():
     )
     failures = []
     for spec in catalog.all_specs():
-        report = _verify_one(spec, _MAX_ORDER)
+        report = verify(spec, _MAX_ORDER)
         for check in theorem_checks:
             if report["checks"][check] != "pass":
                 failures.append((spec.name, check, report["checks"][check]))
@@ -210,7 +210,7 @@ def test_c8_oracle_equivalence():
         expected = catalog.expected_adjacency(spec)
         if expected is None:
             continue
-        an = _analyze(spec, _MAX_ORDER)
+        an = analyze(spec, _MAX_ORDER)
         assert mckay.quiver_iso(an.quiver, expected) is not None, spec.name
 
 

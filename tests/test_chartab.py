@@ -1,5 +1,6 @@
 """Conjugacy classes and Dixon character tables on small known groups."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -142,6 +143,80 @@ def test_orthogonality_catches_tampering(s3_table):
         class_reps=t.class_reps,
     )
     assert not verify_orthogonality(broken)
+
+
+def _fake_table(dims, rows, sizes, inverse_class):
+    return CharacterTable(
+        conductor=1,
+        order=sum(d * d for d in dims),
+        dims=dims,
+        values=tuple(tuple(Cyclotomic.rational(v) for v in row) for row in rows),
+        class_sizes=sizes,
+        class_orders=(1, 2),
+        inverse_class=inverse_class,
+    )
+
+
+# the rows are orthogonal under these weights, but a class of size 4 in a
+# group of order 5 makes the columns fail
+_SIZE_NOT_DIVIDING = _fake_table((1, 2), ((1, 1), (2, Fraction(-1, 2))), (1, 4), (0, 1))
+# the rows pass for i <= j, but the inverse map swaps classes of different
+# sizes, so the rows for i > j and the columns fail
+_SIZE_NOT_PRESERVED = _fake_table(
+    (2, 4), ((2, Fraction(10, 3)), (4, Fraction(5, 3))), (4, -1), (1, 0)
+)
+
+
+def test_orthogonality_rejects_sizes_not_dividing_the_order(s3_table):
+    _, t = s3_table
+    assert not verify_orthogonality(replace(t, class_sizes=(1, 2, 4)))
+    assert not verify_orthogonality(_SIZE_NOT_DIVIDING)
+
+
+def _orthogonal_both_ways(t):
+    """The former row-and-column check, kept as the reference."""
+    r, n, sizes, inv, x = t.count, t.order, t.class_sizes, t.inverse_class, t.values
+    zero = Cyclotomic.rational(0, t.conductor)
+    rows = all(
+        sum((sizes[k] * x[i][k] * x[j][inv[k]] for k in range(r)), zero)
+        == (n if i == j else 0)
+        for i in range(r)
+        for j in range(i, r)
+    )
+    cols = rows and all(
+        sum((x[i][k] * x[i][inv[l]] for i in range(r)), zero)
+        == (n // sizes[k] if k == l else 0)
+        for k in range(r)
+        for l in range(k, r)
+    )
+    return (
+        cols
+        and sum(d * d for d in t.dims) == n
+        and all(x[i][0] == t.dims[i] for i in range(r))
+    )
+
+
+def _tamperings(t):
+    yield t
+    rows = [list(row) for row in t.values]
+    rows[-1][1], rows[-1][-1] = rows[-1][-1], rows[-1][1]
+    yield replace(t, values=tuple(tuple(row) for row in rows))
+    yield replace(t, values=(tuple(-v for v in t.values[0]),) + t.values[1:])
+    yield replace(t, class_sizes=t.class_sizes[:-1] + (t.class_sizes[-1] + 1,))
+    yield replace(t, inverse_class=t.inverse_class[1:] + t.inverse_class[:1])
+    yield replace(t, order=t.order + 1)
+
+
+def test_rows_only_orthogonality_matches_the_two_way_check(s3_table, a4_table):
+    tables = [s3_table[1], a4_table[1], abelian_table(3, 2)]
+    tables += [_SIZE_NOT_DIVIDING, _SIZE_NOT_PRESERVED]
+    tables.append(dixon_table(build_group(parse_spec("G7"))))
+    verdicts = []
+    for t in tables:
+        for variant in _tamperings(t):
+            verdicts.append(verify_orthogonality(variant))
+            assert verdicts[-1] == _orthogonal_both_ways(variant)
+    assert True in verdicts and False in verdicts
 
 
 def test_abelian_table_matches_dixon():

@@ -6,6 +6,8 @@ import sys
 
 import pytest
 
+from mckay3 import chartab, mckay, pipeline
+from mckay3.chartab import NonIntegralMultiplicity
 from mckay3.cli import main
 
 
@@ -134,6 +136,41 @@ def test_out_writes_identical_bytes(tmp_path, capsys):
         assert code == 0
     capsys.readouterr()
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_unwritable_out_exits_2(tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "mckay3", "info", "--group", "Hmn:2,2", "--out", str(target)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+    assert not target.exists()
+
+
+def _raise_non_integral(*args):
+    raise NonIntegralMultiplicity("<chi*gamma_0, gamma_0> = 1/2")
+
+
+@pytest.mark.parametrize(
+    "module, name, stub",
+    [
+        (chartab, "verify_orthogonality", lambda table: False),
+        (mckay, "decompose_product", _raise_non_integral),
+    ],
+)
+def test_failed_certificate_exits_1(monkeypatch, capsys, module, name, stub):
+    monkeypatch.setattr(module, name, stub)
+    pipeline.analyze.cache_clear()  # the group must be computed afresh
+    code, out, err = _run(capsys, "verify", "--group", "Hmn:2,2")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
 
 
 def test_module_entry_point():

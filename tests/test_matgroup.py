@@ -4,14 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mckay3.catalog import build_group, parse_spec
+from mckay3.chartab import conjugacy_classes, dixon_table
 from mckay3.exactnum import ConductorMismatch, root
 from mckay3.matgroup import (
+    FiniteMatrixGroup,
     OrderBoundExceeded,
     SingularMatrix,
     SquareMatrix,
     closure,
     to_common_conductor,
 )
+from mckay3.mckay import adjacency
 
 
 def _cycle():
@@ -45,15 +49,9 @@ def test_identity_and_powers():
     t = _cycle()
     assert t.det() == 1
     assert t**3 == SquareMatrix.identity(3)
-    assert t**-1 == t * t
     assert (t**0) == SquareMatrix.identity(3)
-
-
-def test_inverse_multiplies_to_identity():
-    m = SquareMatrix([[1, 1, 0], [0, 1, 1], [root(1, 4), 0, 1]])
-    assert m * m.inv() == SquareMatrix.identity(3, 4)
-    with pytest.raises(SingularMatrix):
-        SquareMatrix([[1, 1], [1, 1]]).inv()
+    with pytest.raises(ValueError):
+        t**-1
 
 
 def test_trace_transpose_conjugate():
@@ -148,3 +146,21 @@ def test_words_in_generators_stay_inside(tetra, word):
         acc = acc * gens[letter]
         idx = tetra.mul(idx, tetra.generator_indices[letter])
     assert tetra.index_of(acc) == idx
+
+
+@pytest.mark.parametrize("name", ["G7", "Gm3:3"])
+def test_exact_product_fallback_matches_fingerprints(name, monkeypatch):
+    def analysis(group):
+        classes = conjugacy_classes(group)
+        table = dixon_table(group, classes)
+        return classes, table, adjacency(table)
+
+    spec = parse_spec(name)
+    fast = build_group(spec)
+    expected = analysis(fast)
+    assert fast._fast is not None
+    # no prime is injective: every index product falls back to exact matrices
+    monkeypatch.setattr(FiniteMatrixGroup, "_try_fingerprints", lambda self, q: None)
+    exact = build_group(spec)
+    assert analysis(exact) == expected
+    assert exact._fast is None
