@@ -16,10 +16,11 @@ same order on every run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
+from math import isqrt, lcm
 
 from .exactnum import Cyclotomic, dot, root
-from .matgroup import FiniteMatrixGroup, SquareMatrix, _is_prime, _primitive_root
+from .matgroup import FiniteMatrixGroup, SquareMatrix
+from .modp import charpoly, eval_poly, kernel_basis, prime_one_mod, root_of_unity, rref
 
 
 class OrthogonalityFailure(RuntimeError):
@@ -40,7 +41,6 @@ class ConjugacyClassSet:
     sizes: tuple[int, ...]
     orders: tuple[int, ...]
     inverse_class: tuple[int, ...]
-    power_map: dict[int, tuple[int, ...]]
 
     @property
     def count(self) -> int:
@@ -80,41 +80,7 @@ def conjugacy_classes(group: FiniteMatrixGroup) -> ConjugacyClassSet:
     orders = tuple(group.element_order(r) for r in reps)
     inverse_class = tuple(class_of[group.inverse(r)] for r in reps)
 
-    exponent = 1
-    for o in orders:
-        exponent = lcm(exponent, o)
-    power_map: dict[int, tuple[int, ...]] = {}
-    for p in _prime_factors(exponent):
-        power_map[p] = tuple(class_of[_pow_index(group, r, p)] for r in reps)
-
-    return ConjugacyClassSet(
-        members, reps, class_of, sizes, orders, inverse_class, power_map
-    )
-
-
-def _pow_index(group: FiniteMatrixGroup, i: int, k: int) -> int:
-    result = 0
-    base = i
-    while k:
-        if k & 1:
-            result = group.mul(result, base)
-        base = group.mul(base, base)
-        k >>= 1
-    return result
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+    return ConjugacyClassSet(members, reps, class_of, sizes, orders, inverse_class)
 
 
 def class_constants(
@@ -159,93 +125,6 @@ class CharacterTable:
 
 
 # ---------------------------------------------------------------------------
-# linear algebra over F_p
-
-
-def _rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
-    rows = [r[:] for r in rows]
-    pivots: list[int] = []
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] % p), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col], -1, p)
-        rows[rank] = [c * inv % p for c in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == len(rows):
-            break
-    return rows[:rank], pivots
-
-
-def _kernel_basis(mat: list[list[int]], p: int) -> list[list[int]]:
-    n = len(mat)
-    rows, pivots = _rref(mat, p)
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [0] * n
-        vec[f] = 1
-        for r, c in enumerate(pivots):
-            vec[c] = (-rows[r][f]) % p
-        basis.append(vec)
-    return basis
-
-
-def _charpoly_mod(mat: list[list[int]], p: int) -> list[int]:
-    """Characteristic polynomial mod p (ascending), via Hessenberg form."""
-    n = len(mat)
-    h = [row[:] for row in mat]
-    for col in range(n - 2):
-        pivot = next((r for r in range(col + 1, n) if h[r][col] % p), None)
-        if pivot is None:
-            continue
-        if pivot != col + 1:
-            h[col + 1], h[pivot] = h[pivot], h[col + 1]
-            for r in range(n):
-                h[r][col + 1], h[r][pivot] = h[r][pivot], h[r][col + 1]
-        inv = pow(h[col + 1][col], -1, p)
-        for r in range(col + 2, n):
-            f = h[r][col] * inv % p
-            if f:
-                h[r] = [(a - f * b) % p for a, b in zip(h[r], h[col + 1])]
-                for rr in range(n):
-                    h[rr][col + 1] = (h[rr][col + 1] + f * h[rr][r]) % p
-    # charpoly of leading k x k blocks of a Hessenberg matrix
-    polys: list[list[int]] = [[1]]
-    for k in range(1, n + 1):
-        # (x - h[k-1][k-1]) * polys[k-1]
-        prev = polys[k - 1]
-        cur = [0] + prev
-        d = h[k - 1][k - 1]
-        cur = [(c - d * pc) % p for c, pc in zip(cur, prev + [0])]
-        sub = 1
-        for m in range(1, k):
-            sub = sub * h[k - m][k - m - 1] % p
-            coef = h[k - 1 - m][k - 1] * sub % p
-            if coef:
-                lower = polys[k - 1 - m]
-                for idx, c in enumerate(lower):
-                    cur[idx] = (cur[idx] - coef * c) % p
-        polys.append(cur)
-    return polys[n]
-
-
-def _eval_poly(poly: list[int], x: int, p: int) -> int:
-    acc = 0
-    for c in reversed(poly):
-        acc = (acc * x + c) % p
-    return acc
-
-
-# ---------------------------------------------------------------------------
 # Dixon-Burnside
 
 
@@ -256,13 +135,9 @@ def dixon_table(
         classes = conjugacy_classes(group)
     n = group.order
     r = classes.count
-    e = 1
-    for o in classes.orders:
-        e = lcm(e, o)
+    e = lcm(*classes.orders)
 
-    p = e + 1
-    while not (_is_prime(p) and p * p > 4 * n):
-        p += e
+    p = prime_one_mod(e, isqrt(4 * n))  # p^2 > 4|G|
     a = class_constants(group, classes)
 
     # split F_p^r under the commuting class matrices M_j[i][k] = a[j][i][k]
@@ -321,8 +196,7 @@ def dixon_table(
             cur = group.mul(cur, g)
         power_classes.append(walk)
 
-    w = _primitive_root(p)
-    z_e = pow(w, (p - 1) // e, p)
+    z_e = root_of_unity(p, e)
     lifted: list[tuple[int, tuple[Cyclotomic, ...]]] = []
     for d, chi in rows_mod:
         vals: list[Cyclotomic] = []
@@ -372,7 +246,7 @@ def _split_subspace(
     w: list[list[int]], mj: list[list[int]], p: int
 ) -> list[list[list[int]]]:
     """Split an invariant subspace into eigenspaces of one class matrix."""
-    basis, pivots = _rref(w, p)
+    basis, pivots = rref(w, p)
     d = len(basis)
     r = len(basis[0])
     images = []
@@ -396,8 +270,8 @@ def _split_subspace(
             raise OrthogonalityFailure("class matrix does not preserve subspace")
     # column convention: restricted[u][t] = coord u of the image of basis t
     restricted = [[coords_of[t][u] for t in range(d)] for u in range(d)]
-    poly = _charpoly_mod(restricted, p)
-    roots = [lam for lam in range(p) if _eval_poly(poly, lam, p) == 0]
+    poly = charpoly(restricted, p)
+    roots = [lam for lam in range(p) if eval_poly(poly, lam, p) == 0]
     if len(roots) <= 1:
         return [basis]
     grouped: list[list[list[int]]] = []
@@ -407,14 +281,14 @@ def _split_subspace(
             for i in range(d)
         ]
         vecs = []
-        for coords in _kernel_basis(shifted, p):
+        for coords in kernel_basis(shifted, p):
             vec = [0] * r
             for c_idx, c in enumerate(coords):
                 if c:
                     for k in range(r):
                         vec[k] = (vec[k] + c * basis[c_idx][k]) % p
             vecs.append(vec)
-        chunk, _ = _rref(vecs, p)
+        chunk, _ = rref(vecs, p)
         grouped.append(chunk)
     return grouped
 

@@ -296,16 +296,7 @@ class Cyclotomic:
 
     def conjugate(self) -> "Cyclotomic":
         """Complex conjugation, the Galois map zeta -> zeta^(-1)."""
-        table = _reduction_table(self.conductor)
-        phi = totient(self.conductor)
-        n = self.conductor
-        out = [0] * phi
-        for k, c in enumerate(self._num):
-            if c:
-                row = table[(n - k) % n]
-                for i in range(phi):
-                    out[i] += c * row[i]
-        return _normalize(self.conductor, out, self._den)
+        return self.galois(-1)
 
     def galois(self, t: int) -> "Cyclotomic":
         """The Galois map zeta -> zeta^t for t coprime to the conductor."""

@@ -21,6 +21,7 @@ from fractions import Fraction
 from math import lcm
 
 from .exactnum import Cyclotomic, ConductorMismatch, dot
+from .modp import prime_one_mod, root_of_unity
 
 
 class SingularMatrix(ValueError):
@@ -252,12 +253,8 @@ class FiniteMatrixGroup:
     # -- fast index-level products ---------------------------------------
 
     def _try_fingerprints(self, q: int) -> tuple[list[tuple[int, ...]], dict[tuple[int, ...], int]] | None:
-        n_root = _element_of_order(q, self.conductor)
-        if n_root is None:
-            return None
-        powers = [1] * self.conductor
-        for k in range(1, self.conductor):
-            powers[k] = powers[k - 1] * n_root % q
+        n_root = root_of_unity(q, self.conductor)
+        powers = [pow(n_root, k, q) for k in range(self.conductor)]
         flat: list[tuple[int, ...]] = []
         lookup: dict[tuple[int, ...], int] = {}
         for pos, m in enumerate(self.elements):
@@ -283,15 +280,13 @@ class FiniteMatrixGroup:
         if self._fast_ready:
             return
         self._fast_ready = True
-        q = 10007
+        q = 10006  # the fingerprint primes are the q = 1 (mod N) above this
         for _ in range(8):
-            while not (_is_prime(q) and (q - 1) % self.conductor == 0):
-                q += 1
+            q = prime_one_mod(self.conductor, q)
             got = self._try_fingerprints(q)
             if got is not None:
                 self._fast = (got[0], got[1], q)
                 return
-            q += 1
         self._fast = None
 
     def mul(self, i: int, j: int) -> int:
@@ -340,43 +335,4 @@ class FiniteMatrixGroup:
     def exponent(self) -> int:
         if self._orders is None:
             self._scan_orders()
-        e = 1
-        for o in self._orders:
-            e = lcm(e, o)
-        return e
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def _primitive_root(q: int) -> int:
-    n = q - 1
-    factors = set()
-    m, d = n, 2
-    while d * d <= m:
-        while m % d == 0:
-            factors.add(d)
-            m //= d
-        d += 1
-    if m > 1:
-        factors.add(m)
-    for g in range(2, q):
-        if all(pow(g, n // f, q) != 1 for f in factors):
-            return g
-    raise AssertionError("no primitive root found (q not prime?)")
-
-
-def _element_of_order(q: int, n: int) -> int | None:
-    """An element of exact multiplicative order n in F_q, or None."""
-    if (q - 1) % n != 0:
-        return None
-    g = _primitive_root(q)
-    return pow(g, (q - 1) // n, q)
+        return lcm(*self._orders)

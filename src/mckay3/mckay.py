@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .chartab import CharacterTable, decompose_product
 from .exactnum import Cyclotomic
+from .modp import integer_charpoly
 
 
 class NotSymmetric(ValueError):
@@ -73,25 +74,10 @@ def gen_cartan(b) -> tuple[tuple[int, ...], ...]:
 def char_poly(mat) -> tuple[int, ...]:
     """Characteristic polynomial det(xI - mat), coefficients descending.
 
-    Faddeev-LeVerrier over the integers; every division is exact and is
-    asserted to be so.
+    Exact: Hessenberg form mod p, combined by CRT under a Hadamard bound
+    (see `modp.integer_charpoly`).
     """
-    n = len(mat)
-    work = [[1 if i == j else 0 for j in range(n)] for i in range(n)]  # M_0 = I
-    coeffs = [1]
-    for k in range(1, n + 1):
-        prod = [
-            [sum(mat[i][t] * work[t][j] for t in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-        tr = sum(prod[i][i] for i in range(n))
-        q, rem = divmod(-tr, k)
-        assert rem == 0, "Faddeev-LeVerrier division must be exact"
-        coeffs.append(q)
-        work = [
-            [prod[i][j] + (q if i == j else 0) for j in range(n)] for i in range(n)
-        ]
-    return tuple(coeffs)
+    return tuple(reversed(integer_charpoly(mat)))
 
 
 @dataclass(frozen=True)

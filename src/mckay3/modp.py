@@ -1,0 +1,178 @@
+"""Arithmetic over prime fields F_p, and exact results recovered from it.
+
+Every mod-p step of the package lives here: primes, primitive roots, row
+reduction, and the Hessenberg characteristic polynomial, which
+`integer_charpoly` lifts to the integers by CRT under a proven bound.
+"""
+from __future__ import annotations
+
+from math import isqrt, prod
+
+# CRT primes are the primes above this; a product of two residues fits a word
+CRT_START = 2**20
+
+
+def is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n >= 1, ascending."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def primitive_root(q: int) -> int:
+    """The least generator of the multiplicative group of F_q, q prime."""
+    n = q - 1
+    factors = prime_factors(n)
+    for g in range(2, q):
+        if all(pow(g, n // f, q) != 1 for f in factors):
+            return g
+    raise AssertionError("no primitive root found (q not prime?)")
+
+
+def root_of_unity(q: int, n: int) -> int:
+    """An element of exact multiplicative order n in F_q; n must divide q - 1."""
+    if (q - 1) % n != 0:
+        raise ValueError(f"F_{q} has no element of order {n}")
+    return pow(primitive_root(q), (q - 1) // n, q)
+
+
+def prime_one_mod(n: int, above: int) -> int:
+    """The least prime p = 1 (mod n) with p > above."""
+    p = above + 1 + (-above) % n  # least p > above with n | p - 1
+    while not is_prime(p):
+        p += n
+    return p
+
+
+def rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form mod p: the nonzero rows and pivot columns."""
+    rows = [r[:] for r in rows]
+    pivots: list[int] = []
+    rank = 0
+    cols = len(rows[0]) if rows else 0
+    for col in range(cols):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] % p), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        rows[rank] = [c * inv % p for c in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[rank])]
+        pivots.append(col)
+        rank += 1
+        if rank == len(rows):
+            break
+    return rows[:rank], pivots
+
+
+def kernel_basis(mat: list[list[int]], p: int) -> list[list[int]]:
+    """A basis of the right kernel of a square matrix mod p."""
+    n = len(mat)
+    rows, pivots = rref(mat, p)
+    free = [c for c in range(n) if c not in pivots]
+    basis = []
+    for f in free:
+        vec = [0] * n
+        vec[f] = 1
+        for r, c in enumerate(pivots):
+            vec[c] = (-rows[r][f]) % p
+        basis.append(vec)
+    return basis
+
+
+def eval_poly(poly: list[int], x: int, p: int) -> int:
+    """Value mod p of the polynomial with ascending coefficients poly."""
+    acc = 0
+    for c in reversed(poly):
+        acc = (acc * x + c) % p
+    return acc
+
+
+def charpoly(mat: list[list[int]], p: int) -> list[int]:
+    """det(xI - mat) mod p, coefficients ascending, via Hessenberg form."""
+    n = len(mat)
+    h = [[a % p for a in row] for row in mat]
+    for col in range(n - 2):
+        pivot = next((r for r in range(col + 1, n) if h[r][col]), None)
+        if pivot is None:
+            continue
+        if pivot != col + 1:
+            h[col + 1], h[pivot] = h[pivot], h[col + 1]
+            for r in range(n):
+                h[r][col + 1], h[r][pivot] = h[r][pivot], h[r][col + 1]
+        inv = pow(h[col + 1][col], -1, p)
+        for r in range(col + 2, n):
+            f = h[r][col] * inv % p
+            if f:
+                h[r] = [(a - f * b) % p for a, b in zip(h[r], h[col + 1])]
+                for rr in range(n):
+                    h[rr][col + 1] = (h[rr][col + 1] + f * h[rr][r]) % p
+    # charpoly of leading k x k blocks of a Hessenberg matrix
+    polys: list[list[int]] = [[1]]
+    for k in range(1, n + 1):
+        # (x - h[k-1][k-1]) * polys[k-1]
+        prev = polys[k - 1]
+        cur = [0] + prev
+        d = h[k - 1][k - 1]
+        cur = [(c - d * pc) % p for c, pc in zip(cur, prev + [0])]
+        sub = 1
+        for m in range(1, k):
+            sub = sub * h[k - m][k - m - 1] % p
+            coef = h[k - 1 - m][k - 1] * sub % p
+            if coef:
+                lower = polys[k - 1 - m]
+                for idx, c in enumerate(lower):
+                    cur[idx] = (cur[idx] - coef * c) % p
+        polys.append(cur)
+    return polys[n]
+
+
+def integer_charpoly(mat) -> list[int]:
+    """det(xI - mat) over the integers, coefficients ascending.
+
+    `charpoly` runs modulo the successive primes above CRT_START, and CRT
+    combines the residues until the modulus M exceeds 2B, where
+    B = prod_i (2 + isqrt(sum_j mat[i][j]^2)); each coefficient is then the
+    symmetric residue mod M.
+
+    Proof.  The coefficient c of x^(n-k) is +- the sum of the k x k
+    principal minors.  By Hadamard a minor is at most the product of its
+    row norms, each at most the full |row_i|, so |c| <= e_k(|row_1|, ...,
+    |row_n|) <= prod_i (1 + |row_i|) <= B, as sqrt(s) < isqrt(s) + 1.
+    Hence |c| <= B < M/2, and c is the one integer in (-M/2, M/2] that is
+    congruent to its residue mod M.
+    """
+    bound = prod(2 + isqrt(sum(a * a for a in row)) for row in mat)
+    coeffs = [0] * (len(mat) + 1)
+    modulus = 1
+    p = CRT_START
+    while modulus <= 2 * bound:
+        p = prime_one_mod(1, p)
+        residues = charpoly(mat, p)
+        # Garner step: keep c = coeffs mod modulus, now also = residues mod p
+        inv = pow(modulus, -1, p)
+        coeffs = [c + modulus * ((r - c) * inv % p) for c, r in zip(coeffs, residues)]
+        modulus *= p
+    return [c - modulus if 2 * c > modulus else c for c in coeffs]

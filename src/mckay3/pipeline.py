@@ -1,10 +1,11 @@
 """The analysis pipeline: one catalog group from spec to audited quiver.
 
 generators -> closure -> conjugacy classes -> Dixon table -> quiver -> B, A,
-then the certificates.  `analyze` builds the exact objects once per
-(spec, max_order); each certificate is computed on first use and kept, so
-the `cartan` and `verify` commands read the same verdicts.  `verify` turns
-one analysis into the report that `mckay verify` prints.
+then the certificates.  `analyze` builds the table once per (spec,
+max_order); the quiver, B, A and each certificate are computed on first use
+and kept, so `chartab` and `info` never decompose a tensor product, and the
+`cartan` and `verify` commands read the same verdicts.  `verify` turns one
+analysis into the report that `mckay verify` prints.
 """
 
 from __future__ import annotations
@@ -25,9 +26,21 @@ class Analysis:
         # dixon_table returns only tables that passed verify_orthogonality
         self.table = chartab.dixon_table(self.group, self.classes)
         self.chi = chartab.natural_character(self.group, self.classes)
-        self.quiver = mckay.adjacency(self.table, self.chi)
-        self.b = mckay.pre_cartan(self.quiver)
-        self.a = mckay.gen_cartan(self.b)
+
+    @cached_property
+    def quiver(self) -> mckay.Quiver:
+        """The McKay quiver of the natural representation."""
+        return mckay.adjacency(self.table, self.chi)
+
+    @cached_property
+    def b(self) -> tuple[tuple[int, ...], ...]:
+        """The pre-Cartan matrix B = n*I - M."""
+        return mckay.pre_cartan(self.quiver)
+
+    @cached_property
+    def a(self) -> tuple[tuple[int, ...], ...]:
+        """The generalized Cartan matrix A = B + B^T."""
+        return mckay.gen_cartan(self.b)
 
     @cached_property
     def psd(self) -> mckay.PsdReport:

@@ -173,6 +173,19 @@ def test_failed_certificate_exits_1(monkeypatch, capsys, module, name, stub):
     assert err.startswith("error:")
 
 
+def test_chartab_and_info_never_build_the_quiver(monkeypatch, capsys):
+    monkeypatch.setattr(mckay, "decompose_product", _raise_non_integral)
+    pipeline.analyze.cache_clear()  # the group must be computed afresh
+    for command in ("chartab", "info"):
+        code, out, _ = _run(capsys, command, "--group", "Hmn:2,2")
+        assert code == 0
+        assert out
+    code, out, err = _run(capsys, "quiver", "--group", "Hmn:2,2")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "mckay3", "info", "--group", "Hmn:2,2"],
