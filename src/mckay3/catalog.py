@@ -77,7 +77,7 @@ def parse_spec(text: str) -> GroupSpec:
         return GroupSpec(kind=text)
     head, _, rest = text.partition(":")
     if head == "Hmn":
-        m = re.fullmatch(r"(\d+),(\d+)", rest)
+        m = re.fullmatch(r"([0-9]+),([0-9]+)", rest)
         if not m:
             raise SpecError(f"expected Hmn:m,n, got {text!r}")
         mm, nn = int(m.group(1)), int(m.group(2))
@@ -85,7 +85,7 @@ def parse_spec(text: str) -> GroupSpec:
             raise SpecError("Hmn parameters must be >= 1")
         return GroupSpec(kind="Hmn", m=mm, n=nn)
     if head in ("Gm3", "Gm6"):
-        if not re.fullmatch(r"\d+", rest):
+        if not re.fullmatch(r"[0-9]+", rest):
             raise SpecError(f"expected {head}:m, got {text!r}")
         mm = int(rest)
         if mm < 1:
@@ -101,7 +101,7 @@ def parse_spec(text: str) -> GroupSpec:
         pos = 1
         k = 0
         if subtype in ("cyclic", "binD"):
-            if pos >= len(parts) or not re.fullmatch(r"\d+", parts[pos]):
+            if pos >= len(parts) or not re.fullmatch(r"[0-9]+", parts[pos]):
                 raise SpecError(f"{subtype} needs a parameter: SL2:{subtype}:k")
             k = int(parts[pos])
             if k < 1:
@@ -109,7 +109,7 @@ def parse_spec(text: str) -> GroupSpec:
             pos += 1
         alpha = 1
         if pos < len(parts):
-            m = re.fullmatch(r"alpha=(\d+)", parts[pos])
+            m = re.fullmatch(r"alpha=([0-9]+)", parts[pos])
             if not m:
                 raise SpecError(f"unexpected suffix {parts[pos]!r} in {text!r}")
             alpha = int(m.group(1))

@@ -147,12 +147,22 @@ def eigenvector_check(table: CharacterTable, quiver: Quiver, chi) -> tuple[bool,
 
 
 def dual_transpose_check(table: CharacterTable, quiver: Quiver, chi) -> bool:
-    """Replacing pi by its dual must transpose the quiver."""
-    dual = adjacency(table, tuple(v.conjugate() for v in chi))
-    r = quiver.count
-    return all(
-        dual.matrix[i][j] == quiver.matrix[j][i] for i in range(r) for j in range(r)
-    )
+    """Replacing pi by its dual must transpose the quiver.
+
+    Certified as M^T X = X diag(conj chi), with X the table (X[i][k] =
+    gamma_i(C_k)), so no second tensor product is decomposed.
+
+    Precondition: the table passed `chartab.verify_orthogonality`, as every
+    `dixon_table` result has.  Then X D X^H = |G| I, so X is invertible and
+    its rows are an orthonormal basis of the class functions.  The dual
+    quiver M' has M'[i][j] = <conj(chi) gamma_i, gamma_j>, the coordinates of
+    conj(chi) gamma_i in that basis, so M' X = X diag(conj chi).  Any N with
+    N X = X diag(conj chi) equals X diag(conj chi) X^-1 = M'.  Hence
+    M^T = M' exactly when M^T X = X diag(conj chi), which is
+    `eigenvector_check` on the transposed quiver against conj(chi).
+    """
+    transposed = Quiver(quiver.dims, tuple(zip(*quiver.matrix)), quiver.rep_dim)
+    return all(eigenvector_check(table, transposed, tuple(v.conjugate() for v in chi)))
 
 
 # ---------------------------------------------------------------------------

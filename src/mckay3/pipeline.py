@@ -6,6 +6,12 @@ max_order); the quiver, B, A and each certificate are computed on first use
 and kept, so `chartab` and `info` never decompose a tensor product, and the
 `cartan` and `verify` commands read the same verdicts.  `verify` turns one
 analysis into the report that `mckay verify` prints.
+
+`dimensionBalance` is the kernel verdict B.delta = 0 and B^T.delta = 0
+(with B = n*I - M these are, term for term, the row and column balances
+sum_j m_ij d_j = n d_i and sum_i d_i m_ij = n d_j), and `dualTranspose` is
+certified as M^T X = X diag(conj chi) on the verified table X, with no
+second tensor-product decomposition.
 """
 
 from __future__ import annotations
@@ -92,13 +98,7 @@ def verify(spec: catalog.GroupSpec, max_order: int) -> dict:
     checks["sumOfSquares"] = _verdict(sum(d * d for d in table.dims) == table.order)
     checks["integrality"] = _verdict(all(v >= 0 for row in quiver.matrix for v in row))
 
-    dims, m, r, n = quiver.dims, quiver.matrix, quiver.count, quiver.rep_dim
-    ok = all(
-        sum(m[i][j] * dims[j] for j in range(r)) == n * dims[i] for i in range(r)
-    ) and all(
-        sum(dims[i] * m[i][j] for i in range(r)) == n * dims[j] for j in range(r)
-    )
-    checks["dimensionBalance"] = _verdict(ok)
+    checks["dimensionBalance"] = _verdict(an.kernel[1] and an.kernel[2])
 
     checks["psd"] = _verdict(an.psd.is_psd)
     checks["kernelDelta"] = _verdict(all(an.kernel))

@@ -1,12 +1,17 @@
 """Command line behavior: payload shapes, exit codes, determinism."""
 
+import contextlib
+import io
 import json
+import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mckay3 import chartab, mckay, pipeline
+from mckay3 import catalog, chartab, cli, mckay, pipeline
 from mckay3.chartab import NonIntegralMultiplicity
 from mckay3.cli import main
 
@@ -39,6 +44,17 @@ def test_bad_spec_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert "Hmn parameters" in err
+
+
+@pytest.mark.parametrize(
+    "spec", ["SL2:cyclic:\u0663", "Hmn:\u0662,2", "Gm3:\uff13", "SL2:2T:alpha=\u0663"]
+)
+def test_non_ascii_digits_exit_2(capsys, spec):
+    code, out, err = _run(capsys, "verify", "--group", spec)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
 
 
 def test_missing_subcommand_is_usage_error(capsys):
@@ -184,6 +200,97 @@ def test_chartab_and_info_never_build_the_quiver(monkeypatch, capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error:")
+
+
+def _tamper_first_row(moves):
+    """An adjacency that adds delta to m[0][j] for each (j, delta) in moves."""
+    real = mckay.adjacency
+
+    def tampered(table, chi=None):
+        q = real(table, chi)
+        rows = [list(row) for row in q.matrix]
+        for j, delta in moves:
+            rows[0][j] += delta
+        return mckay.Quiver(q.dims, tuple(tuple(row) for row in rows), q.rep_dim)
+
+    return tampered
+
+
+@pytest.fixture
+def fresh_analysis():
+    """Clear the analysis memo before and after, so no tampered quiver stays."""
+    pipeline.analyze.cache_clear()
+    yield
+    pipeline.analyze.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "moves",
+    [((1, 1),), ((1, -1), (2, 1))],
+    ids=["one-extra-arrow", "row-balanced-column-unbalanced"],
+)
+def test_tampered_quiver_fails_every_derived_check(monkeypatch, capsys, fresh_analysis, moves):
+    monkeypatch.setattr(mckay, "adjacency", _tamper_first_row(moves))
+    code, out, _ = _run(capsys, "verify", "--group", "Hmn:2,2", "--format", "json")
+    assert code == 1
+    checks = json.loads(out)["checks"]
+    for name in ("dimensionBalance", "kernelDelta", "eigenvectorProp", "dualTranspose"):
+        assert checks[name] == "fail", name
+
+
+_SEPS = st.sampled_from([":", ",", "", "::", ";", " ", "=", ":,"])
+_STRAY = st.text(alphabet="aGHLmnSxz", min_size=1, max_size=3)
+
+
+@st.composite
+def _specs(draw):
+    """A catalog spec, then mangled: separators swapped or emptied, stray
+    letters inserted, a part dropped.  Integers come from 0..6 only and are
+    never glued together, so no spec can ask for a large conductor."""
+    kind = draw(st.sampled_from(["Hmn", "Gm3", "Gm6", "SL2", *catalog._EXCEPTIONAL]))
+    ints = st.integers(0, 6).map(str)
+    parts = [("", kind)]  # (separator before the part, part)
+    if kind == "Hmn":
+        parts += [(":", draw(ints)), (",", draw(ints))]
+    elif kind in ("Gm3", "Gm6"):
+        parts += [(":", draw(ints))]
+    elif kind == "SL2":
+        subtype = draw(st.sampled_from(catalog._SL2_SUBTYPES))
+        parts += [(":", subtype)]
+        if subtype in ("cyclic", "binD"):
+            parts += [(":", draw(ints))]
+        if draw(st.booleans()):
+            parts += [(":", "alpha="), ("", draw(ints))]
+    for _ in range(draw(st.integers(0, 2))):
+        edit = draw(st.sampled_from(["separator", "stray", "drop"]))
+        pos = draw(st.integers(0, len(parts) - 1))
+        sep, part = parts[pos]
+        if edit == "separator":
+            parts[pos] = (draw(_SEPS), part)
+        elif edit == "stray":
+            parts.insert(pos, (draw(_SEPS), draw(_STRAY)))
+        elif len(parts) > 1:
+            del parts[pos]
+    text = ""
+    for sep, part in parts:
+        if not sep and text[-1:].isdigit() and part[:1].isdigit():
+            sep = ":"  # never glue two integers into a larger one
+        text += sep + part
+    return text
+
+
+@given(_specs())
+@settings(max_examples=80, deadline=None)
+def test_spec_fuzz_exits_cleanly(spec):
+    assert not re.search("[0-9]{2}", re.sub("G1[0-2]", "G", spec))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(["info", "--group", spec, "--max-order", "400"])
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_module_entry_point():

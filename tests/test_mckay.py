@@ -103,6 +103,35 @@ def test_dual_transpose_on_an_asymmetric_quiver():
     assert dual_transpose_check(table, q, chi)
 
 
+def _tamperings(q: Quiver):
+    """The quiver, its transpose, and +-1 on three single entries."""
+    r = q.count
+    yield q.matrix
+    yield tuple(zip(*q.matrix))
+    for i, j in ((0, 1), (1, 0), (r - 1, r - 1)):
+        for delta in (1, -1):
+            rows = [list(row) for row in q.matrix]
+            rows[i][j] += delta
+            yield tuple(tuple(row) for row in rows)
+
+
+@pytest.mark.parametrize("name", ["Hmn:2,4", "Gm3:3", "G5", "G8", "SL2:binD:3:alpha=3"])
+def test_dual_transpose_matches_a_second_decomposition(name):
+    table, q = _pipeline(name)
+    chi = tuple(m.trace() for m in table.class_reps)
+    # the reference: decompose conj(chi) * gamma_i afresh and compare with M^T
+    dual = adjacency(table, tuple(v.conjugate() for v in chi)).matrix
+    r = q.count
+    verdicts = []
+    for mat in _tamperings(q):
+        expected = all(dual[i][j] == mat[j][i] for i in range(r) for j in range(r))
+        got = dual_transpose_check(table, Quiver(q.dims, mat, q.rep_dim), chi)
+        assert got == expected
+        verdicts.append(got)
+    assert verdicts[0] is True
+    assert False in verdicts
+
+
 # ---------------------------------------------------------------------------
 # isomorphism search
 
