@@ -26,7 +26,7 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .chartab import CharacterTable
-from .exactnum import Cyclotomic, common_conductor, root, sqrt_constant
+from .exactnum import Cyclotomic, common_conductor, dot, root, sqrt_constant
 from .matgroup import FiniteMatrixGroup, SquareMatrix, closure, to_common_conductor
 from .mckay import Quiver
 
@@ -680,13 +680,12 @@ def _little_group_quiver(m: int, full_s3: bool) -> Quiver:
 
     order = len(elements)
     r = len(nodes)
+    weighted = [[c * th for c, th in zip(chi_pi, theta)] for theta in thetas]
+    conj = [[v.conjugate() for v in theta] for theta in thetas]
     mat = [[0] * r for _ in range(r)]
     for i in range(r):
         for j in range(r):
-            acc = zero
-            for t in range(order):
-                acc = acc + chi_pi[t] * thetas[i][t] * thetas[j][t].conjugate()
-            val = (acc / order).try_rational()
+            val = (dot(weighted[i], conj[j]) / order).try_rational()
             if val is None or val.denominator != 1 or val < 0:
                 raise CatalogError("induced-character bookkeeping failed")
             mat[i][j] = int(val)

@@ -344,7 +344,7 @@ def decompose_product(
     chi is a class function given on the table's classes; it may live at a
     different conductor, in which case everything is promoted to the lcm.
     """
-    target = lcm(table.conductor, max(v.conductor for v in chi))
+    target = lcm(table.conductor, *(v.conductor for v in chi))
     rows = [
         tuple(v.promote(target) for v in row) for row in table.values
     ]

@@ -448,10 +448,10 @@ def root(k: int, conductor: int) -> Cyclotomic:
 
 
 _SQRT_TABLE = {
-    2: (8, lambda: root(1, 8) + root(7, 8)),
-    5: (5, lambda: 1 + 2 * (root(1, 5) + root(4, 5))),
-    -3: (3, lambda: 1 + 2 * root(1, 3)),
-    -7: (7, lambda: 1 + 2 * (root(1, 7) + root(2, 7) + root(4, 7))),
+    2: lambda: root(1, 8) + root(7, 8),
+    5: lambda: 1 + 2 * (root(1, 5) + root(4, 5)),
+    -3: lambda: 1 + 2 * root(1, 3),
+    -7: lambda: 1 + 2 * (root(1, 7) + root(2, 7) + root(4, 7)),
 }
 
 
@@ -459,7 +459,7 @@ def sqrt_constant(d: int) -> Cyclotomic:
     """A fixed square root of d for the handful of radicands the generator
     catalog needs (2, 5, -3, -7), at the smallest conductor containing it."""
     try:
-        _, build = _SQRT_TABLE[d]
+        build = _SQRT_TABLE[d]
     except KeyError:
         raise UnsupportedRadicand(f"no tabulated square root for {d}") from None
     return build()

@@ -18,6 +18,7 @@ to exact products.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 from .exactnum import Cyclotomic, ConductorMismatch, dot
@@ -235,10 +236,6 @@ class FiniteMatrixGroup:
         self.generator_indices: tuple[int, ...] = generator_indices
         self.dim = elements[0].dim
         self.conductor = elements[0].conductor
-        self._fast: tuple[list[tuple[int, ...]], dict[tuple[int, ...], int], int] | None = None
-        self._fast_ready = False
-        self._orders: tuple[int, ...] | None = None
-        self._inverses: tuple[int, ...] | None = None
 
     @property
     def order(self) -> int:
@@ -276,24 +273,23 @@ class FiniteMatrixGroup:
             flat.append(key)
         return flat, lookup
 
-    def _ensure_fast(self) -> None:
-        if self._fast_ready:
-            return
-        self._fast_ready = True
+    @cached_property
+    def _fast(self) -> tuple[list[tuple[int, ...]], dict[tuple[int, ...], int], int] | None:
+        """Fingerprint images, their lookup and the prime q; None if no
+        prime tried is injective on the elements."""
         q = 10006  # the fingerprint primes are the q = 1 (mod N) above this
         for _ in range(8):
             q = prime_one_mod(self.conductor, q)
             got = self._try_fingerprints(q)
             if got is not None:
-                self._fast = (got[0], got[1], q)
-                return
-        self._fast = None
+                return got[0], got[1], q
+        return None
 
     def mul(self, i: int, j: int) -> int:
         """Index of elements[i] * elements[j]."""
-        self._ensure_fast()
-        if self._fast is not None:
-            flat, lookup, q = self._fast
+        fast = self._fast
+        if fast is not None:
+            flat, lookup, q = fast
             a, b, n = flat[i], flat[j], self.dim
             prod = []
             for r in range(n):
@@ -306,7 +302,9 @@ class FiniteMatrixGroup:
             return lookup[tuple(prod)]
         return self.index[(self.elements[i] * self.elements[j]).key()]
 
-    def _scan_orders(self) -> None:
+    @cached_property
+    def _orders_inverses(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(order, inverse index) of every element, by repeated products."""
         orders = [1] * self.order
         inverses = [0] * self.order
         for i in range(1, self.order):
@@ -319,20 +317,13 @@ class FiniteMatrixGroup:
                     orders[i], inverses[i] = o, cur
                     break
                 cur = nxt
-        self._orders = tuple(orders)
-        self._inverses = tuple(inverses)
+        return tuple(orders), tuple(inverses)
 
     def element_order(self, i: int) -> int:
-        if self._orders is None:
-            self._scan_orders()
-        return self._orders[i]
+        return self._orders_inverses[0][i]
 
     def inverse(self, i: int) -> int:
-        if self._inverses is None:
-            self._scan_orders()
-        return self._inverses[i]
+        return self._orders_inverses[1][i]
 
     def exponent(self) -> int:
-        if self._orders is None:
-            self._scan_orders()
-        return lcm(*self._orders)
+        return lcm(*self._orders_inverses[0])

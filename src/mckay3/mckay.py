@@ -12,9 +12,10 @@ and conjugating pi transposes the quiver.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from .chartab import CharacterTable, decompose_product
-from .exactnum import Cyclotomic
+from .exactnum import Cyclotomic, dot
 from .modp import integer_charpoly
 
 
@@ -119,31 +120,17 @@ def eigenvector_check(table: CharacterTable, quiver: Quiver, chi) -> tuple[bool,
 
     Since B = n*I - M, this is the same as B p_k = (n - chi(C_k)) p_k.
     """
-    from math import lcm
-
-    target = lcm(table.conductor, max(v.conductor for v in chi))
+    target = lcm(table.conductor, *(v.conductor for v in chi))
     cols = [
         [table.values[i][k].promote(target) for i in range(table.count)]
         for k in range(table.count)
     ]
     chi_p = [v.promote(target) for v in chi]
-    m = quiver.matrix
-    r = quiver.count
-    verdicts = []
-    for k in range(r):
-        p_k = cols[k]
-        lam = chi_p[k]
-        ok = True
-        for i in range(r):
-            total = Cyclotomic.rational(0, target)
-            for j in range(r):
-                if m[i][j]:
-                    total = total + m[i][j] * p_k[j]
-            if total != lam * p_k[i]:
-                ok = False
-                break
-        verdicts.append(ok)
-    return tuple(verdicts)
+    m = [[Cyclotomic.rational(e, target) for e in row] for row in quiver.matrix]
+    return tuple(
+        all(dot(m_i, p_k) == lam * p_k[i] for i, m_i in enumerate(m))
+        for p_k, lam in zip(cols, chi_p)
+    )
 
 
 def dual_transpose_check(table: CharacterTable, quiver: Quiver, chi) -> bool:

@@ -20,6 +20,7 @@ from mckay3.chartab import (
 )
 from mckay3.exactnum import Cyclotomic
 from mckay3.matgroup import SquareMatrix, closure
+from mckay3.mckay import adjacency, dual_transpose_check, eigenvector_check
 
 
 def _s3():
@@ -116,6 +117,18 @@ def test_decompose_product_against_trivial(s3_table):
         [0, 1, 0],
         [0, 0, 1],
     ]
+
+
+def test_class_function_with_mixed_conductors():
+    # chi = 1 + 2*sign on Z/2, its two values stored at conductors 3 and 4
+    # while the table lives at conductor 2: the promotion target is lcm 12
+    t = dixon_table(build_group(parse_spec("Hmn:2,1")))
+    assert t.conductor == 2
+    chi = (Cyclotomic.rational(3, 3), Cyclotomic.rational(-1, 4))
+    q = adjacency(t, chi)
+    assert q.matrix == ((1, 2), (2, 1))
+    assert eigenvector_check(t, q, chi) == (True, True)
+    assert dual_transpose_check(t, q, chi) is True
 
 
 def test_decompose_product_rejects_non_characters():

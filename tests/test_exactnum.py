@@ -103,10 +103,26 @@ def test_common_conductor():
     assert b == root(3, 12)
 
 
-def test_dot_matches_termwise():
-    xs = [root(k, 8) for k in range(4)]
-    ys = [root(3 * k + 1, 8) / 2 for k in range(4)]
-    total = Cyclotomic.rational(0, 8)
+@st.composite
+def _dot_operands(draw):
+    n = draw(st.sampled_from([1, 3, 4, 5, 8, 12]))
+    length = draw(st.integers(1, 8))
+    # small coefficients with zeros, so zero terms and zero vectors occur
+    value = st.builds(
+        lambda coeffs, den: Cyclotomic(n, coeffs, den),
+        st.lists(st.integers(-3, 3) | st.just(0), min_size=totient(n), max_size=totient(n)),
+        st.integers(1, 6),
+    )
+    xs = draw(st.lists(value, min_size=length, max_size=length))
+    ys = draw(st.lists(value, min_size=length, max_size=length))
+    return n, xs, ys
+
+
+@given(_dot_operands())
+@settings(max_examples=200, deadline=None)
+def test_dot_matches_termwise(operands):
+    n, xs, ys = operands
+    total = Cyclotomic.rational(0, n)
     for x, y in zip(xs, ys):
         total = total + x * y
     assert dot(xs, ys) == total

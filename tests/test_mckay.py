@@ -1,6 +1,7 @@
 """Adjacency, Cartan matrices, exact PSD, quiver isomorphism, export."""
 
 import re
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from mckay3.catalog import build_group, parse_spec
 from mckay3.chartab import dixon_table
+from mckay3.exactnum import Cyclotomic
 from mckay3.mckay import (
     NotSymmetric,
     Quiver,
@@ -115,6 +117,28 @@ def _tamperings(q: Quiver):
             yield tuple(tuple(row) for row in rows)
 
 
+def _termwise_eigenvector_check(table, quiver: Quiver, chi) -> tuple[bool, ...]:
+    """The per-entry loop `eigenvector_check` replaced by `dot`: one exact
+    product and sum per nonzero m_ij."""
+    target = lcm(table.conductor, *(v.conductor for v in chi))
+    r = quiver.count
+    verdicts = []
+    for k in range(r):
+        p_k = [table.values[i][k].promote(target) for i in range(r)]
+        lam = chi[k].promote(target)
+        ok = True
+        for i in range(r):
+            total = Cyclotomic.rational(0, target)
+            for j in range(r):
+                if quiver.matrix[i][j]:
+                    total = total + quiver.matrix[i][j] * p_k[j]
+            if total != lam * p_k[i]:
+                ok = False
+                break
+        verdicts.append(ok)
+    return tuple(verdicts)
+
+
 @pytest.mark.parametrize("name", ["Hmn:2,4", "Gm3:3", "G5", "G8", "SL2:binD:3:alpha=3"])
 def test_dual_transpose_matches_a_second_decomposition(name):
     table, q = _pipeline(name)
@@ -123,13 +147,21 @@ def test_dual_transpose_matches_a_second_decomposition(name):
     dual = adjacency(table, tuple(v.conjugate() for v in chi)).matrix
     r = q.count
     verdicts = []
+    per_class = set()
     for mat in _tamperings(q):
+        tampered = Quiver(q.dims, mat, q.rep_dim)
         expected = all(dual[i][j] == mat[j][i] for i in range(r) for j in range(r))
-        got = dual_transpose_check(table, Quiver(q.dims, mat, q.rep_dim), chi)
+        got = dual_transpose_check(table, tampered, chi)
         assert got == expected
         verdicts.append(got)
+        # the whole per-class tuple, since `cartan` prints how many classes pass
+        eigen = eigenvector_check(table, tampered, chi)
+        assert eigen == _termwise_eigenvector_check(table, tampered, chi)
+        per_class.add(eigen)
     assert verdicts[0] is True
     assert False in verdicts
+    assert eigenvector_check(table, q, chi) == (True,) * r
+    assert len(per_class) > 1
 
 
 # ---------------------------------------------------------------------------
