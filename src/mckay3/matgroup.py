@@ -6,13 +6,10 @@ a breadth-first walk that processes each frontier in sorted key order, so the
 element list (and hence every downstream index, class and table ordering) is
 reproducible across runs and platforms.
 
-Once a group is closed we also build a fingerprint of every element: the
-matrix image under a ring map Q(zeta_N) -> F_q for a prime q = 1 (mod N).
-The map is verified to be injective on the finished element list, after which
-index-level products (needed in bulk by conjugacy classes and class constants)
-run on small integer tuples instead of exact cyclotomic entries.  Results
-never depend on q: if no prime gives an injective image we simply fall back
-to exact products.
+The walk records the Cayley graph it computes anyway: for each generator g
+the permutation x -> x*g of element indices, and the breadth-first tree.
+Index-level products (needed in bulk by conjugacy classes and class
+constants) read that graph and never touch a matrix.
 """
 
 from __future__ import annotations
@@ -22,7 +19,6 @@ from functools import cached_property
 from math import lcm
 
 from .exactnum import Cyclotomic, ConductorMismatch, dot
-from .modp import prime_one_mod, root_of_unity
 
 
 class SingularMatrix(ValueError):
@@ -167,6 +163,8 @@ def to_common_conductor(mats) -> list[SquareMatrix]:
     return [m.promote(target) for m in mats]
 
 
+
+
 def closure(generators, max_order: int = 20000) -> "FiniteMatrixGroup":
     """Multiplicative closure of the generators, in deterministic order.
 
@@ -191,49 +189,52 @@ def closure(generators, max_order: int = 20000) -> "FiniteMatrixGroup":
     identity = SquareMatrix.identity(dim, conductor)
     elements: list[SquareMatrix] = [identity]
     index: dict[bytes, int] = {identity.key(): 0}
-    frontier = []
-    seen_gen_keys = set()
-    for g in gens:
-        k = g.key()
-        if k not in index and k not in seen_gen_keys:
-            seen_gen_keys.add(k)
-            frontier.append(g)
-    frontier.sort(key=SquareMatrix.key)
-    for m in frontier:
-        index[m.key()] = len(elements)
-        elements.append(m)
-
+    right: list[list[int]] = [[] for _ in gens]
+    tree: list[tuple[int, int] | None] = [None]
+    frontier = [0]
     while frontier:
-        fresh: list[SquareMatrix] = []
-        fresh_keys = set()
+        fresh: dict[bytes, tuple[SquareMatrix, int, int]] = {}
+        keys: list[bytes] = []
         for x in frontier:
-            for g in gens:
-                y = x * g
+            for pos, g in enumerate(gens):
+                y = elements[x] * g
                 k = y.key()
-                if k not in index and k not in fresh_keys:
-                    fresh_keys.add(k)
-                    fresh.append(y)
-        fresh.sort(key=SquareMatrix.key)
-        for m in fresh:
-            index[m.key()] = len(elements)
-            elements.append(m)
+                keys.append(k)
+                if k not in index and k not in fresh:
+                    fresh[k] = (y, x, pos)
+        frontier = []
+        for k in sorted(fresh):
+            y, parent, pos = fresh[k]
+            index[k] = len(elements)
+            frontier.append(len(elements))
+            elements.append(y)
+            tree.append((parent, pos))
             if len(elements) > max_order:
                 raise OrderBoundExceeded(
                     f"more than {max_order} elements; raise max_order if intended"
                 )
-        frontier = fresh
+        # each level is a run of consecutive indices, so appending keeps
+        # right[pos][x] at position x
+        for t, k in enumerate(keys):
+            right[t % len(gens)].append(index[k])
 
-    gen_indices = tuple(index[g.key()] for g in gens)
-    return FiniteMatrixGroup(tuple(elements), index, gen_indices)
+    return FiniteMatrixGroup(tuple(elements), index, right, tree)
 
 
 class FiniteMatrixGroup:
-    """A finite matrix group as an indexed element list (identity at 0)."""
+    """A finite matrix group as an indexed element list (identity at 0).
 
-    def __init__(self, elements, index, generator_indices):
+    Built by `closure`, which hands over its Cayley graph: right[g][x] is the
+    index of elements[x] * gens[g], and tree[x] = (parent, g) says that x was
+    first reached as elements[parent] * gens[g] (tree[0] is None).
+    """
+
+    def __init__(self, elements, index, right, tree):
         self.elements: tuple[SquareMatrix, ...] = elements
         self.index: dict[bytes, int] = index
-        self.generator_indices: tuple[int, ...] = generator_indices
+        self._right = tuple(tuple(r) for r in right)
+        self._tree = tuple(tree)
+        self.generator_indices: tuple[int, ...] = tuple(r[0] for r in self._right)
         self.dim = elements[0].dim
         self.conductor = elements[0].conductor
 
@@ -247,60 +248,20 @@ class FiniteMatrixGroup:
         except KeyError:
             raise KeyError("matrix is not an element of this group") from None
 
-    # -- fast index-level products ---------------------------------------
-
-    def _try_fingerprints(self, q: int) -> tuple[list[tuple[int, ...]], dict[tuple[int, ...], int]] | None:
-        n_root = root_of_unity(q, self.conductor)
-        powers = [pow(n_root, k, q) for k in range(self.conductor)]
-        flat: list[tuple[int, ...]] = []
-        lookup: dict[tuple[int, ...], int] = {}
-        for pos, m in enumerate(self.elements):
-            img = []
-            for r in m.rows:
-                for e in r:
-                    den = e._den % q
-                    if den == 0:
-                        return None
-                    total = 0
-                    for k, c in enumerate(e._num):
-                        if c:
-                            total += c * powers[k]
-                    img.append(total * pow(den, -1, q) % q)
-            key = tuple(img)
-            if key in lookup:
-                return None  # not injective at this prime
-            lookup[key] = pos
-            flat.append(key)
-        return flat, lookup
-
     @cached_property
-    def _fast(self) -> tuple[list[tuple[int, ...]], dict[tuple[int, ...], int], int] | None:
-        """Fingerprint images, their lookup and the prime q; None if no
-        prime tried is injective on the elements."""
-        q = 10006  # the fingerprint primes are the q = 1 (mod N) above this
-        for _ in range(8):
-            q = prime_one_mod(self.conductor, q)
-            got = self._try_fingerprints(q)
-            if got is not None:
-                return got[0], got[1], q
-        return None
+    def _words(self) -> list[tuple[tuple[int, ...], ...]]:
+        """For each element, the right-multiplication permutations of its
+        tree word, in order: elements[j] = gens[g_1] * ... * gens[g_k]."""
+        words: list[tuple[tuple[int, ...], ...]] = [()]
+        for parent, pos in self._tree[1:]:
+            words.append(words[parent] + (self._right[pos],))
+        return words
 
     def mul(self, i: int, j: int) -> int:
-        """Index of elements[i] * elements[j]."""
-        fast = self._fast
-        if fast is not None:
-            flat, lookup, q = fast
-            a, b, n = flat[i], flat[j], self.dim
-            prod = []
-            for r in range(n):
-                base = r * n
-                for c in range(n):
-                    total = 0
-                    for k in range(n):
-                        total += a[base + k] * b[k * n + c]
-                    prod.append(total % q)
-            return lookup[tuple(prod)]
-        return self.index[(self.elements[i] * self.elements[j]).key()]
+        """Index of elements[i] * elements[j], by walking j's tree word."""
+        for perm in self._words[j]:
+            i = perm[i]
+        return i
 
     @cached_property
     def _orders_inverses(self) -> tuple[tuple[int, ...], tuple[int, ...]]:

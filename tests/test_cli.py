@@ -64,9 +64,12 @@ def test_missing_subcommand_is_usage_error(capsys):
 
 
 def test_order_bound_exits_3(capsys):
-    code, _, err = _run(capsys, "info", "--group", "G12", "--max-order", "100")
-    assert code == 3
-    assert "100" in err
+    # Hmn:2,1 exceeds the bound already at its generators
+    for spec, bound in (("G12", "100"), ("Hmn:2,1", "1")):
+        code, out, err = _run(capsys, "info", "--group", spec, "--max-order", bound)
+        assert code == 3
+        assert out == ""
+        assert f"more than {bound} elements" in err
 
 
 def test_cartan_csv_matches_expected(capsys):

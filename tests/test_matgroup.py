@@ -109,13 +109,20 @@ def test_closure_order_bound():
     gen = SquareMatrix([[z, 0, 0], [0, z.inv(), 0], [0, 0, 1]])
     with pytest.raises(OrderBoundExceeded):
         closure([gen], max_order=5)
+    # the bound holds at the generator level too
+    with pytest.raises(OrderBoundExceeded):
+        closure([SquareMatrix([[-1, 0], [0, -1]])], max_order=1)
 
 
 def test_group_multiplication_table_matches_matrices(tetra):
-    for i in range(tetra.order):
-        for j in range(tetra.order):
-            product = tetra.elements[i] * tetra.elements[j]
-            assert tetra.mul(i, j) == tetra.index_of(product)
+    # a repeated generator and the identity add generator positions, not elements
+    padded = closure([_cycle(), SquareMatrix.identity(3), _cycle(), _klein()])
+    assert [m.key() for m in padded.elements] == [m.key() for m in tetra.elements]
+    for group in (tetra, padded):
+        for i in range(group.order):
+            for j in range(group.order):
+                product = group.elements[i] * group.elements[j]
+                assert group.mul(i, j) == group.index_of(product)
 
 
 def test_group_inverses(tetra):
@@ -149,18 +156,18 @@ def test_words_in_generators_stay_inside(tetra, word):
 
 
 @pytest.mark.parametrize("name", ["G7", "Gm3:3"])
-def test_exact_product_fallback_matches_fingerprints(name, monkeypatch):
+def test_exact_products_reproduce_classes_table_and_quiver(name, monkeypatch):
     def analysis(group):
         classes = conjugacy_classes(group)
         table = dixon_table(group, classes)
         return classes, table, adjacency(table)
 
     spec = parse_spec(name)
-    fast = build_group(spec)
-    expected = analysis(fast)
-    assert fast._fast is not None
-    # no prime is injective: every index product falls back to exact matrices
-    monkeypatch.setattr(FiniteMatrixGroup, "_try_fingerprints", lambda self, q: None)
-    exact = build_group(spec)
-    assert analysis(exact) == expected
-    assert exact._fast is None
+    expected = analysis(build_group(spec))
+    # every index product of a freshly built group from exact matrices
+    monkeypatch.setattr(
+        FiniteMatrixGroup,
+        "mul",
+        lambda self, i, j: self.index[(self.elements[i] * self.elements[j]).key()],
+    )
+    assert analysis(build_group(spec)) == expected

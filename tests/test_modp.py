@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mckay3 import modp
-from mckay3.catalog import build_group, parse_spec
 from mckay3.mckay import char_poly
 
 
@@ -94,10 +93,6 @@ def test_prime_one_mod_gives_the_fingerprint_primes():
             got.append(q)
         assert got == _old_fingerprint_primes(conductor)
     assert modp.prime_one_mod(12, 10006) == 10009
-    group = build_group(parse_spec("Hmn:4,3"))
-    assert group.conductor == 12
-    group.mul(1, 1)
-    assert group._fast[2] == 10009
 
 
 @pytest.mark.parametrize("q", [7, 13, 61, 10009, 1048609])
