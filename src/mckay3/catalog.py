@@ -652,17 +652,18 @@ def _little_group_quiver(m: int, full_s3: bool) -> Quiver:
             for tau in _k_irreps(stab, cond):
                 nodes.append((c, frozenset(stab), tau))
 
+    conj_by = {(g, s): _comp(_comp(_inv_perm(g), s), g) for g in kgrp for s in kgrp}
     zero = Cyclotomic.rational(0, cond)
     thetas = []
     for c, stab, tau in nodes:
+        moved = [(g, act(g, c)) for g in kgrp]
         vals = []
         for x, s in elements:
             total = zero
-            for g in kgrp:
-                conj = _comp(_comp(_inv_perm(g), s), g)
+            for g, gc in moved:
+                conj = conj_by[g, s]
                 if conj not in stab:
                     continue
-                gc = act(g, c)
                 exp = (gc[0] * x[0] + gc[1] * x[1]) % m
                 total = total + root(exp * step, cond) * tau[conj]
             vals.append(total / len(stab))
