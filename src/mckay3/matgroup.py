@@ -194,12 +194,12 @@ def closure(generators, max_order: int = 20000) -> "FiniteMatrixGroup":
     frontier = [0]
     while frontier:
         fresh: dict[bytes, tuple[SquareMatrix, int, int]] = {}
-        keys: list[bytes] = []
+        keys: list[list[bytes]] = [[] for _ in gens]
         for x in frontier:
             for pos, g in enumerate(gens):
-                y = elements[x] * g
+                y = elements[x] * g if x else g  # 1*g is g: no product
                 k = y.key()
-                keys.append(k)
+                keys[pos].append(k)
                 if k not in index and k not in fresh:
                     fresh[k] = (y, x, pos)
         frontier = []
@@ -213,10 +213,10 @@ def closure(generators, max_order: int = 20000) -> "FiniteMatrixGroup":
                 raise OrderBoundExceeded(
                     f"more than {max_order} elements; raise max_order if intended"
                 )
-        # each level is a run of consecutive indices, so appending keeps
+        # the frontier is a run of consecutive indices, so extending keeps
         # right[pos][x] at position x
-        for t, k in enumerate(keys):
-            right[t % len(gens)].append(index[k])
+        for row, level_keys in zip(right, keys):
+            row.extend(index[k] for k in level_keys)
 
     return FiniteMatrixGroup(tuple(elements), index, right, tree)
 
