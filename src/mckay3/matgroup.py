@@ -186,6 +186,10 @@ def closure(generators, max_order: int = 20000) -> "FiniteMatrixGroup":
         if g.det().is_zero():
             raise SingularMatrix("generator is singular")
 
+    if max_order < 1:  # the identity alone is one element
+        raise OrderBoundExceeded(
+            f"more than {max_order} elements; raise max_order if intended"
+        )
     identity = SquareMatrix.identity(dim, conductor)
     elements: list[SquareMatrix] = [identity]
     index: dict[bytes, int] = {identity.key(): 0}

@@ -64,8 +64,8 @@ def test_missing_subcommand_is_usage_error(capsys):
 
 
 def test_order_bound_exits_3(capsys):
-    # Hmn:2,1 exceeds the bound already at its generators
-    for spec, bound in (("G12", "100"), ("Hmn:2,1", "1")):
+    # Hmn:2,1 exceeds the bound at its generators, Hmn:1,1 at the identity
+    for spec, bound in (("G12", "100"), ("Hmn:2,1", "1"), ("Hmn:1,1", "0")):
         code, out, err = _run(capsys, "info", "--group", spec, "--max-order", bound)
         assert code == 3
         assert out == ""

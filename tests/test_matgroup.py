@@ -109,9 +109,11 @@ def test_closure_order_bound():
     gen = SquareMatrix([[z, 0, 0], [0, z.inv(), 0], [0, 0, 1]])
     with pytest.raises(OrderBoundExceeded):
         closure([gen], max_order=5)
-    # the bound holds at the generator level too
+    # the bound counts the generator level and the identity too
     with pytest.raises(OrderBoundExceeded):
         closure([SquareMatrix([[-1, 0], [0, -1]])], max_order=1)
+    with pytest.raises(OrderBoundExceeded):
+        closure([SquareMatrix.identity(2)], max_order=0)
 
 
 def test_group_multiplication_table_matches_matrices(tetra):
