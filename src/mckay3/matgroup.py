@@ -163,8 +163,6 @@ def to_common_conductor(mats) -> list[SquareMatrix]:
     return [m.promote(target) for m in mats]
 
 
-
-
 def closure(generators, max_order: int = 20000) -> "FiniteMatrixGroup":
     """Multiplicative closure of the generators, in deterministic order.
 
@@ -236,9 +234,9 @@ class FiniteMatrixGroup:
     def __init__(self, elements, index, right, tree):
         self.elements: tuple[SquareMatrix, ...] = elements
         self.index: dict[bytes, int] = index
-        self._right = tuple(tuple(r) for r in right)
-        self._tree = tuple(tree)
-        self.generator_indices: tuple[int, ...] = tuple(r[0] for r in self._right)
+        self._right: list[list[int]] = right
+        self._tree: list[tuple[int, int] | None] = tree
+        self.generator_indices: tuple[int, ...] = tuple(r[0] for r in right)
         self.dim = elements[0].dim
         self.conductor = elements[0].conductor
 
@@ -253,10 +251,10 @@ class FiniteMatrixGroup:
             raise KeyError("matrix is not an element of this group") from None
 
     @cached_property
-    def _words(self) -> list[tuple[tuple[int, ...], ...]]:
+    def _words(self) -> list[tuple[list[int], ...]]:
         """For each element, the right-multiplication permutations of its
         tree word, in order: elements[j] = gens[g_1] * ... * gens[g_k]."""
-        words: list[tuple[tuple[int, ...], ...]] = [()]
+        words: list[tuple[list[int], ...]] = [()]
         for parent, pos in self._tree[1:]:
             words.append(words[parent] + (self._right[pos],))
         return words
