@@ -26,7 +26,7 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .chartab import CharacterTable
-from .exactnum import Cyclotomic, common_conductor, dot, root, sqrt_constant
+from .exactnum import Cyclotomic, common_conductor, dot, root, root_sum, sqrt_constant
 from .matgroup import FiniteMatrixGroup, SquareMatrix, closure, to_common_conductor
 from .mckay import Quiver
 
@@ -587,28 +587,27 @@ def _parity(p) -> int:
 
 
 def _k_irreps(kc, conductor):
-    """Irreducible characters of a subgroup of S3 as dicts perm -> value."""
-    one = Cyclotomic.rational(1, conductor)
+    """Irreducible characters of a subgroup of S3 as dicts perm -> value,
+    each value a pair (c, k) standing for c * zeta^k at the conductor."""
     e = (0, 1, 2)
+    one, minus = (1, 0), (-1, 0)
     if len(kc) == 1:
         return [{e: one}]
     if len(kc) == 2:
         t = next(p for p in kc if p != e)
-        return [{e: one, t: one}, {e: one, t: -one}]
+        return [{e: one, t: one}, {e: one, t: minus}]
     if len(kc) == 3:
         g, g2 = (1, 2, 0), (2, 0, 1)
-        w = root(conductor // 3, conductor)
+        w, w2 = (1, conductor // 3), (1, 2 * conductor // 3)
         return [
             {e: one, g: one, g2: one},
-            {e: one, g: w, g2: w * w},
-            {e: one, g: w * w, g2: w},
+            {e: one, g: w, g2: w2},
+            {e: one, g: w2, g2: w},
         ]
     triv = {p: one for p in kc}
-    sgn = {p: (one if _parity(p) > 0 else -one) for p in kc}
-    two = Cyclotomic.rational(2, conductor)
-    zero = Cyclotomic.rational(0, conductor)
+    sgn = {p: (one if _parity(p) > 0 else minus) for p in kc}
     std = {
-        p: (two if p == e else (zero if _parity(p) < 0 else -one)) for p in kc
+        p: ((2, 0) if p == e else ((0, 0) if _parity(p) < 0 else minus)) for p in kc
     }
     return [triv, sgn, std]
 
@@ -653,31 +652,25 @@ def _little_group_quiver(m: int, full_s3: bool) -> Quiver:
                 nodes.append((c, frozenset(stab), tau))
 
     conj_by = {(g, s): _comp(_comp(_inv_perm(g), s), g) for g in kgrp for s in kgrp}
-    zero = Cyclotomic.rational(0, cond)
     thetas = []
     for c, stab, tau in nodes:
         moved = [(g, act(g, c)) for g in kgrp]
         vals = []
         for x, s in elements:
-            total = zero
+            terms = []
             for g, gc in moved:
                 conj = conj_by[g, s]
-                if conj not in stab:
-                    continue
-                exp = (gc[0] * x[0] + gc[1] * x[1]) % m
-                total = total + root(exp * step, cond) * tau[conj]
-            vals.append(total / len(stab))
+                if conj in stab:
+                    coeff, k = tau[conj]
+                    terms.append(((gc[0] * x[0] + gc[1] * x[1]) * step + k, coeff))
+            vals.append(root_sum(cond, terms, len(stab)))
         thetas.append(vals)
 
     chi_pi = []
     for x, s in elements:
-        total = zero
-        for i in range(3):
-            if s[i] == i:
-                total = total + root(x[i] * step, cond)
-        if full_s3 and _parity(s) < 0:
-            total = -total
-        chi_pi.append(total)
+        sign = -1 if full_s3 and _parity(s) < 0 else 1
+        fixed = [(x[i] * step, sign) for i in range(3) if s[i] == i]
+        chi_pi.append(root_sum(cond, fixed))
 
     order = len(elements)
     r = len(nodes)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt, lcm
 
-from .exactnum import Cyclotomic, dot, root
+from .exactnum import Cyclotomic, dot, root_sum
 from .matgroup import FiniteMatrixGroup, SquareMatrix
 from .modp import charpoly, eval_poly, kernel_basis, prime_one_mod, root_of_unity, rref
 
@@ -49,8 +49,11 @@ class ConjugacyClassSet:
 
 def conjugacy_classes(group: FiniteMatrixGroup) -> ConjugacyClassSet:
     n = group.order
-    gens = list(group.generator_indices)
-    gen_invs = [group.inverse(g) for g in gens]
+    # x -> g^-1 x g for each generator g; its orbits are the classes
+    conjugations = [
+        [group.mul(y, g) for y in group.left(group.inverse(g))]
+        for g in group.generator_indices
+    ]
     class_id = [-1] * n
     raw: list[list[int]] = []
     for start in range(n):
@@ -62,8 +65,8 @@ def conjugacy_classes(group: FiniteMatrixGroup) -> ConjugacyClassSet:
         queue = [start]
         while queue:
             x = queue.pop()
-            for g, gi in zip(gens, gen_invs):
-                y = group.mul(group.mul(g, x), gi)
+            for conj in conjugations:
+                y = conj[x]
                 if class_id[y] < 0:
                     class_id[y] = cid
                     orbit.append(y)
@@ -88,16 +91,16 @@ def class_constants(
 ) -> list[list[list[int]]]:
     """a[i][j][k] = number of pairs (x, y) in C_i x C_j with x*y = rep(C_k).
 
-    Built in |G| * r index products: for a fixed target z, every x in G
-    contributes the unique pair (x, x^-1 z).
+    Built from one row z*w (over all w) per class: for a fixed target z,
+    every w in G contributes the unique pair (z*w, w^-1).
     """
     r = classes.count
     a = [[[0] * r for _ in range(r)] for _ in range(r)]
     class_of = classes.class_of
+    inverse_class_of = [classes.inverse_class[c] for c in class_of]
     for k, z in enumerate(classes.reps):
-        for x in range(group.order):
-            j = class_of[group.mul(group.inverse(x), z)]
-            a[class_of[x]][j][k] += 1
+        for w, zw in enumerate(group.left(z)):
+            a[class_of[zw]][inverse_class_of[w]][k] += 1
     return a
 
 
@@ -204,7 +207,7 @@ def dixon_table(
             o = classes.orders[k]
             z_o = pow(z_e, e // o, p)
             inv_o = pow(o, -1, p)
-            value = Cyclotomic.rational(0, e)
+            terms = []
             for t in range(o):
                 acc = 0
                 for s in range(o):
@@ -214,9 +217,8 @@ def dixon_table(
                     raise OrthogonalityFailure(
                         "lifted Fourier coefficient out of range"
                     )
-                if mu:
-                    value = value + mu * root((e // o) * t, e)
-            vals.append(value)
+                terms.append(((e // o) * t, mu))
+            vals.append(root_sum(e, terms))
         lifted.append((d, tuple(vals)))
 
     one = Cyclotomic.rational(1, e)

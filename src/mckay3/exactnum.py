@@ -75,8 +75,9 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 def _reduction_table(n: int) -> tuple[tuple[int, ...], ...]:
     """Row k is the coefficient vector of x^k reduced mod Phi_n.
 
-    Covers k up to max(n-1, 2*phi-2), enough for products of reduced values,
-    Galois conjugation (exponent n-k) and promotion into conductor n.
+    Covers k up to max(n-1, 2*phi-2).  Rows 0..n-1 are every power of x, since
+    x^n = 1 mod Phi_n; only `_mul_vectors` reads rows past n-1, for the high
+    half of a product of two reduced values.
     """
     phi = totient(n)
     top = list(cyclotomic_polynomial(n)[:phi])  # x^phi = -(these)
@@ -118,17 +119,18 @@ def _normalize(conductor: int, num: list[int], den: int) -> "Cyclotomic":
     return value
 
 
-def _reduce_long(conductor: int, coeffs: list[int]) -> list[int]:
-    """Reduce an over-long integer coefficient vector mod Phi_N."""
-    phi = totient(conductor)
+def root_sum(conductor: int, terms, den: int = 1) -> "Cyclotomic":
+    """sum(c * zeta_N^k for k, c in terms) / den, with N the conductor.
+
+    The rows of x^k are folded into one integer vector, normalized once.  Any
+    integer k is valid, because x^N = 1 mod Phi_N.
+    """
     table = _reduction_table(conductor)
-    out = [0] * phi
-    for k, c in enumerate(coeffs):
+    out = [0] * totient(conductor)
+    for k, c in terms:
         if c:
-            row = table[k]
-            for i in range(phi):
-                out[i] += c * row[i]
-    return out
+            out = [a + c * b for a, b in zip(out, table[k % conductor])]
+    return _normalize(conductor, out, den)
 
 
 class Cyclotomic:
@@ -152,13 +154,9 @@ class Cyclotomic:
         for f in scaled:
             lcm_den = lcm_den * f.denominator // gcd(lcm_den, f.denominator)
         ints = [int(f * lcm_den) for f in scaled]
-        if len(ints) > totient(conductor):
-            if len(ints) > max(conductor, 2 * totient(conductor) - 1):
-                raise ValueError("coefficient vector too long")
-            ints = _reduce_long(conductor, ints)
-        else:
-            ints = ints + [0] * (totient(conductor) - len(ints))
-        value = _normalize(conductor, ints, common * lcm_den)
+        if len(ints) > max(conductor, 2 * totient(conductor) - 1):
+            raise ValueError("coefficient vector too long")
+        value = root_sum(conductor, enumerate(ints), common * lcm_den)
         self.conductor = value.conductor
         self._num = value._num
         self._den = value._den
@@ -303,15 +301,7 @@ class Cyclotomic:
         n = self.conductor
         if gcd(t, n) != 1:
             raise ValueError("galois exponent must be coprime to the conductor")
-        table = _reduction_table(n)
-        phi = totient(n)
-        out = [0] * phi
-        for k, c in enumerate(self._num):
-            if c:
-                row = table[(k * t) % n]
-                for i in range(phi):
-                    out[i] += c * row[i]
-        return _normalize(n, out, self._den)
+        return root_sum(n, ((k * t, c) for k, c in enumerate(self._num)), self._den)
 
     def promote(self, conductor: int) -> "Cyclotomic":
         """The same value viewed in Q(zeta_M) for a multiple M of N."""
@@ -321,15 +311,8 @@ class Cyclotomic:
         if conductor == n:
             return self
         step = conductor // n
-        table = _reduction_table(conductor)
-        phi2 = totient(conductor)
-        out = [0] * phi2
-        for k, c in enumerate(self._num):
-            if c:
-                row = table[step * k]
-                for i in range(phi2):
-                    out[i] += c * row[i]
-        return _normalize(conductor, out, self._den)
+        terms = ((step * k, c) for k, c in enumerate(self._num))
+        return root_sum(conductor, terms, self._den)
 
     # -- display -----------------------------------------------------------
 
@@ -373,6 +356,10 @@ class Cyclotomic:
         return self._num == o._num and self._den == o._den
 
     def __hash__(self) -> int:
+        # a rational value equals its int or Fraction, so it hashes like one
+        r = self.try_rational()
+        if r is not None:
+            return hash(r)
         return hash((self.conductor, self._num, self._den))
 
 

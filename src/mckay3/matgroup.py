@@ -9,7 +9,9 @@ reproducible across runs and platforms.
 The walk records the Cayley graph it computes anyway: for each generator g
 the permutation x -> x*g of element indices, and the breadth-first tree.
 Index-level products (needed in bulk by conjugacy classes and class
-constants) read that graph and never touch a matrix.
+constants) read that graph and never touch a matrix: a single product walks
+the tree word of its right factor, and a whole row z*y over all y is filled
+in one pass along the tree.
 """
 
 from __future__ import annotations
@@ -250,20 +252,26 @@ class FiniteMatrixGroup:
         except KeyError:
             raise KeyError("matrix is not an element of this group") from None
 
-    @cached_property
-    def _words(self) -> list[tuple[list[int], ...]]:
-        """For each element, the right-multiplication permutations of its
-        tree word, in order: elements[j] = gens[g_1] * ... * gens[g_k]."""
-        words: list[tuple[list[int], ...]] = [()]
-        for parent, pos in self._tree[1:]:
-            words.append(words[parent] + (self._right[pos],))
-        return words
-
     def mul(self, i: int, j: int) -> int:
-        """Index of elements[i] * elements[j], by walking j's tree word."""
-        for perm in self._words[j]:
+        """Index of elements[i] * elements[j]: j's tree word, read up the
+        tree, is applied to i from its first letter on."""
+        tree, right = self._tree, self._right
+        word = []
+        while j:
+            j, pos = tree[j]
+            word.append(right[pos])
+        for perm in reversed(word):
             i = perm[i]
         return i
+
+    def left(self, z: int) -> list[int]:
+        """Indices of elements[z] * elements[y] for every y, filled along the
+        tree in one pass: z * (parent * g) = (z * parent) * g."""
+        right = self._right
+        row = [z]
+        for parent, pos in self._tree[1:]:
+            row.append(right[pos][row[parent]])
+        return row
 
     @cached_property
     def _orders_inverses(self) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -14,6 +14,7 @@ from mckay3.exactnum import (
     cyclotomic_polynomial,
     dot,
     root,
+    root_sum,
     sqrt_constant,
     totient,
 )
@@ -126,6 +127,34 @@ def test_dot_matches_termwise(operands):
     for x, y in zip(xs, ys):
         total = total + x * y
     assert dot(xs, ys) == total
+
+
+@st.composite
+def _root_sum_terms(draw):
+    n = draw(st.sampled_from([1, 3, 4, 5, 8, 12, 60]))
+    # exponents past both ends of 0..N-1, so the reduction mod N is exercised
+    term = st.tuples(st.integers(-2 * n, 2 * n), st.integers(-3, 3) | st.just(0))
+    return n, draw(st.lists(term, max_size=8)), draw(st.integers(1, 6))
+
+
+@given(_root_sum_terms())
+@settings(max_examples=200, deadline=None)
+def test_root_sum_matches_termwise(case):
+    n, terms, den = case
+    total = Cyclotomic.rational(0, n)
+    for k, c in terms:
+        total = total + c * root(k, n)
+    assert root_sum(n, terms, den) == total / den
+
+
+@pytest.mark.parametrize("n", [3, 8])
+def test_rational_values_hash_like_their_rationals(n):
+    for q in (1, -2, Fraction(1, 3), Fraction(-5, 2)):
+        v = Cyclotomic.rational(q, n)
+        assert v == q
+        assert hash(v) == hash(q)
+        assert q in {v}
+        assert v in {q}
 
 
 def test_dot_rejects_mixed_conductors():

@@ -1,5 +1,7 @@
 """Matrix arithmetic and deterministic group closure."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -122,9 +124,10 @@ def test_group_multiplication_table_matches_matrices(tetra):
     assert [m.key() for m in padded.elements] == [m.key() for m in tetra.elements]
     for group in (tetra, padded):
         for i in range(group.order):
+            row = group.left(i)
             for j in range(group.order):
                 product = group.elements[i] * group.elements[j]
-                assert group.mul(i, j) == group.index_of(product)
+                assert group.mul(i, j) == row[j] == group.index_of(product)
 
 
 def test_group_inverses(tetra):
@@ -164,12 +167,32 @@ def test_exact_products_reproduce_classes_table_and_quiver(name, monkeypatch):
         table = dixon_table(group, classes)
         return classes, table, adjacency(table)
 
+    def exact_mul(self, i, j):
+        return self.index[(self.elements[i] * self.elements[j]).key()]
+
     spec = parse_spec(name)
     expected = analysis(build_group(spec))
-    # every index product of a freshly built group from exact matrices
+    # every index product of a freshly built group from exact matrices,
+    # single products and whole left-multiplication rows alike
+    monkeypatch.setattr(FiniteMatrixGroup, "mul", exact_mul)
     monkeypatch.setattr(
         FiniteMatrixGroup,
-        "mul",
-        lambda self, i, j: self.index[(self.elements[i] * self.elements[j]).key()],
+        "left",
+        lambda self, z: [exact_mul(self, z, y) for y in range(self.order)],
     )
     assert analysis(build_group(spec)) == expected
+
+
+def test_products_keep_no_per_element_words():
+    # a cyclic group of order 500 has tree depths 0..499, so a word per
+    # element would hold about 125000 references
+    z = root(1, 500)
+    group = closure([SquareMatrix([[z, 0, 0], [0, z.inv(), 0], [0, 0, 1]])])
+    tracemalloc.start()
+    try:
+        assert group.mul(5, 499) == 4
+        assert group.element_order(7) == 500
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
