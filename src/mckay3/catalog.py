@@ -172,7 +172,7 @@ def _scalar_w() -> SquareMatrix:
 
 def _gens_hmn(m: int, n: int) -> list[SquareMatrix]:
     zm, zn = root(1, m), root(1, n)
-    return [_diag(zm, 1, zm.inv()), _diag(1, zn, zn.inv())]
+    return [_diag(zm, 1, zm.conjugate()), _diag(1, zn, zn.conjugate())]
 
 
 def _gens_sl2(subtype: str, k: int, alpha: int) -> list[SquareMatrix]:
@@ -183,18 +183,18 @@ def _gens_sl2(subtype: str, k: int, alpha: int) -> list[SquareMatrix]:
             for v in (p, q, r, s)
         ]
         av, p2, q2, r2, s2 = common_conductor(root(1, alpha), *entries)
-        ai2 = av.inv() * av.inv()
+        ai2 = av.conjugate() * av.conjugate()
         return SquareMatrix(
             [[ai2, 0, 0], [0, av * p2, av * q2], [0, av * r2, av * s2]]
         )
 
     if subtype == "cyclic":
         z = root(1, k)
-        return [embed([[z, 0], [0, z.inv()]])]
+        return [embed([[z, 0], [0, z.conjugate()]])]
     if subtype == "binD":
         z = root(1, 2 * k)
         i4 = root(1, 4)
-        return [embed([[z, 0], [0, z.inv()]]), embed([[0, i4], [i4, 0]])]
+        return [embed([[z, 0], [0, z.conjugate()]]), embed([[0, i4], [i4, 0]])]
     if subtype in ("2T", "2O"):
         z8 = root(1, 8)
         b2 = [[0, z8 ** 2], [z8 ** 2, 0]]

@@ -206,12 +206,13 @@ def dixon_table(
         for k in range(r):
             o = classes.orders[k]
             z_o = pow(z_e, e // o, p)
+            z_pows = [pow(z_o, s, p) for s in range(o)]
             inv_o = pow(o, -1, p)
             terms = []
             for t in range(o):
                 acc = 0
                 for s in range(o):
-                    acc += chi[power_classes[k][s]] * pow(z_o, (-s * t) % o, p)
+                    acc += chi[power_classes[k][s]] * z_pows[(-s * t) % o]
                 mu = acc * inv_o % p
                 if mu > d:
                     raise OrthogonalityFailure(

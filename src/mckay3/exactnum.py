@@ -272,23 +272,20 @@ class Cyclotomic:
         return result
 
     def inv(self) -> "Cyclotomic":
-        """Multiplicative inverse via the extended Euclidean algorithm
-        against Phi_N over Q[x]."""
+        """Multiplicative inverse, rest / (x * rest) with rest the product of
+        the other Galois conjugates: x * rest is the norm of x, a product
+        over the whole Galois group, so it is a nonzero rational."""
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
         r = self.try_rational()
         if r is not None:
             return Cyclotomic.rational(1 / r, self.conductor)
-        phi_poly = [Fraction(c) for c in cyclotomic_polynomial(self.conductor)]
-        a = [Fraction(c, self._den) for c in self._num]
-        u = _poly_modinv(a, phi_poly)
-        phi = totient(self.conductor)
-        u = u + [Fraction(0)] * (phi - len(u))
-        lcm_den = 1
-        for f in u:
-            lcm_den = lcm_den * f.denominator // gcd(lcm_den, f.denominator)
-        num = [int(f * lcm_den) for f in u]
-        return _normalize(self.conductor, num, lcm_den)
+        n = self.conductor
+        rest = Cyclotomic.rational(1, n)
+        for t in range(2, n):
+            if gcd(t, n) == 1:
+                rest = rest * self.galois(t)
+        return rest * (1 / (self * rest).try_rational())
 
     # -- field structure -----------------------------------------------------
 
@@ -381,48 +378,6 @@ def _mul_vectors(conductor: int, a: tuple[int, ...], b: tuple[int, ...]) -> list
             for i in range(phi):
                 out[i] += c * row[i]
     return out
-
-
-def _poly_modinv(a: list[Fraction], modulus: list[Fraction]) -> list[Fraction]:
-    """Inverse of a modulo a monic polynomial over Q, both ascending."""
-
-    def trim(p):
-        while p and p[-1] == 0:
-            p.pop()
-        return p
-
-    def divmod_poly(num, den):
-        num = list(num)
-        q = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
-        for shift in range(len(q) - 1, -1, -1):
-            c = num[shift + len(den) - 1] / den[-1]
-            q[shift] = c
-            if c:
-                for i, d in enumerate(den):
-                    num[shift + i] -= c * d
-        return q, trim(num)
-
-    r0, r1 = list(modulus), trim(list(a))
-    s0, s1 = [Fraction(0)], [Fraction(1)]
-    while len(r1) > 1:
-        q, r = divmod_poly(r0, r1)
-        # s_new = s0 - q*s1
-        prod = [Fraction(0)] * (len(q) + len(s1) - 1)
-        for i, qc in enumerate(q):
-            if qc:
-                for j, sc in enumerate(s1):
-                    prod[i + j] += qc * sc
-        s_new = [Fraction(0)] * max(len(s0), len(prod))
-        for i, c in enumerate(s0):
-            s_new[i] += c
-        for i, c in enumerate(prod):
-            s_new[i] -= c
-        r0, r1 = r1, trim(r)
-        s0, s1 = s1, trim(s_new)
-    if not r1 or r1[0] == 0:
-        raise DivisionByZero("value is a zero divisor mod Phi_N (should not happen)")
-    scale = r1[0]
-    return [c / scale for c in s1]
 
 
 def root(k: int, conductor: int) -> Cyclotomic:

@@ -252,15 +252,20 @@ class FiniteMatrixGroup:
         except KeyError:
             raise KeyError("matrix is not an element of this group") from None
 
-    def mul(self, i: int, j: int) -> int:
-        """Index of elements[i] * elements[j]: j's tree word, read up the
-        tree, is applied to i from its first letter on."""
+    def _word(self, j: int) -> list[list[int]]:
+        """j's tree word as right-multiplication permutations, in the order
+        they are applied: elements[j] = gens[w0] * gens[w1] * ..."""
         tree, right = self._tree, self._right
         word = []
         while j:
             j, pos = tree[j]
             word.append(right[pos])
-        for perm in reversed(word):
+        word.reverse()
+        return word
+
+    def mul(self, i: int, j: int) -> int:
+        """Index of elements[i] * elements[j]: j's tree word applied to i."""
+        for perm in self._word(j):
             i = perm[i]
         return i
 
@@ -279,10 +284,13 @@ class FiniteMatrixGroup:
         orders = [1] * self.order
         inverses = [0] * self.order
         for i in range(1, self.order):
+            word = self._word(i)
             o = 1
             cur = i
             while True:
-                nxt = self.mul(cur, i)
+                nxt = cur
+                for perm in word:
+                    nxt = perm[nxt]
                 o += 1
                 if nxt == 0:
                     orders[i], inverses[i] = o, cur

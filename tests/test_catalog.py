@@ -1,5 +1,7 @@
 """Spec parsing, generator data, and expected invariants of the catalog."""
 
+import hashlib
+
 import pytest
 
 from mckay3.catalog import (
@@ -92,6 +94,26 @@ def test_generators_are_unimodular_everywhere():
         assert len({g.conductor for g in gens}) == 1
         for g in gens:
             assert g.det() == 1
+
+
+# SHA-256 of the concatenated generator keys; the roster has no alpha= spec,
+# so these are the only pins on the twisted embedding
+_TWISTED_GENERATOR_DIGESTS = {
+    "SL2:cyclic:3:alpha=2": "b75a60c334c2a86fc13c2f114ab419829507b7fe9960fa84ac33435fdf7d8e18",
+    "SL2:cyclic:5:alpha=3": "e73b6c3c6362d25841211555a4cdfa71aa3b7a04637fb4c6083256a187e66c43",
+    "SL2:binD:3:alpha=3": "7e8cea38d361e3373cb13b38c4e76618d479b6100fff36049e79a8cd115aa649",
+    "SL2:2T:alpha=5": "90a2f8e45907437806e00120e063ad6e158f010bdadfe4434df967b8316b9241",
+    "SL2:2I:alpha=4": "81be09d2a1dffe279d2e289301554910833d05c3433f553c111edb28294fa9ed",
+}
+
+
+def test_twisted_generators_are_pinned():
+    for name, digest in _TWISTED_GENERATOR_DIGESTS.items():
+        gens = generators(parse_spec(name))
+        for g in gens:
+            assert g.det() == 1
+        keys = b"".join(g.key() for g in gens)
+        assert hashlib.sha256(keys).hexdigest() == digest, name
 
 
 def test_profiles_satisfy_sum_of_squares():

@@ -224,6 +224,19 @@ def test_field_inverse_conductor_5(a):
         assert a * a.inv() == 1
 
 
+@given(st.sampled_from([1, 2, 3, 4, 7, 8, 9, 12, 15, 60]).flatmap(_values))
+@settings(deadline=None)
+def test_field_inverse_across_conductors(a):
+    if a.is_zero():
+        for invert in (a.inv, lambda: 1 / a, lambda: a ** -2):
+            with pytest.raises(ZeroDivisionError):
+                invert()
+    else:
+        assert a * a.inv() == 1
+        assert 1 / a == a.inv()
+        assert a ** -2 == (a * a).inv()
+
+
 @given(_values(8), _values(8))
 def test_conjugation_is_a_ring_map(a, b):
     assert (a + b).conjugate() == a.conjugate() + b.conjugate()

@@ -170,11 +170,23 @@ def test_exact_products_reproduce_classes_table_and_quiver(name, monkeypatch):
     def exact_mul(self, i, j):
         return self.index[(self.elements[i] * self.elements[j]).key()]
 
+    class ExactRight:
+        # right multiplication by elements[j], one exact product per lookup
+        def __init__(self, group, j):
+            self.group, self.j = group, j
+
+        def __getitem__(self, i):
+            return exact_mul(self.group, i, self.j)
+
     spec = parse_spec(name)
     expected = analysis(build_group(spec))
-    # every index product of a freshly built group from exact matrices,
-    # single products and whole left-multiplication rows alike
+    # every index product of a freshly built group from exact matrices:
+    # single products, the powers behind orders and inverses, and whole
+    # left-multiplication rows alike
     monkeypatch.setattr(FiniteMatrixGroup, "mul", exact_mul)
+    monkeypatch.setattr(
+        FiniteMatrixGroup, "_word", lambda self, j: [ExactRight(self, j)]
+    )
     monkeypatch.setattr(
         FiniteMatrixGroup,
         "left",
