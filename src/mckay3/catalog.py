@@ -27,7 +27,13 @@ from math import gcd, lcm
 
 from .chartab import CharacterTable
 from .exactnum import Cyclotomic, common_conductor, dot, root, root_sum, sqrt_constant
-from .matgroup import FiniteMatrixGroup, SquareMatrix, closure, to_common_conductor
+from .matgroup import (
+    FiniteMatrixGroup,
+    OrderBoundExceeded,
+    SquareMatrix,
+    closure,
+    to_common_conductor,
+)
 from .mckay import Quiver
 
 
@@ -314,13 +320,22 @@ def expected_order(spec: GroupSpec) -> int | None:
 
 
 def build_group(spec: GroupSpec, max_order: int = 20000) -> FiniteMatrixGroup:
-    """Close the generators and cross-check determinants and the order."""
+    """Close the generators and cross-check determinants and the order.
+
+    A spec whose order the catalog knows is held to max_order before any
+    generator is built, since a generator at a large conductor can itself
+    cost memory before the closure counts a single element.
+    """
+    want = expected_order(spec)
+    if want is not None and want > max_order:
+        raise OrderBoundExceeded(
+            f"more than {max_order} elements; raise max_order if intended"
+        )
     gens = generators(spec)
     for g in gens:
         if g.det() != 1:
             raise CatalogError(f"{spec.name}: generator determinant is not 1")
     group = closure(gens, max_order=max_order)
-    want = expected_order(spec)
     if want is not None and group.order != want:
         raise CatalogError(
             f"{spec.name}: closure has {group.order} elements, expected {want}"

@@ -4,9 +4,12 @@ The table is computed by the Dixon-Burnside method: work out the class
 constants of the group, diagonalize the commuting family of class matrices
 over a prime field F_p with p = 1 (mod exponent) and p^2 > 4|G|, read off the
 modular characters, then lift each value to an exact cyclotomic integer by a
-discrete Fourier transform over the value's own order.  The lifted table is
-verified against the exact orthogonality relations before it is returned, so
-a table that comes back is correct, not heuristically likely.
+discrete Fourier transform over the value's own order, one transform per
+Galois orbit of classes.  The lift makes the table Galois-equivariant by
+construction, so its orthogonality relations are rational integers of known
+size, and `dixon_table` decides them exactly modulo one prime before it
+returns; a table that comes back is correct, not heuristically likely.
+`verify_orthogonality` is the exact check for a table built any other way.
 
 Everything downstream keys off the deterministic element order produced by
 the closure walk, so classes, class constants and table rows come out in the
@@ -16,9 +19,10 @@ same order on every run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
+from operator import mul
 
-from .exactnum import Cyclotomic, dot, root_sum
+from .exactnum import Cyclotomic, dot, residues, root_sum
 from .matgroup import FiniteMatrixGroup, SquareMatrix
 from .modp import charpoly, eval_poly, kernel_basis, prime_one_mod, root_of_unity, rref
 
@@ -134,6 +138,37 @@ class CharacterTable:
 def dixon_table(
     group: FiniteMatrixGroup, classes: ConjugacyClassSet | None = None
 ) -> CharacterTable:
+    """The character table of the group, certified before it is returned.
+
+    The class matrices split F_p^r into lines, p = 1 (mod e) with e the
+    exponent, and each line gives one character chi mod p.  The lift then
+    reads each value off its eigenvalue multiplicities.
+
+    Lift.  For g = rep_k of order o, chi(g^s) = sum_t mu_t z_o^(st) with
+    mu_t the multiplicity of the eigenvalue zeta_o^t of g, so mu_t is the
+    least residue of (1/o) sum_s chi(g^s) z_o^(-st) mod p, where z_o is the
+    image of zeta_o.  Every eigenvalue multiplicity is counted once, so
+    sum_t mu_t = d, the degree; the lift checks that sum exactly.  As each
+    mu_t >= 0, the check gives 0 <= mu_t <= d and
+    |X[i][k]| <= sum_t mu_t = d_i, and every value is an integer vector of
+    Z[zeta_e].
+
+    One DFT per Galois orbit.  For a coprime to o, let pi_a k be the class
+    of rep_k^a (`power_classes[k][a]`).  rep_k^a has the eigenvalues
+    zeta_o^(at) with the same multiplicities, so the lift sets
+    X[i][pi_a k] = sum_t mu_t zeta_o^(at) = sigma_a X[i][k], with sigma_a
+    the Galois map zeta -> zeta^a, for the first a that reaches pi_a k.
+    Another b with pi_b k = pi_a k gives the same value: then c = b/a fixes
+    k, the powers rep_k^(cs) and rep_k^s fall in one class, so chi mod p
+    takes equal values on them, and the DFT gives mu_(ct) = mu_t as least
+    residues, hence as integers, which is sigma_c X[i][k] = X[i][k].  So
+    X[i][pi_a k] = sigma_a X[i][k] for every class k and every a coprime to
+    e, by construction.  rep_k^a generates the same cyclic group as rep_k,
+    so it has the same centralizer, and pi_a preserves class sizes; and
+    (rep_k^a)^-1 = (rep_k^-1)^a, so pi_a commutes with `inverse_class`.
+    `_orthogonal_mod_prime` uses these facts to decide orthogonality over
+    one prime.
+    """
     if classes is None:
         classes = conjugacy_classes(group)
     n = group.order
@@ -199,27 +234,42 @@ def dixon_table(
             cur = group.mul(cur, g)
         power_classes.append(walk)
 
+    # one DFT matrix F[t][s] = z_o^(-st) per Galois orbit of classes, and
+    # the members pi_a k of the orbit, each with the first a that reaches it
     z_e = root_of_unity(p, e)
+    orbits: list[tuple[int, list[list[int]], dict[int, int]]] = []
+    placed = [False] * r
+    for k in range(r):
+        if placed[k]:
+            continue
+        o = classes.orders[k]
+        z_o = pow(z_e, e // o, p)
+        z_pows = [pow(z_o, s, p) for s in range(o)]
+        dft = [[z_pows[(-s * t) % o] for s in range(o)] for t in range(o)]
+        members: dict[int, int] = {}
+        for a in range(o):
+            if gcd(a, o) == 1:
+                members.setdefault(power_classes[k][a], a)
+        for k2 in members:
+            placed[k2] = True
+        orbits.append((k, dft, members))
+
     lifted: list[tuple[int, tuple[Cyclotomic, ...]]] = []
     for d, chi in rows_mod:
-        vals: list[Cyclotomic] = []
-        for k in range(r):
-            o = classes.orders[k]
-            z_o = pow(z_e, e // o, p)
-            z_pows = [pow(z_o, s, p) for s in range(o)]
+        vals: list = [None] * r  # every class is in one orbit
+        for k, dft, members in orbits:
+            o = len(dft)
             inv_o = pow(o, -1, p)
-            terms = []
-            for t in range(o):
-                acc = 0
-                for s in range(o):
-                    acc += chi[power_classes[k][s]] * z_pows[(-s * t) % o]
-                mu = acc * inv_o % p
-                if mu > d:
-                    raise OrthogonalityFailure(
-                        "lifted Fourier coefficient out of range"
-                    )
-                terms.append(((e // o) * t, mu))
-            vals.append(root_sum(e, terms))
+            column = [chi[c] for c in power_classes[k]]
+            mu = [sum(map(mul, column, f_t)) * inv_o % p for f_t in dft]
+            # mu_t >= 0 as least residues, so this also gives mu_t <= d
+            if sum(mu) != d:
+                raise OrthogonalityFailure(
+                    "lifted eigenvalue multiplicities do not sum to the degree"
+                )
+            step = e // o
+            for k2, a in members.items():
+                vals[k2] = root_sum(e, ((step * a * t, m) for t, m in enumerate(mu)))
         lifted.append((d, tuple(vals)))
 
     one = Cyclotomic.rational(1, e)
@@ -240,9 +290,48 @@ def dixon_table(
         inverse_class=classes.inverse_class,
         class_reps=tuple(group.elements[g] for g in classes.reps),
     )
-    if not verify_orthogonality(table):
-        raise OrthogonalityFailure("exact orthogonality check failed after lifting")
+    if not _orthogonal_mod_prime(table):
+        raise OrthogonalityFailure("orthogonality relations fail mod p'")
     return table
+
+
+def _orthogonal_mod_prime(table: CharacterTable) -> bool:
+    """The verdict of `verify_orthogonality`, for a table `dixon_table` built.
+
+    The cheap exact checks are shared (`_exact_table_checks`): inv is an
+    involution that preserves class sizes, every size divides n = |G|,
+    sum d^2 = n and X[i][0] = d_i.  The relations R = X.D.Y^T = n*I, with
+    Y[i][k] = X[i][inv k] and D = diag(|C_k|), are decided modulo one prime
+    for i <= j, which suffices by the symmetry argument of
+    `verify_orthogonality`.
+
+    Proof.  By the `dixon_table` lift, X[i][pi_a k] = sigma_a X[i][k] for
+    every a coprime to e, with pi_a a permutation of the classes that
+    preserves sizes and commutes with inv.  Then sigma_a R_ij =
+    sum_k |C_k| X[i][pi_a k] X[j][inv pi_a k] = R_ij, reindexed by pi_a, so
+    R_ij is rational; it lies in Z[zeta_e], so it is a rational integer.
+    The lift gives |X[i][k]| <= d_i, so |R_ij| <= sum_k |C_k| d_i d_j =
+    n d_i d_j <= n d_max^2 < p'/2 for p' = 1 (mod e) above 2 n d_max^2, and
+    also |n delta_ij| < p'/2.  zeta_e -> z is a ring map Z[zeta_e] -> F_p'
+    (`exactnum.residues`) that reduces integers mod p', so R_ij = n delta_ij
+    exactly when the two agree mod p'.  The proof needs the lift's Galois
+    property, so `verify_orthogonality` stays the check for other tables.
+    """
+    if not _exact_table_checks(table):
+        return False
+    r = table.count
+    n = table.order
+    sizes = table.class_sizes
+    inv = table.inverse_class
+    e = table.conductor
+    p = prime_one_mod(e, 2 * n * max(table.dims) ** 2)
+    x = [residues(row, e, p) for row in table.values]
+    weighted = [[sizes[k] * row[inv[k]] for k in range(r)] for row in x]
+    return all(
+        sum(map(mul, x[i], weighted[j])) % p == (n if i == j else 0)
+        for i in range(r)
+        for j in range(i, r)
+    )
 
 
 def _split_subspace(
@@ -315,18 +404,31 @@ def verify_orthogonality(table: CharacterTable) -> bool:
     to be such an involution and every |C_k| to divide n, so this verdict is
     the one that checking both would give.
     """
+    if not _exact_table_checks(table):
+        return False
+    r = table.count
+    n = table.order
+    sizes = table.class_sizes
+    inv = table.inverse_class
+    weighted = [[sizes[k] * row[k] for k in range(r)] for row in table.values]
+    flipped = [[row[inv[k]] for k in range(r)] for row in table.values]
+    return all(
+        dot(weighted[i], flipped[j]) == (n if i == j else 0)
+        for i in range(r)
+        for j in range(i, r)
+    )
+
+
+def _exact_table_checks(table: CharacterTable) -> bool:
+    """The checks both orthogonality verdicts make outside the row sums:
+    inv is an involution preserving class sizes, every size divides |G|,
+    sum d^2 = |G| and X[i][0] = d_i."""
     r = table.count
     n = table.order
     sizes = table.class_sizes
     inv = table.inverse_class
     if any(inv[inv[k]] != k or sizes[inv[k]] != sizes[k] for k in range(r)):
         return False
-    weighted = [[sizes[k] * row[k] for k in range(r)] for row in table.values]
-    flipped = [[row[inv[k]] for k in range(r)] for row in table.values]
-    for i in range(r):
-        for j in range(i, r):
-            if dot(weighted[i], flipped[j]) != (n if i == j else 0):
-                return False
     if any(n % s for s in sizes) or sum(d * d for d in table.dims) != n:
         return False
     return all(table.values[i][0] == table.dims[i] for i in range(r))

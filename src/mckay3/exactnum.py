@@ -19,6 +19,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
+from .modp import root_of_unity
+
 
 class ConductorMismatch(ValueError):
     """Two operands live in different cyclotomic fields."""
@@ -131,6 +133,32 @@ def root_sum(conductor: int, terms, den: int = 1) -> "Cyclotomic":
         if c:
             out = [a + c * b for a, b in zip(out, table[k % conductor])]
     return _normalize(conductor, out, den)
+
+
+def residues(values, n: int, p: int) -> list[int]:
+    """Images in F_p of cyclotomic integers, with zeta_n sent to z.
+
+    z = `root_of_unity(p, n)`, so n | p - 1 and p does not divide n; then z
+    is a root of Phi_n mod p, and zeta_n -> z is a ring map Z[zeta_n] -> F_p
+    that reduces the rational integers mod p.  A value of conductor c | n is
+    read in Q(zeta_n) through zeta_c = zeta_n^(n/c).  Each value must be an
+    algebraic integer, which in canonical form means denominator 1 (the
+    power basis is an integral basis of Z[zeta_c]); any other value raises
+    ValueError.
+    """
+    z_pows = [1] * n
+    z = root_of_unity(p, n)
+    for k in range(1, n):
+        z_pows[k] = z_pows[k - 1] * z % p
+    out = []
+    for v in values:
+        if v._den != 1:
+            raise ValueError(f"{v} is not an algebraic integer")
+        if n % v.conductor:
+            raise NotAMultiple(f"{n} is not a multiple of {v.conductor}")
+        step = n // v.conductor
+        out.append(sum(c * z_pows[k * step] for k, c in enumerate(v._num) if c) % p)
+    return out
 
 
 class Cyclotomic:

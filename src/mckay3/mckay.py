@@ -13,14 +13,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
+from operator import mul
 
-from .chartab import CharacterTable, decompose_product
-from .exactnum import Cyclotomic, dot
-from .modp import integer_charpoly
+from .chartab import CharacterTable, NonIntegralMultiplicity
+from .exactnum import Cyclotomic, dot, residues
+from .modp import integer_charpoly, prime_one_mod
 
 
 class NotSymmetric(ValueError):
     """Positive semidefiniteness is only tested for symmetric matrices."""
+
+
+# the (table, quiver, chi) objects that `adjacency` last certified.  All three
+# are immutable, so a later `eigenvector_check` on the very same objects has
+# the same all-pass verdict; the slot saves recomputing it and changes no
+# result for any caller.
+_certified: tuple = (None, None, None)
 
 
 @dataclass(frozen=True)
@@ -40,21 +48,64 @@ def adjacency(table: CharacterTable, chi=None) -> Quiver:
     """Quiver of the table against the class function chi.
 
     chi defaults to the trace of the stored class representatives, i.e. the
-    natural (defining) representation of the matrix group.
+    natural (defining) representation of the matrix group.  The table must
+    satisfy the orthogonality relations, as every `dixon_table` result does.
+
+    M is read off modulo one prime and then certified exactly.  Let
+    e' = lcm(e, conductors of chi) and p = 1 (mod e') above
+    max(|G|, chi(1) d_max).  Under zeta_e' -> z (`exactnum.residues`), M is
+    taken as the least residues of (1/|G|) (X o chi).D.Y^T, with X the
+    table, Y[i][k] = X[i][inv k] and D = diag(|C_k|).  `eigenvector_check`
+    then tests M X = X diag(chi) exactly.
+
+    Proof.  The table is orthogonal, so X is invertible, and
+    M X = X diag(chi) has exactly one solution, X diag(chi) X^-1, whose
+    entries are the m_ij = <chi gamma_i, gamma_j> that
+    `chartab.decompose_product` computes.  If chi is a character, each m_ij
+    is an integer with 0 <= m_ij <= chi(1) d_i / d_j < p; its residue mod p
+    is the computed entry, so the least residue is m_ij and the check
+    passes.  If chi is not a character, some m_ij is not a nonnegative
+    integer (else chi = sum_j m_0j gamma_j would be one); the least residues
+    are, so they are not the solution, the check fails, and
+    NonIntegralMultiplicity is raised, as `decompose_product` would.  A chi
+    value that is not an algebraic integer (denominator other than 1) is
+    rejected the same way before any residue is taken.
     """
+    global _certified
     if chi is None:
         if table.class_reps is None:
             raise ValueError("table has no class representatives; pass chi")
         chi = tuple(m.trace() for m in table.class_reps)
-    m = decompose_product(table, chi)
+    chi = tuple(chi)  # immutable, so the certificate kept below cannot go stale
     n = chi[0].try_rational()
-    if n is None or n.denominator != 1:
-        raise ValueError("chi(identity) must be a positive integer")
-    return Quiver(
-        dims=table.dims,
-        matrix=tuple(tuple(row) for row in m),
-        rep_dim=int(n),
-    )
+    if n is None or n.denominator != 1 or n < 0:
+        raise NonIntegralMultiplicity(f"chi(identity) = {chi[0]} is not a degree")
+    target = lcm(table.conductor, *(v.conductor for v in chi))
+    p = prime_one_mod(target, max(table.order, int(n) * max(table.dims)))
+    try:
+        chi_p = residues(chi, target, p)
+    except ValueError as exc:
+        raise NonIntegralMultiplicity(f"chi is not a character: {exc}") from None
+    x = [residues(row, target, p) for row in table.values]
+    r = table.count
+    sizes = table.class_sizes
+    inv = table.inverse_class
+    inv_order = pow(table.order, -1, p)
+    flipped = [[sizes[k] * row[inv[k]] for k in range(r)] for row in x]
+    matrix = []
+    for row in x:
+        weighted = [c * v % p for c, v in zip(chi_p, row)]
+        matrix.append(
+            tuple(sum(map(mul, weighted, f)) * inv_order % p for f in flipped)
+        )
+    quiver = Quiver(dims=table.dims, matrix=tuple(matrix), rep_dim=int(n))
+    failing = [k for k, ok in enumerate(eigenvector_check(table, quiver, chi)) if not ok]
+    if failing:
+        raise NonIntegralMultiplicity(
+            f"chi is not a character: M X = X diag(chi) fails at class {failing[0]}"
+        )
+    _certified = (table, quiver, chi)
+    return quiver
 
 
 def pre_cartan(quiver: Quiver) -> tuple[tuple[int, ...], ...]:
@@ -119,7 +170,11 @@ def eigenvector_check(table: CharacterTable, quiver: Quiver, chi) -> tuple[bool,
     M p_k = chi(C_k) p_k exactly.
 
     Since B = n*I - M, this is the same as B p_k = (n - chi(C_k)) p_k.
+    On the very objects that `adjacency` has just certified, the verdict is
+    known to be all pass and is returned without recomputing it.
     """
+    if all(a is b for a, b in zip(_certified, (table, quiver, chi))):
+        return (True,) * table.count
     target = lcm(table.conductor, *(v.conductor for v in chi))
     cols = [
         [table.values[i][k].promote(target) for i in range(table.count)]
@@ -139,8 +194,10 @@ def dual_transpose_check(table: CharacterTable, quiver: Quiver, chi) -> bool:
     Certified as M^T X = X diag(conj chi), with X the table (X[i][k] =
     gamma_i(C_k)), so no second tensor product is decomposed.
 
-    Precondition: the table passed `chartab.verify_orthogonality`, as every
-    `dixon_table` result has.  Then X D X^H = |G| I, so X is invertible and
+    Precondition: the table satisfies the orthogonality relations, which
+    `dixon_table` certifies over one prime before it returns and
+    `chartab.verify_orthogonality` checks exactly for any other table.
+    Then X D X^H = |G| I, so X is invertible and
     its rows are an orthonormal basis of the class functions.  The dual
     quiver M' has M'[i][j] = <conj(chi) gamma_i, gamma_j>, the coordinates of
     conj(chi) gamma_i in that basis, so M' X = X diag(conj chi).  Any N with

@@ -3,7 +3,7 @@
 generators -> closure -> conjugacy classes -> Dixon table -> quiver -> B, A,
 then the certificates.  `analyze` builds the table once per (spec,
 max_order); the quiver, B, A and each certificate are computed on first use
-and kept, so `chartab` and `info` never decompose a tensor product, and the
+and kept, so `chartab` and `info` never build the quiver, and the
 `cartan` and `verify` commands read the same verdicts.  `verify` turns one
 analysis into the report that `mckay verify` prints.
 
@@ -29,7 +29,7 @@ class Analysis:
         self.spec = spec
         self.group = catalog.build_group(spec, max_order=max_order)
         self.classes = chartab.conjugacy_classes(self.group)
-        # dixon_table returns only tables that passed verify_orthogonality
+        # dixon_table returns only tables whose orthogonality it certified
         self.table = chartab.dixon_table(self.group, self.classes)
         self.chi = chartab.natural_character(self.group, self.classes)
 
@@ -61,7 +61,11 @@ class Analysis:
 
     @cached_property
     def eigen(self) -> tuple[bool, ...]:
-        """Per class: is the table column an eigenvector of M?"""
+        """Per class: is the table column an eigenvector of M?
+
+        `adjacency` certified M by this check, so on its own quiver the
+        verdict is read back rather than computed a second time.
+        """
         return mckay.eigenvector_check(self.table, self.quiver, self.chi)
 
     @cached_property

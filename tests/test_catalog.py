@@ -4,6 +4,7 @@ import hashlib
 
 import pytest
 
+from mckay3 import catalog
 from mckay3.catalog import (
     SpecError,
     abelian_table,
@@ -16,12 +17,22 @@ from mckay3.catalog import (
     parse_spec,
 )
 from mckay3.chartab import verify_orthogonality
+from mckay3.matgroup import OrderBoundExceeded
 from mckay3.mckay import adjacency, quiver_iso
 
 
 def test_parse_round_trips_the_whole_roster():
     for spec in all_specs():
         assert parse_spec(spec.name) == spec
+
+
+def test_known_order_is_bounded_before_the_generators(monkeypatch):
+    def no_generators(spec):
+        raise AssertionError("generators built for an over-limit spec")
+
+    monkeypatch.setattr(catalog, "generators", no_generators)
+    with pytest.raises(OrderBoundExceeded, match="more than 20000 elements"):
+        build_group(parse_spec("Hmn:150,150"))
 
 
 def test_parse_alpha_suffix():

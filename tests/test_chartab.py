@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mckay3 import chartab
 from mckay3.catalog import abelian_table, build_group, parse_spec
 from mckay3.chartab import (
     CharacterTable,
     NonIntegralMultiplicity,
+    OrthogonalityFailure,
     conjugacy_classes,
     decompose_product,
     dixon_table,
@@ -127,6 +129,7 @@ def test_class_function_with_mixed_conductors():
     chi = (Cyclotomic.rational(3, 3), Cyclotomic.rational(-1, 4))
     q = adjacency(t, chi)
     assert q.matrix == ((1, 2), (2, 1))
+    assert [list(row) for row in q.matrix] == decompose_product(t, chi)
     assert eigenvector_check(t, q, chi) == (True, True)
     assert dual_transpose_check(t, q, chi) is True
 
@@ -139,6 +142,83 @@ def test_decompose_product_rejects_non_characters():
     )
     with pytest.raises(NonIntegralMultiplicity):
         decompose_product(t, half)
+    with pytest.raises(NonIntegralMultiplicity, match="not a degree"):
+        adjacency(t, half)
+
+
+# small groups on which every one-prime certificate is pinned to its exact
+# reference; SL2:2T has a natural character at a larger conductor than its
+# table's, so adjacency promotes chi there
+_SMALL = ("G7", "G8", "Hmn:4,5", "Gm3:6", "SL2:2T", "SL2:cyclic:12")
+
+
+@pytest.fixture(scope="module")
+def small_tables():
+    out = {}
+    for name in _SMALL:
+        g = build_group(parse_spec(name))
+        classes = conjugacy_classes(g)
+        out[name] = (dixon_table(g, classes), natural_character(g, classes))
+    return out
+
+
+def test_one_prime_orthogonality_matches_the_exact_check(small_tables):
+    verdicts = []
+    for t, _ in small_tables.values():
+        for variant in _tamperings(t):
+            verdicts.append(chartab._orthogonal_mod_prime(variant))
+            assert verdicts[-1] == verify_orthogonality(variant)
+    assert True in verdicts and False in verdicts
+
+
+def test_adjacency_matches_decompose_product(small_tables):
+    promoted = 0
+    for t, chi in small_tables.values():
+        promoted += chi[0].conductor != t.conductor
+        assert [list(row) for row in adjacency(t, chi).matrix] == decompose_product(t, chi)
+    assert promoted
+
+
+def test_adjacency_prime_exceeds_every_multiplicity():
+    # 50 copies of the regular character of Z/2: every m_ij is 50, above
+    # |G| = 2, so only the chi(1) factor of the prime bound recovers it
+    t = dixon_table(build_group(parse_spec("Hmn:2,1")))
+    chi = (Cyclotomic.rational(100, 2), Cyclotomic.rational(0, 2))
+    assert adjacency(t, chi).matrix == ((50, 50), (50, 50))
+    assert decompose_product(t, chi) == [[50, 50], [50, 50]]
+
+
+def test_adjacency_rejects_non_characters(small_tables):
+    t, chi = small_tables["SL2:2T"]
+    e = t.conductor
+    # integral values: half the regular character, and a virtual character
+    half_regular = (Cyclotomic.rational(t.order // 2, e),) + (
+        Cyclotomic.rational(0, e),
+    ) * (t.count - 1)
+    virtual = tuple(a - b for a, b in zip(t.values[2], t.values[1]))
+    # chi(1) = 3 is a degree, but another value has denominator 2
+    halved = (chi[0],) + tuple(v * Fraction(1, 2) for v in chi[1:])
+    for bad in (half_regular, virtual, halved):
+        with pytest.raises(NonIntegralMultiplicity):
+            decompose_product(t, bad)
+        with pytest.raises(NonIntegralMultiplicity):
+            adjacency(t, bad)
+    with pytest.raises(NonIntegralMultiplicity, match="not an algebraic integer"):
+        adjacency(t, halved)
+
+
+def test_failed_orthogonality_certificate_raises(monkeypatch):
+    monkeypatch.setattr(chartab, "_orthogonal_mod_prime", lambda table: False)
+    with pytest.raises(OrthogonalityFailure, match="mod p'"):
+        dixon_table(build_group(parse_spec("G7")))
+
+
+def test_lift_checks_the_multiplicities_sum_to_the_degree(monkeypatch):
+    # with z = 1 in place of a primitive root, the trivial character gets
+    # mu_t = 1 for every t of an order-o class: each mu_t <= d, sum o != d
+    monkeypatch.setattr(chartab, "root_of_unity", lambda q, n: 1)
+    with pytest.raises(OrthogonalityFailure, match="do not sum to the degree"):
+        dixon_table(build_group(parse_spec("SL2:cyclic:12")))
 
 
 def test_orthogonality_catches_tampering(s3_table):

@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mckay3 import catalog, chartab, cli, mckay, pipeline
-from mckay3.chartab import NonIntegralMultiplicity
 from mckay3.cli import main
 
 
@@ -64,8 +63,16 @@ def test_missing_subcommand_is_usage_error(capsys):
 
 
 def test_order_bound_exits_3(capsys):
-    # Hmn:2,1 exceeds the bound at its generators, Hmn:1,1 at the identity
-    for spec, bound in (("G12", "100"), ("Hmn:2,1", "1"), ("Hmn:1,1", "0")):
+    # the catalog knows the first three orders and refuses them before any
+    # generator is built; the twisted binary dihedral group has no catalog
+    # order, so the closure itself reaches the bound
+    cases = (
+        ("G12", "100"),
+        ("Hmn:2,1", "1"),
+        ("Hmn:1,1", "0"),
+        ("SL2:binD:2:alpha=3", "10"),
+    )
+    for spec, bound in cases:
         code, out, err = _run(capsys, "info", "--group", spec, "--max-order", bound)
         assert code == 3
         assert out == ""
@@ -172,15 +179,22 @@ def test_unwritable_out_exits_2(tmp_path):
     assert not target.exists()
 
 
-def _raise_non_integral(*args):
-    raise NonIntegralMultiplicity("<chi*gamma_0, gamma_0> = 1/2")
+def _failing_eigen(table, quiver, chi):
+    return (False,) * table.count
 
 
+# the orthogonality certificate of dixon_table and the eigenvector
+# certificate inside adjacency; the ids are the names of the exact checks
+# these certificates took over from, kept so the test ids stay stable
 @pytest.mark.parametrize(
     "module, name, stub",
     [
-        (chartab, "verify_orthogonality", lambda table: False),
-        (mckay, "decompose_product", _raise_non_integral),
+        (chartab, "_orthogonal_mod_prime", lambda table: False),
+        (mckay, "eigenvector_check", _failing_eigen),
+    ],
+    ids=[
+        "mckay3.chartab-verify_orthogonality-<lambda>",
+        "mckay3.mckay-decompose_product-_raise_non_integral",
     ],
 )
 def test_failed_certificate_exits_1(monkeypatch, capsys, module, name, stub):
@@ -193,7 +207,7 @@ def test_failed_certificate_exits_1(monkeypatch, capsys, module, name, stub):
 
 
 def test_chartab_and_info_never_build_the_quiver(monkeypatch, capsys):
-    monkeypatch.setattr(mckay, "decompose_product", _raise_non_integral)
+    monkeypatch.setattr(mckay, "eigenvector_check", _failing_eigen)
     pipeline.analyze.cache_clear()  # the group must be computed afresh
     for command in ("chartab", "info"):
         code, out, _ = _run(capsys, command, "--group", "Hmn:2,2")
@@ -239,6 +253,23 @@ def test_tampered_quiver_fails_every_derived_check(monkeypatch, capsys, fresh_an
     checks = json.loads(out)["checks"]
     for name in ("dimensionBalance", "kernelDelta", "eigenvectorProp", "dualTranspose"):
         assert checks[name] == "fail", name
+
+
+def test_verify_certifies_the_quiver_once(monkeypatch, fresh_analysis):
+    # every exact inner product of mckay: one r x r pass for M X = X diag(chi)
+    # inside adjacency, read back by the eigenvectorProp check, and one for
+    # the dual quiver's M^T
+    calls = []
+    real = mckay.dot
+
+    def counted(xs, ys):
+        calls.append(1)
+        return real(xs, ys)
+
+    monkeypatch.setattr(mckay, "dot", counted)
+    report = pipeline.verify(catalog.parse_spec("Hmn:2,2"), 20000)
+    assert report["checks"]["eigenvectorProp"] == "pass"
+    assert len(calls) == 2 * report["classCount"] ** 2
 
 
 _SEPS = st.sampled_from([":", ",", "", "::", ";", " ", "=", ":,"])

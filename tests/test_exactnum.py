@@ -9,15 +9,18 @@ from hypothesis import strategies as st
 from mckay3.exactnum import (
     ConductorMismatch,
     Cyclotomic,
+    NotAMultiple,
     UnsupportedRadicand,
     common_conductor,
     cyclotomic_polynomial,
     dot,
+    residues,
     root,
     root_sum,
     sqrt_constant,
     totient,
 )
+from mckay3.modp import prime_one_mod, root_of_unity
 
 
 def test_roots_of_unity_basics():
@@ -259,3 +262,26 @@ def test_promotion_commutes_with_arithmetic(a, b):
 @given(st.fractions(min_value=-10, max_value=10), st.sampled_from([1, 3, 4, 10]))
 def test_rational_embedding_round_trips(q, n):
     assert Cyclotomic.rational(q, n).try_rational() == q
+
+
+def test_residues_is_a_ring_map():
+    # zeta_12 -> z in F_13; values at conductors 3 and 4 are read in Q(zeta_12)
+    p = prime_one_mod(12, 1)
+    z = root_of_unity(p, 12)
+    assert residues([root(1, 12), root(1, 3), root(1, 4)], 12, p) == [z, z**4 % p, z**3 % p]
+    a = 2 * root(1, 12) - root(5, 12) + 3
+    b = root(1, 3) - 2
+    assert residues([b], 12, p) == residues([b.promote(12)], 12, p)
+    ra, rb = residues([a, b], 12, p)
+    assert residues([a + b.promote(12), a * b.promote(12)], 12, p) == [
+        (ra + rb) % p,
+        ra * rb % p,
+    ]
+
+
+def test_residues_rejects_what_has_no_image():
+    p = prime_one_mod(12, 1)
+    with pytest.raises(ValueError, match="not an algebraic integer"):
+        residues([root(1, 12) * Fraction(1, 2)], 12, p)
+    with pytest.raises(NotAMultiple):
+        residues([root(1, 5)], 12, p)
