@@ -24,7 +24,9 @@ from operator import mul
 
 from .exactnum import Cyclotomic, dot, residues, root_sum
 from .matgroup import FiniteMatrixGroup, SquareMatrix
-from .modp import charpoly, eval_poly, kernel_basis, prime_one_mod, root_of_unity, rref
+from .modp import (
+    charpoly, eval_poly, gram, kernel_basis, matmul, prime_one_mod, root_of_unity, rref
+)
 
 
 class OrthogonalityFailure(RuntimeError):
@@ -168,6 +170,15 @@ def dixon_table(
     (rep_k^a)^-1 = (rep_k^-1)^a, so pi_a commutes with `inverse_class`.
     `_orthogonal_mod_prime` uses these facts to decide orthogonality over
     one prime.
+
+    Pin.  Mapped to F_p by `exactnum.residues` (zeta_e -> the same z_e),
+    the lifted table must equal the modular rows chi: DFT inversion gives
+    sum_t mu_t z_o^(st) = chi(g^s) mod p, so a value set at its own class
+    reduces to chi there.  Distinct columns of the modular table differ, as
+    column orthogonality holds mod p and p does not divide |G| (each prime
+    factor of |G| divides e, and p = 1 mod e).  So a column holding another
+    class's values, such as two Galois-conjugate columns trading places,
+    fails the pin; orthogonality alone cannot see that.
     """
     if classes is None:
         classes = conjugacy_classes(group)
@@ -271,6 +282,11 @@ def dixon_table(
             for k2, a in members.items():
                 vals[k2] = root_sum(e, ((step * a * t, m) for t, m in enumerate(mu)))
         lifted.append((d, tuple(vals)))
+    flat = [v for _, vals in lifted for v in vals]
+    if residues(flat, e, p) != [c for _, chi in rows_mod for c in chi]:
+        raise OrthogonalityFailure(
+            "lifted values do not reduce to their modular characters"
+        )
 
     one = Cyclotomic.rational(1, e)
     trivial = [row for row in lifted if all(v == one for v in row[1])]
@@ -301,9 +317,9 @@ def _orthogonal_mod_prime(table: CharacterTable) -> bool:
     The cheap exact checks are shared (`_exact_table_checks`): inv is an
     involution that preserves class sizes, every size divides n = |G|,
     sum d^2 = n and X[i][0] = d_i.  The relations R = X.D.Y^T = n*I, with
-    Y[i][k] = X[i][inv k] and D = diag(|C_k|), are decided modulo one prime
-    for i <= j, which suffices by the symmetry argument of
-    `verify_orthogonality`.
+    Y[i][k] = X[i][inv k] and D = diag(|C_k|), are decided modulo one prime:
+    R mod p' is `modp.gram` of the residue rows with weight 1, the one
+    definition of the mod-p Gram matrix, compared with n*I.
 
     Proof.  By the `dixon_table` lift, X[i][pi_a k] = sigma_a X[i][k] for
     every a coprime to e, with pi_a a permutation of the classes that
@@ -321,17 +337,11 @@ def _orthogonal_mod_prime(table: CharacterTable) -> bool:
         return False
     r = table.count
     n = table.order
-    sizes = table.class_sizes
-    inv = table.inverse_class
     e = table.conductor
     p = prime_one_mod(e, 2 * n * max(table.dims) ** 2)
     x = [residues(row, e, p) for row in table.values]
-    weighted = [[sizes[k] * row[inv[k]] for k in range(r)] for row in x]
-    return all(
-        sum(map(mul, x[i], weighted[j])) % p == (n if i == j else 0)
-        for i in range(r)
-        for j in range(i, r)
-    )
+    g = gram(x, [1] * r, table.class_sizes, table.inverse_class, p)
+    return g == [[n if i == j else 0 for j in range(r)] for i in range(r)]
 
 
 def _split_subspace(
@@ -339,29 +349,13 @@ def _split_subspace(
 ) -> list[list[list[int]]]:
     """Split an invariant subspace into eigenspaces of one class matrix."""
     basis, pivots = rref(w, p)
-    d = len(basis)
-    r = len(basis[0])
-    images = []
-    for b in basis:
-        img = [0] * r
-        for i, c in enumerate(b):
-            if c:
-                row = mj[i]
-                for k in range(r):
-                    img[k] = (img[k] + c * row[k]) % p
-        images.append(img)
+    images = matmul(basis, mj, p)
     # coordinates of each image against the RREF basis
-    coords_of = [[img[c] for c in pivots] for img in images]
-    for b_idx in range(d):  # invariance sanity: image must lie in the span
-        recon = [0] * r
-        for c_idx, c in enumerate(coords_of[b_idx]):
-            if c:
-                for k in range(r):
-                    recon[k] = (recon[k] + c * basis[c_idx][k]) % p
-        if recon != images[b_idx]:
-            raise OrthogonalityFailure("class matrix does not preserve subspace")
+    coords = [[img[c] for c in pivots] for img in images]
+    if matmul(coords, basis, p) != images:  # the image must lie in the span
+        raise OrthogonalityFailure("class matrix does not preserve subspace")
     # column convention: restricted[u][t] = coord u of the image of basis t
-    restricted = [[coords_of[t][u] for t in range(d)] for u in range(d)]
+    restricted = list(zip(*coords))
     poly = charpoly(restricted, p)
     roots = [lam for lam in range(p) if eval_poly(poly, lam, p) == 0]
     if len(roots) <= 1:
@@ -369,18 +363,10 @@ def _split_subspace(
     grouped: list[list[list[int]]] = []
     for lam in roots:  # ascending, so the refinement order is reproducible
         shifted = [
-            [(restricted[i][k] - (lam if i == k else 0)) % p for k in range(d)]
-            for i in range(d)
+            [(a - (lam if i == k else 0)) % p for k, a in enumerate(row)]
+            for i, row in enumerate(restricted)
         ]
-        vecs = []
-        for coords in kernel_basis(shifted, p):
-            vec = [0] * r
-            for c_idx, c in enumerate(coords):
-                if c:
-                    for k in range(r):
-                        vec[k] = (vec[k] + c * basis[c_idx][k]) % p
-            vecs.append(vec)
-        chunk, _ = rref(vecs, p)
+        chunk, _ = rref(matmul(kernel_basis(shifted, p), basis, p), p)
         grouped.append(chunk)
     return grouped
 
@@ -393,30 +379,24 @@ def verify_orthogonality(table: CharacterTable) -> bool:
     """Exact orthogonality of the whole table, certified from its rows.
 
     Let X be the table, n = |G|, Y[i][k] = X[i][inv k] and D = diag(|C_k|).
-    The loop checks (X.D.Y^T)[i][j] = n*delta_ij for i <= j.  When inv is an
-    involution with |C_(inv k)| = |C_k|, substituting k -> inv k shows that
-    X.D.Y^T is symmetric, so all of it equals n*I.  X is square, so then
-    D.Y^T = n*X^-1, hence Y^T.X = n*D^-1, and its transpose X^T.Y = n*D^-1 is
-    the column relation sum_i X[i][k]*X[i][inv l] = delta_kl*n/|C_k|.  A
-    column check compares that sum with the integer n // |C_k|, and the two
-    agree exactly when |C_k| divides n, which is checked too.  Conversely,
-    rows (i <= j) and columns (k <= l) that both pass, with n >= 1, force inv
-    to be such an involution and every |C_k| to divide n, so this verdict is
-    the one that checking both would give.
+    The check computes X.D.Y^T with `_gram` (chi = 1) and compares it with
+    n*I.  When inv is an involution with |C_(inv k)| = |C_k|, substituting
+    k -> inv k shows that X.D.Y^T is symmetric, so its entries for i <= j
+    decide it.  If X.D.Y^T = n*I, X is square, so D.Y^T = n*X^-1, hence
+    Y^T.X = n*D^-1, and its transpose X^T.Y = n*D^-1 is the column relation
+    sum_i X[i][k]*X[i][inv l] = delta_kl*n/|C_k|.  A column check compares
+    that sum with the integer n // |C_k|, and the two agree exactly when
+    |C_k| divides n, which is checked too.  Conversely, rows (i <= j) and
+    columns (k <= l) that both pass, with n >= 1, force inv to be such an
+    involution and every |C_k| to divide n, so this verdict is the one that
+    checking both would give.
     """
     if not _exact_table_checks(table):
         return False
     r = table.count
     n = table.order
-    sizes = table.class_sizes
-    inv = table.inverse_class
-    weighted = [[sizes[k] * row[k] for k in range(r)] for row in table.values]
-    flipped = [[row[inv[k]] for k in range(r)] for row in table.values]
-    return all(
-        dot(weighted[i], flipped[j]) == (n if i == j else 0)
-        for i in range(r)
-        for j in range(i, r)
-    )
+    g = _gram(table, (Cyclotomic.rational(1, table.conductor),) * r)
+    return g == [[n if i == j else 0 for j in range(r)] for i in range(r)]
 
 
 def _exact_table_checks(table: CharacterTable) -> bool:
@@ -434,6 +414,20 @@ def _exact_table_checks(table: CharacterTable) -> bool:
     return all(table.values[i][0] == table.dims[i] for i in range(r))
 
 
+def _gram(table: CharacterTable, chi) -> list[list[Cyclotomic]]:
+    """(X o chi).D.Y^T over lcm(e, conductors of chi): entry (i, j) is
+    sum_k |C_k| chi(C_k) X[i][k] X[j][inv k] = |G| <chi gamma_i, gamma_j>.
+    `modp.gram` is the same form over F_p."""
+    target = lcm(table.conductor, *(v.conductor for v in chi))
+    chi_p = [v.promote(target) for v in chi]
+    rows = [[v.promote(target) for v in row] for row in table.values]
+    weighted = [
+        [s * (c * v) for s, c, v in zip(table.class_sizes, chi_p, row)] for row in rows
+    ]
+    flipped = [[row[k] for k in table.inverse_class] for row in rows]
+    return [[dot(u, f) for f in flipped] for u in weighted]
+
+
 def natural_character(
     group: FiniteMatrixGroup, classes: ConjugacyClassSet
 ) -> tuple[Cyclotomic, ...]:
@@ -441,29 +435,18 @@ def natural_character(
     return tuple(group.elements[g].trace() for g in classes.reps)
 
 
-def decompose_product(
-    table: CharacterTable, chi
-) -> list[list[int]]:
+def decompose_product(table: CharacterTable, chi) -> list[list[int]]:
     """Multiplicity matrix m[i][j] = <chi * gamma_i, gamma_j>.
 
     chi is a class function given on the table's classes; it may live at a
     different conductor, in which case everything is promoted to the lcm.
+    m is `_gram(table, chi)` / |G|, each entry checked to be a nonnegative
+    integer.
     """
-    target = lcm(table.conductor, *(v.conductor for v in chi))
-    rows = [
-        tuple(v.promote(target) for v in row) for row in table.values
-    ]
-    chi_p = tuple(v.promote(target) for v in chi)
-    r = table.count
-    sizes = table.class_sizes
-    inv = table.inverse_class
-    flipped = [[row[inv[k]] for k in range(r)] for row in rows]
     out: list[list[int]] = []
-    for i in range(r):
-        weighted = [sizes[k] * (chi_p[k] * rows[i][k]) for k in range(r)]
+    for i, totals in enumerate(_gram(table, chi)):
         line = []
-        for j in range(r):
-            total = dot(weighted, flipped[j])
+        for j, total in enumerate(totals):
             q = total.try_rational()
             if q is None or q.denominator != 1 or q < 0 or q.numerator % table.order:
                 raise NonIntegralMultiplicity(

@@ -13,11 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
-from operator import mul
 
 from .chartab import CharacterTable, NonIntegralMultiplicity
 from .exactnum import Cyclotomic, dot, residues
-from .modp import integer_charpoly, prime_one_mod
+from .modp import gram, integer_charpoly, prime_one_mod
 
 
 class NotSymmetric(ValueError):
@@ -55,8 +54,10 @@ def adjacency(table: CharacterTable, chi=None) -> Quiver:
     e' = lcm(e, conductors of chi) and p = 1 (mod e') above
     max(|G|, chi(1) d_max).  Under zeta_e' -> z (`exactnum.residues`), M is
     taken as the least residues of (1/|G|) (X o chi).D.Y^T, with X the
-    table, Y[i][k] = X[i][inv k] and D = diag(|C_k|).  `eigenvector_check`
-    then tests M X = X diag(chi) exactly.
+    table, Y[i][k] = X[i][inv k] and D = diag(|C_k|); that product mod p is
+    `modp.gram` of the residue rows with weight chi, the one definition of
+    the mod-p Gram matrix.  `eigenvector_check` then tests M X = X diag(chi)
+    exactly.
 
     Proof.  The table is orthogonal, so X is invertible, and
     M X = X diag(chi) has exactly one solution, X diag(chi) X^-1, whose
@@ -87,18 +88,10 @@ def adjacency(table: CharacterTable, chi=None) -> Quiver:
     except ValueError as exc:
         raise NonIntegralMultiplicity(f"chi is not a character: {exc}") from None
     x = [residues(row, target, p) for row in table.values]
-    r = table.count
-    sizes = table.class_sizes
-    inv = table.inverse_class
+    g = gram(x, chi_p, table.class_sizes, table.inverse_class, p)
     inv_order = pow(table.order, -1, p)
-    flipped = [[sizes[k] * row[inv[k]] for k in range(r)] for row in x]
-    matrix = []
-    for row in x:
-        weighted = [c * v % p for c, v in zip(chi_p, row)]
-        matrix.append(
-            tuple(sum(map(mul, weighted, f)) * inv_order % p for f in flipped)
-        )
-    quiver = Quiver(dims=table.dims, matrix=tuple(matrix), rep_dim=int(n))
+    matrix = tuple(tuple(v * inv_order % p for v in row) for row in g)
+    quiver = Quiver(dims=table.dims, matrix=matrix, rep_dim=int(n))
     failing = [k for k, ok in enumerate(eigenvector_check(table, quiver, chi)) if not ok]
     if failing:
         raise NonIntegralMultiplicity(
@@ -170,20 +163,25 @@ def eigenvector_check(table: CharacterTable, quiver: Quiver, chi) -> tuple[bool,
     M p_k = chi(C_k) p_k exactly.
 
     Since B = n*I - M, this is the same as B p_k = (n - chi(C_k)) p_k.
+    Each row sum runs over the nonzero m_ij only; a row with none sums to 0.
     On the very objects that `adjacency` has just certified, the verdict is
     known to be all pass and is returned without recomputing it.
     """
     if all(a is b for a, b in zip(_certified, (table, quiver, chi))):
         return (True,) * table.count
     target = lcm(table.conductor, *(v.conductor for v in chi))
-    cols = [
-        [table.values[i][k].promote(target) for i in range(table.count)]
-        for k in range(table.count)
-    ]
+    cols = list(zip(*([v.promote(target) for v in row] for row in table.values)))
     chi_p = [v.promote(target) for v in chi]
-    m = [[Cyclotomic.rational(e, target) for e in row] for row in quiver.matrix]
+    support = [[j for j, m in enumerate(row) if m] for row in quiver.matrix]
+    m = [
+        [Cyclotomic.rational(row[j], target) for j in js]
+        for row, js in zip(quiver.matrix, support)
+    ]
     return tuple(
-        all(dot(m_i, p_k) == lam * p_k[i] for i, m_i in enumerate(m))
+        all(
+            (dot(m_i, [p_k[j] for j in js]) if js else 0) == lam * p_k[i]
+            for i, (m_i, js) in enumerate(zip(m, support))
+        )
         for p_k, lam in zip(cols, chi_p)
     )
 

@@ -1,12 +1,14 @@
 """Arithmetic over prime fields F_p, and exact results recovered from it.
 
 Every mod-p step of the package lives here: primes, primitive roots, row
-reduction, and the Hessenberg characteristic polynomial, which
-`integer_charpoly` lifts to the integers by CRT under a proven bound.
+reduction, matrix products, the Gram matrix of class functions, and the
+Hessenberg characteristic polynomial, which `integer_charpoly` lifts to the
+integers by CRT under a proven bound.
 """
 from __future__ import annotations
 
 from math import isqrt, prod
+from operator import mul
 
 # CRT primes are the primes above this; a product of two residues fits a word
 CRT_START = 2**20
@@ -100,6 +102,32 @@ def kernel_basis(mat: list[list[int]], p: int) -> list[list[int]]:
             vec[c] = (-rows[r][f]) % p
         basis.append(vec)
     return basis
+
+
+def matmul(a: list[list[int]], b: list[list[int]], p: int) -> list[list[int]]:
+    """a.b mod p, each row of a combining the rows of b (b must have a row).
+    Zero entries of a are skipped, as row-reduced bases are sparse."""
+    out = []
+    for row in a:
+        acc = [0] * len(b[0])
+        for c, b_row in zip(row, b):
+            if c:
+                acc = [s + c * t for s, t in zip(acc, b_row)]
+        out.append([s % p for s in acc])
+    return out
+
+
+def gram(
+    x: list[list[int]], w: list[int], sizes: tuple[int, ...], inv: tuple[int, ...], p: int
+) -> list[list[int]]:
+    """G[i][j] = sum_k |C_k| w_k x[i][k] x[j][inv k] mod p, x residue rows.
+
+    With w = 1 this is |G| times the inner products of the rows; with w the
+    residues of a character chi, it is |G| <chi x_i, x_j>.
+    """
+    weighted = [[c * v % p for c, v in zip(w, row)] for row in x]
+    flipped = [[s * row[k] % p for s, k in zip(sizes, inv)] for row in x]
+    return [[sum(map(mul, u, f)) % p for f in flipped] for u in weighted]
 
 
 def eval_poly(poly: list[int], x: int, p: int) -> int:

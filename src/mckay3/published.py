@@ -165,19 +165,8 @@ def _assemble(layout, block):
     return tuple(out)
 
 
-def _shift_product_cartan(block):
-    """6I - K - K^t for K = (cyclic shift of three copies) tensor block; the
-    only symmetric reading of the block-structured records."""
-    s = len(block)
-    r = 3 * s
-    a = [[6 if i == j else 0 for j in range(r)] for i in range(r)]
-    for b in range(3):
-        for i in range(s):
-            for j in range(s):
-                if block[i][j]:
-                    a[b * s + i][((b + 1) % 3) * s + j] -= block[i][j]
-                    a[((b + 1) % 3) * s + j][b * s + i] -= block[i][j]
-    return tuple(tuple(row) for row in a)
+# the block layout of the G10 record, shared by the literal and the erratum
+_G10_LAYOUT = (("6E", "-B", "-Bt"), ("-Bt", "6E", "-B"), ("-B", "-Bt", "6E"))
 
 
 PRINTED_CARTAN: dict[str, PrintedCartan] = {
@@ -247,9 +236,9 @@ PRINTED_CARTAN: dict[str, PrintedCartan] = {
     ),
     "G10": PrintedCartan(
         name="G10",
-        literal=_assemble((("6E", "-B", "-Bt"), ("-Bt", "6E", "-B"), ("-B", "-Bt", "6E")), _B10),
+        literal=_assemble(_G10_LAYOUT, _B10),
         dims=(1, 6, 7, 8, 3, 3) * 3,
-        corrected=_shift_product_cartan(_B10_FIXED),
+        corrected=_assemble(_G10_LAYOUT, _B10_FIXED),
         expected_status="matched-with-erratum",
         notes=(
             "block entry (5,5) recorded as 1, but the order-168 quiver has no "

@@ -221,6 +221,25 @@ def test_lift_checks_the_multiplicities_sum_to_the_degree(monkeypatch):
         dixon_table(build_group(parse_spec("SL2:cyclic:12")))
 
 
+def test_lift_pins_each_column_to_its_modular_character(monkeypatch):
+    # negating every exponent conjugates the whole table, which keeps it
+    # orthogonal; only the reduction back to F_p sees the columns move
+    root_sum = chartab.root_sum
+
+    def negated(n, terms, den=1):
+        return root_sum(n, ((-k, c) for k, c in terms), den)
+
+    monkeypatch.setattr(chartab, "root_sum", negated)
+    with pytest.raises(OrthogonalityFailure, match="do not reduce to their modular"):
+        dixon_table(build_group(parse_spec("Hmn:3,1")))
+
+
+def test_split_rejects_a_class_matrix_that_moves_the_subspace():
+    # the swap of the two coordinates sends the line through (1, 0) off itself
+    with pytest.raises(OrthogonalityFailure, match="does not preserve subspace"):
+        chartab._split_subspace([[1, 0]], [[0, 1], [1, 0]], 7)
+
+
 def test_orthogonality_catches_tampering(s3_table):
     _, t = s3_table
     rows = [list(r) for r in t.values]

@@ -98,6 +98,15 @@ def test_eigenvector_check_per_class(h22):
     assert verdicts == (True,) * 4
 
 
+def test_eigenvector_check_takes_a_row_without_arrows(h22):
+    # the first row of a tampered quiver sums to 0, while chi(C_k) p_k[0] =
+    # chi(C_k) is -1 or 3, so every class fails and nothing raises
+    table, q = h22
+    chi = tuple(m.trace() for m in table.class_reps)
+    no_arrows = Quiver(q.dims, ((0,) * 4,) + q.matrix[1:], q.rep_dim)
+    assert eigenvector_check(table, no_arrows, chi) == (False,) * 4
+
+
 def test_dual_transpose_on_an_asymmetric_quiver():
     table, q = _pipeline("Hmn:2,4")
     assert q.matrix != tuple(zip(*q.matrix))  # genuinely directed

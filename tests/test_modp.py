@@ -105,3 +105,77 @@ def test_root_of_unity_has_exact_order(q):
         z = modp.root_of_unity(q, n)
         assert pow(z, n, q) == 1
         assert all(pow(z, n // f, q) != 1 for f in modp.prime_factors(n))
+
+
+_PRIMES = st.sampled_from([2, 7, 61, 10009])
+
+
+def _with_zero_row(draw, rows, width, entry):
+    """rows random rows of the given width, one of them all zeros."""
+    out = [[draw(entry) for _ in range(width)] for _ in range(rows)]
+    out.insert(draw(st.integers(0, rows)), [0] * width)
+    return out
+
+
+@st.composite
+def _products(draw):
+    p = draw(_PRIMES)
+    n, m, k = draw(st.integers(0, 5)), draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    entry = st.one_of(st.just(0), st.integers(-3 * p, 3 * p))
+    a = _with_zero_row(draw, n, m - 1, entry)
+    a = [row + [draw(entry)] for row in a]  # a is (n+1) x m
+    b = _with_zero_row(draw, m - 1, k, entry)  # b is m x k
+    return a, b, p
+
+
+@given(_products())
+@settings(max_examples=80, deadline=None)
+def test_matmul_matches_the_triple_loop(case):
+    a, b, p = case
+    naive = [
+        [sum(a[i][t] * b[t][j] for t in range(len(b))) % p for j in range(len(b[0]))]
+        for i in range(len(a))
+    ]
+    assert modp.matmul(a, b, p) == naive
+
+
+@st.composite
+def _class_functions(draw):
+    """Residue rows, a weight and class data whose inverse map is an
+    involution preserving the class sizes."""
+    p = draw(_PRIMES)
+    r = draw(st.integers(1, 6))
+    order = draw(st.permutations(range(r)))
+    inv = list(range(r))
+    pos = 0
+    while pos + 1 < r:
+        if draw(st.booleans()):
+            u, v = order[pos], order[pos + 1]
+            inv[u], inv[v] = v, u
+            pos += 2
+        else:
+            pos += 1
+    sizes = [0] * r
+    for k in range(r):
+        if k <= inv[k]:
+            sizes[k] = sizes[inv[k]] = draw(st.integers(1, 50))
+    residue = st.integers(0, p - 1)
+    x = _with_zero_row(draw, draw(st.integers(0, 4)), r, residue)
+    w = [draw(residue) for _ in range(r)]
+    return x, w, sizes, inv, p
+
+
+@given(_class_functions())
+@settings(max_examples=80, deadline=None)
+def test_gram_matches_the_triple_loop(case):
+    x, w, sizes, inv, p = case
+    r = len(sizes)
+    assert all(inv[inv[k]] == k and sizes[inv[k]] == sizes[k] for k in range(r))
+    naive = [
+        [sum(sizes[k] * w[k] * xi[k] * xj[inv[k]] for k in range(r)) % p for xj in x]
+        for xi in x
+    ]
+    assert modp.gram(x, w, sizes, inv, p) == naive
+    # with weight 1 the form is symmetric, as inv is a size-preserving involution
+    g = modp.gram(x, [1] * r, sizes, inv, p)
+    assert g == [list(col) for col in zip(*g)]
