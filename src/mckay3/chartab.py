@@ -5,7 +5,10 @@ constants of the group, diagonalize the commuting family of class matrices
 over a prime field F_p with p = 1 (mod exponent) and p^2 > 4|G|, read off the
 modular characters, then lift each value to an exact cyclotomic integer by a
 discrete Fourier transform over the value's own order, one transform per
-Galois orbit of classes.  The lift makes the table Galois-equivariant by
+Galois orbit of classes.  The diagonalization splits each invariant subspace
+into the eigenlines of one class matrix, reading every simple root's line off
+one shared Krylov basis, with the kernel of A - lambda as the fallback
+(`_split_subspace`).  The lift makes the table Galois-equivariant by
 construction, so its orthogonality relations are rational integers of known
 size, and `dixon_table` decides them exactly modulo one prime before it
 returns; a table that comes back is correct, not heuristically likely.
@@ -25,7 +28,7 @@ from operator import mul
 from .exactnum import Cyclotomic, dot, residues, root_sum
 from .matgroup import FiniteMatrixGroup, SquareMatrix
 from .modp import (
-    charpoly, eval_poly, gram, kernel_basis, matmul, prime_one_mod, root_of_unity, rref
+    charpoly, gram, horner, kernel_basis, matmul, prime_one_mod, root_of_unity, rref
 )
 
 
@@ -347,7 +350,20 @@ def _orthogonal_mod_prime(table: CharacterTable) -> bool:
 def _split_subspace(
     w: list[list[int]], mj: list[list[int]], p: int
 ) -> list[list[list[int]]]:
-    """Split an invariant subspace into eigenspaces of one class matrix."""
+    """Split an invariant subspace into eigenspaces of one class matrix.
+
+    Let A be the class matrix restricted to the span of w, in coordinates of
+    its RREF basis, f its characteristic polynomial, of degree d, and v = e_0.
+    The Krylov vectors v, Av, ..., A^(d-1) v are built once.  A root lambda
+    with f'(lambda) != 0 takes the line g(A)v, with g = f/(x - lambda) from
+    `horner`, at O(d^2) per root; f'(lambda) = g(lambda), as f = g*(x -
+    lambda).  A repeated root, or a simple one whose vector is zero, takes
+    the kernel of A - lambda.
+
+    Proof.  By Cayley-Hamilton, (A - lambda) g(A)v = f(A)v = 0.  A simple
+    root has a 1-dimensional eigenspace, so a nonzero g(A)v spans it, and
+    each chunk is the RREF of the same line that the kernel gives.
+    """
     basis, pivots = rref(w, p)
     images = matmul(basis, mj, p)
     # coordinates of each image against the RREF basis
@@ -357,16 +373,25 @@ def _split_subspace(
     # column convention: restricted[u][t] = coord u of the image of basis t
     restricted = list(zip(*coords))
     poly = charpoly(restricted, p)
-    roots = [lam for lam in range(p) if eval_poly(poly, lam, p) == 0]
+    # ascending, so the refinement order is reproducible
+    divided = (horner(poly, lam, p) for lam in range(p))
+    roots = [(lam, q) for lam, (value, q) in enumerate(divided) if value == 0]
     if len(roots) <= 1:
         return [basis]
+    # as rows: A^(i+1) v = A^i v . coords
+    krylov = [[1] + [0] * (len(basis) - 1)]
+    while len(krylov) < len(basis):
+        krylov += matmul(krylov[-1:], coords, p)
     grouped: list[list[list[int]]] = []
-    for lam in roots:  # ascending, so the refinement order is reproducible
-        shifted = [
-            [(a - (lam if i == k else 0)) % p for k, a in enumerate(row)]
-            for i, row in enumerate(restricted)
-        ]
-        chunk, _ = rref(matmul(kernel_basis(shifted, p), basis, p), p)
+    for lam, q in roots:
+        line = matmul([q], krylov, p)
+        if not horner(q, lam, p)[0] or not any(line[0]):  # q(lam) = f'(lam)
+            shifted = [
+                [(a - (lam if i == k else 0)) % p for k, a in enumerate(row)]
+                for i, row in enumerate(restricted)
+            ]
+            line = kernel_basis(shifted, p)
+        chunk, _ = rref(matmul(line, basis, p), p)
         grouped.append(chunk)
     return grouped
 

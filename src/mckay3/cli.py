@@ -38,7 +38,7 @@ def _enc_cyc(v) -> dict:
     """{"N": conductor, "coeffs": [[k, "p/q"], ...]} with zero terms dropped."""
     return {
         "N": v.conductor,
-        "coeffs": [[k, str(c)] for k, c in enumerate(v.coefficients) if c],
+        "coeffs": [[k, str(c)] for k, c in v.terms()],
     }
 
 

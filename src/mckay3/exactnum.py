@@ -201,9 +201,12 @@ class Cyclotomic:
 
     # -- canonical data --------------------------------------------------
 
-    @property
-    def coefficients(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(c, self._den) for c in self._num)
+    def terms(self) -> list[tuple[int, int | Fraction]]:
+        """(k, c) for each nonzero coefficient c of zeta^k, c an int when
+        the denominator is 1 and a Fraction otherwise."""
+        if self._den == 1:
+            return [(k, c) for k, c in enumerate(self._num) if c]
+        return [(k, Fraction(c, self._den)) for k, c in enumerate(self._num) if c]
 
     def encode(self) -> bytes:
         """Deterministic byte key; equal values give equal keys."""
@@ -343,10 +346,7 @@ class Cyclotomic:
 
     def __str__(self) -> str:
         terms: list[tuple[str, str]] = []
-        for k, c in enumerate(self._num):
-            if not c:
-                continue
-            q = Fraction(c, self._den)
+        for k, q in self.terms():
             mag = abs(q)
             if k == 0:
                 body = str(mag)

@@ -115,12 +115,6 @@ class SquareMatrix:
             t = t + self.rows[i][i]
         return t
 
-    def transpose(self) -> "SquareMatrix":
-        return SquareMatrix(tuple(zip(*self.rows)))
-
-    def conjugate(self) -> "SquareMatrix":
-        return SquareMatrix([[e.conjugate() for e in r] for r in self.rows])
-
     def det(self) -> Cyclotomic:
         n = self.dim
         if n == 1:
@@ -136,18 +130,6 @@ class SquareMatrix:
             term = self.rows[0][j] * minor.det()
             total = total + term if j % 2 == 0 else total - term
         return total
-
-    def __pow__(self, k: int) -> "SquareMatrix":
-        if k < 0:
-            raise ValueError("negative matrix powers are not supported")
-        result = SquareMatrix.identity(self.dim, self.conductor)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
 
     def __str__(self) -> str:
         return "[" + "; ".join(

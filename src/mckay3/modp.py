@@ -130,12 +130,14 @@ def gram(
     return [[sum(map(mul, u, f)) % p for f in flipped] for u in weighted]
 
 
-def eval_poly(poly: list[int], x: int, p: int) -> int:
-    """Value mod p of the polynomial with ascending coefficients poly."""
-    acc = 0
+def horner(poly: list[int], x: int, p: int) -> tuple[int, list[int]]:
+    """poly(x) mod p and the quotient q of poly by (t - x), both with
+    ascending coefficients: poly = q*(t - x) + poly(x).  Horner's partial
+    sums are the coefficients of q, highest first."""
+    partial = [0]
     for c in reversed(poly):
-        acc = (acc * x + c) % p
-    return acc
+        partial.append((partial[-1] * x + c) % p)
+    return partial[-1], partial[-2:0:-1]
 
 
 def charpoly(mat: list[list[int]], p: int) -> list[int]:

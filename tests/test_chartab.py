@@ -23,6 +23,7 @@ from mckay3.chartab import (
 from mckay3.exactnum import Cyclotomic
 from mckay3.matgroup import SquareMatrix, closure
 from mckay3.mckay import adjacency, dual_transpose_check, eigenvector_check
+from mckay3.modp import kernel_basis, rref
 
 
 def _s3():
@@ -238,6 +239,43 @@ def test_split_rejects_a_class_matrix_that_moves_the_subspace():
     # the swap of the two coordinates sends the line through (1, 0) off itself
     with pytest.raises(OrthogonalityFailure, match="does not preserve subspace"):
         chartab._split_subspace([[1, 0]], [[0, 1], [1, 0]], 7)
+
+
+def test_split_takes_the_kernel_when_the_krylov_vector_vanishes():
+    # e_0 is already the eigenvector for 1, so (A - 1) e_0 = 0 is no line for 2
+    lines = chartab._split_subspace([[1, 0], [0, 1]], [[1, 0], [0, 2]], 7)
+    assert lines == [[[1, 0]], [[0, 1]]]
+
+
+def test_split_matches_the_kernels_at_a_repeated_root():
+    # eigenvalues 2, 3, 2: the double root takes the kernel, 3 its Krylov line
+    p = 7
+    mj = [[2, 1, 0], [0, 3, 0], [0, 0, 2]]
+    restricted = [list(col) for col in zip(*mj)]
+    expected = []
+    for lam in (2, 3):
+        shifted = [
+            [(a - (lam if i == k else 0)) % p for k, a in enumerate(row)]
+            for i, row in enumerate(restricted)
+        ]
+        expected.append(rref(kernel_basis(shifted, p), p)[0])
+    identity = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert chartab._split_subspace(identity, mj, p) == expected
+    assert [len(chunk) for chunk in expected] == [2, 1]
+
+
+@pytest.mark.parametrize("spec, kernels", [("SL2:cyclic:30", 0), ("Gm3:4", 2)])
+def test_split_takes_simple_roots_from_the_krylov_basis(monkeypatch, spec, kernels):
+    # the kernel per eigenvalue made 30 and 10 calls on these groups
+    calls = []
+
+    def counted(mat, p):
+        calls.append(len(mat))
+        return kernel_basis(mat, p)
+
+    monkeypatch.setattr(chartab, "kernel_basis", counted)
+    dixon_table(build_group(parse_spec(spec)))
+    assert len(calls) == kernels
 
 
 def test_orthogonality_catches_tampering(s3_table):

@@ -67,7 +67,10 @@ def test_fraction_coefficients_are_normalized():
     a = Cyclotomic(4, [Fraction(1, 2), Fraction(3, 2)])
     b = (Cyclotomic.rational(1, 4) + 3 * root(1, 4)) / 2
     assert a == b
-    assert a.coefficients == (Fraction(1, 2), Fraction(3, 2))
+    assert a.terms() == [(0, Fraction(1, 2)), (1, Fraction(3, 2))]
+    # zero terms are dropped, and a denominator of 1 gives plain ints
+    assert [(k, type(c)) for k, c in (2 * b).terms()] == [(0, int), (1, int)]
+    assert Cyclotomic(4, [0, 5]).terms() == [(1, 5)]
 
 
 def test_constructor_reduces_long_vectors():

@@ -3,7 +3,8 @@
 The pins are `verify --all --format json` with `elapsedMs` masked, and for
 each roster group `chartab`, `quiver`, `cartan --print A` and `info`, all in
 JSON.  `cli.main` runs in-process, so the payloads share the
-`pipeline.analyze` memo with the rest of the suite.
+`pipeline.analyze` memo with the rest of the suite.  Two wider tables have
+their own constants, `WIDE_CHARTAB_DIGESTS`.
 
 `python tests/test_golden.py --pin` rewrites `tests/golden_digests.json`.
 Re-pin only in a change whose stated purpose is to change a payload.
@@ -63,6 +64,22 @@ def golden_digests() -> dict[str, str]:
 def test_every_payload_matches_its_pin():
     pinned = json.loads(DIGEST_FILE.read_text(encoding="utf-8"))
     assert golden_digests() == pinned
+
+
+# `chartab --group <spec> --format json` of two groups past the roster, with
+# r = 120 and 56: most of their split takes the Krylov lines, not the kernels
+WIDE_CHARTAB_DIGESTS = {
+    "SL2:cyclic:120": "739a97a761e6d800b3929a80352641f52efdd45fc0439b4e91ebd7e4db8d7a90",
+    "Gm3:12": "1f23819d62198b0c5c2c82b85199cb3dd34b62f81344f46c1394f39c2c163c36",
+}
+
+
+def test_wide_tables_match_their_pins():
+    digests = {
+        spec: _sha256(_stdout("chartab", "--group", spec, "--format", "json"))
+        for spec in WIDE_CHARTAB_DIGESTS
+    }
+    assert digests == WIDE_CHARTAB_DIGESTS
 
 
 if __name__ == "__main__":

@@ -139,6 +139,28 @@ def test_matmul_matches_the_triple_loop(case):
     assert modp.matmul(a, b, p) == naive
 
 
+@given(
+    _PRIMES.flatmap(
+        lambda p: st.tuples(
+            st.just(p),
+            st.lists(st.integers(0, p - 1), max_size=8),
+            st.integers(0, p - 1),
+        )
+    )
+)
+@settings(max_examples=80, deadline=None)
+def test_horner_divides_by_the_linear_factor(case):
+    p, poly, x = case
+    value, q = modp.horner(poly, x, p)
+    # q*(t - x) + value, coefficients ascending
+    rebuilt = [(-x * c) % p for c in q] + [0]
+    for i, c in enumerate(q):
+        rebuilt[i + 1] = (rebuilt[i + 1] + c) % p
+    rebuilt[0] = (rebuilt[0] + value) % p
+    assert rebuilt[: len(poly)] == poly and not any(rebuilt[len(poly) :])
+    assert value == sum(c * x**i for i, c in enumerate(poly)) % p
+
+
 @st.composite
 def _class_functions(draw):
     """Residue rows, a weight and class data whose inverse map is an
