@@ -324,10 +324,14 @@ def build_group(spec: GroupSpec, max_order: int = 20000) -> FiniteMatrixGroup:
 
     A spec whose order the catalog knows is held to max_order before any
     generator is built, since a generator at a large conductor can itself
-    cost memory before the closure counts a single element.
+    cost memory before the closure counts a single element.  So is a lower
+    bound on a twisted order: each SL2 generator is block-diagonal with
+    (1,1) entry conj(a)^2, a a primitive alpha-th root of unity, so
+    g -> g[0][0] maps the group onto a cyclic group of order
+    alpha / gcd(alpha, 2).
     """
     want = expected_order(spec)
-    if want is not None and want > max_order:
+    if (want or spec.alpha // gcd(spec.alpha, 2)) > max_order:
         raise OrderBoundExceeded(
             f"more than {max_order} elements; raise max_order if intended"
         )

@@ -283,7 +283,7 @@ def dixon_table(
                 )
             step = e // o
             for k2, a in members.items():
-                vals[k2] = root_sum(e, ((step * a * t, m) for t, m in enumerate(mu)))
+                vals[k2] = root_sum(e, ((step * a * t, m) for t, m in enumerate(mu) if m))
         lifted.append((d, tuple(vals)))
     flat = [v for _, vals in lifted for v in vals]
     if residues(flat, e, p) != [c for _, chi in rows_mod for c in chi]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .modp import root_of_unity
 
@@ -135,7 +135,7 @@ def root_sum(conductor: int, terms, den: int = 1) -> "Cyclotomic":
     return _normalize(conductor, out, den)
 
 
-def residues(values, n: int, p: int) -> list[int]:
+def residues(values, n: int, p: int, z: int | None = None) -> list[int]:
     """Images in F_p of cyclotomic integers, with zeta_n sent to z.
 
     z = `root_of_unity(p, n)`, so n | p - 1 and p does not divide n; then z
@@ -145,9 +145,13 @@ def residues(values, n: int, p: int) -> list[int]:
     algebraic integer, which in canonical form means denominator 1 (the
     power basis is an integral basis of Z[zeta_c]); any other value raises
     ValueError.
+
+    Given z, p may be any modulus at which z is a root of Phi_n, such as a
+    product of such primes with z the CRT of their roots; the images are
+    then the CRT of the images modulo each prime.
     """
     z_pows = [1] * n
-    z = root_of_unity(p, n)
+    z = root_of_unity(p, n) if z is None else z
     for k in range(1, n):
         z_pows[k] = z_pows[k - 1] * z % p
     out = []
@@ -159,6 +163,14 @@ def residues(values, n: int, p: int) -> list[int]:
         step = n // v.conductor
         out.append(sum(c * z_pows[k * step] for k, c in enumerate(v._num) if c) % p)
     return out
+
+
+def height(values: list) -> tuple[int, int]:
+    """(D, b): the lcm D of the denominators of the values and the largest
+    l1 norm b of a numerator vector.  Then D*v is a cyclotomic integer and,
+    as every embedding sends zeta to a root of unity, |sigma(D v)| <= D b
+    for each value v and each embedding sigma."""
+    return lcm(*(v._den for v in values)), max(sum(map(abs, v._num)) for v in values)
 
 
 class Cyclotomic:

@@ -3,7 +3,9 @@
 Every mod-p step of the package lives here: primes, primitive roots, row
 reduction, matrix products, the Gram matrix of class functions, and the
 Hessenberg characteristic polynomial, which `integer_charpoly` lifts to the
-integers by CRT under a proven bound.
+integers by CRT under a proven bound.  Its CRT step, `garner`, also builds
+the root of unity modulo the prime product on which `matgroup.closure`
+searches.
 """
 from __future__ import annotations
 
@@ -63,6 +65,14 @@ def prime_one_mod(n: int, above: int) -> int:
     while not is_prime(p):
         p += n
     return p
+
+
+def garner(coeffs: list[int], modulus: int, residues: list[int], p: int) -> tuple:
+    """One CRT step, for p prime to modulus and coeffs in [0, modulus): each
+    c in [0, modulus*p) with c = coeffs mod modulus and c = residues mod p,
+    and the new modulus, modulus*p."""
+    inv = pow(modulus, -1, p)
+    return [c + modulus * ((r - c) * inv % p) for c, r in zip(coeffs, residues)], modulus * p
 
 
 def rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
@@ -196,13 +206,8 @@ def integer_charpoly(mat) -> list[int]:
     """
     bound = prod(2 + isqrt(sum(a * a for a in row)) for row in mat)
     coeffs = [0] * (len(mat) + 1)
-    modulus = 1
-    p = CRT_START
+    modulus, p = 1, CRT_START
     while modulus <= 2 * bound:
         p = prime_one_mod(1, p)
-        residues = charpoly(mat, p)
-        # Garner step: keep c = coeffs mod modulus, now also = residues mod p
-        inv = pow(modulus, -1, p)
-        coeffs = [c + modulus * ((r - c) * inv % p) for c, r in zip(coeffs, residues)]
-        modulus *= p
+        coeffs, modulus = garner(coeffs, modulus, charpoly(mat, p), p)
     return [c - modulus if 2 * c > modulus else c for c in coeffs]

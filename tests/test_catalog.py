@@ -4,7 +4,7 @@ import hashlib
 
 import pytest
 
-from mckay3 import catalog
+from mckay3 import catalog, matgroup
 from mckay3.catalog import (
     SpecError,
     abelian_table,
@@ -33,6 +33,35 @@ def test_known_order_is_bounded_before_the_generators(monkeypatch):
     monkeypatch.setattr(catalog, "generators", no_generators)
     with pytest.raises(OrderBoundExceeded, match="more than 20000 elements"):
         build_group(parse_spec("Hmn:150,150"))
+
+
+@pytest.mark.parametrize(
+    "alpha, refused", [(20001, True), (40002, True), (1000000, True), (40000, False)]
+)
+def test_twisted_order_is_bounded_before_the_generators(monkeypatch, alpha, refused):
+    # g -> g[0][0] maps the group onto a cyclic group of order
+    # alpha / gcd(alpha, 2); building alpha=1000000 would start with a
+    # reduction table of about N * phi(N) ints, so it is never built here
+    def no_generators(spec):
+        raise AssertionError("generators built")
+
+    monkeypatch.setattr(catalog, "generators", no_generators)
+    expected = (OrderBoundExceeded, "more than 20000") if refused else (AssertionError, "built")
+    with pytest.raises(expected[0], match=expected[1]):
+        build_group(parse_spec(f"SL2:cyclic:3:alpha={alpha}"))
+
+
+def test_small_twist_reaches_the_closure_bound(monkeypatch):
+    calls = []
+
+    def counted(gens, max_order):
+        calls.append(max_order)
+        return matgroup.closure(gens, max_order=max_order)
+
+    monkeypatch.setattr(catalog, "closure", counted)
+    with pytest.raises(OrderBoundExceeded, match="more than 10 elements"):
+        build_group(parse_spec("SL2:binD:2:alpha=3"), max_order=10)
+    assert calls == [10]
 
 
 def test_parse_alpha_suffix():

@@ -79,6 +79,17 @@ def test_order_bound_exits_3(capsys):
         assert f"more than {bound} elements" in err
 
 
+def test_large_twist_exits_3_before_the_generators(capsys, monkeypatch):
+    def no_generators(spec):
+        raise AssertionError("generators built for an over-limit spec")
+
+    monkeypatch.setattr(catalog, "generators", no_generators)
+    code, out, err = _run(capsys, "info", "--group", "SL2:cyclic:3:alpha=1000000")
+    assert code == 3
+    assert out == ""
+    assert "more than 20000 elements" in err
+
+
 def test_cartan_csv_matches_expected(capsys):
     code, out, _ = _run(
         capsys, "cartan", "--group", "Hmn:2,2", "--print", "B", "--format", "csv"

@@ -1,12 +1,14 @@
 """Matrix arithmetic and deterministic group closure."""
 
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mckay3.catalog import build_group, parse_spec
+from mckay3 import matgroup
+from mckay3.catalog import build_group, generators, parse_spec
 from mckay3.chartab import conjugacy_classes, dixon_table
 from mckay3.exactnum import ConductorMismatch, root
 from mckay3.matgroup import (
@@ -18,6 +20,7 @@ from mckay3.matgroup import (
     to_common_conductor,
 )
 from mckay3.mckay import adjacency
+from mckay3.modp import CRT_START, prime_one_mod
 
 
 def _cycle():
@@ -206,3 +209,115 @@ def test_products_keep_no_per_element_words():
     finally:
         tracemalloc.stop()
     assert peak < 256 * 1024
+
+
+def _exact_closure(gens):
+    """The breadth-first walk with every edge x*g an exact product: each
+    level sorted by key, each parent the first hit in walk order."""
+    identity = SquareMatrix.identity(gens[0].dim, gens[0].conductor)
+    elements, index, tree = [identity], {identity.key(): 0}, [None]
+    right = [[] for _ in gens]
+    frontier = [0]
+    while frontier:
+        fresh, keys = {}, [[] for _ in gens]
+        for x in frontier:
+            for pos, g in enumerate(gens):
+                y = elements[x] * g
+                keys[pos].append(y.key())
+                if y.key() not in index:
+                    fresh.setdefault(y.key(), (y, x, pos))
+        frontier = []
+        for k in sorted(fresh):
+            y, parent, pos = fresh[k]
+            index[k] = len(elements)
+            frontier.append(len(elements))
+            elements.append(y)
+            tree.append((parent, pos))
+        for row, level_keys in zip(right, keys):
+            row.extend(index[k] for k in level_keys)
+    return elements, index, right, tree
+
+
+def _assert_exact_walk(group, gens):
+    elements, index, right, tree = _exact_closure(gens)
+    assert list(group.elements) == elements
+    assert group.index == index
+    assert group._right == right
+    assert group._tree == tree
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """The modulus of every round of the modular walk."""
+    moduli = []
+    search = matgroup._search
+
+    def recorded(gens, columns, modulus, max_order):
+        moduli.append(modulus)
+        return search(gens, columns, modulus, max_order)
+
+    monkeypatch.setattr(matgroup, "_search", recorded)
+    return moduli
+
+
+@pytest.mark.parametrize(
+    "name", ["G5", "G8", "G10", "SL2:2I", "Hmn:3,5", "Gm3:6", "SL2:binD:3:alpha=4"]
+)
+def test_closure_matches_the_exact_walk(name):
+    gens = generators(parse_spec(name))
+    _assert_exact_walk(closure(gens), gens)
+
+
+def _embed(rows):
+    return SquareMatrix([[1, 0, 0], [0, *rows[0]], [0, *rows[1]]])
+
+
+def test_unipotent_group_exceeds_the_bound():
+    with pytest.raises(OrderBoundExceeded, match="more than 300 elements"):
+        closure([SquareMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]])], max_order=300)
+
+
+def test_sl2z_exceeds_the_bound():
+    # SL2(Z) is generated by an element of order 4 and one of order 6
+    gens = [_embed([[0, -1], [1, 0]]), _embed([[0, -1], [1, 1]])]
+    assert [closure([g]).order for g in gens] == [4, 6]
+    with pytest.raises(OrderBoundExceeded, match="more than 300 elements"):
+        closure(gens, max_order=300)
+
+
+def test_a_prime_dividing_a_denominator_is_skipped(searches):
+    p0 = prime_one_mod(1, CRT_START)  # the first candidate at conductor 1
+    closure([_cycle()])
+    assert searches[0] % p0 == 0
+    d = SquareMatrix([[p0, 0, 0], [0, 1, 0], [0, 0, 1]])
+    d_inv = SquareMatrix([[Fraction(1, p0), 0, 0], [0, 1, 0], [0, 0, 1]])
+    gens = [d * _cycle() * d_inv]
+    group = closure(gens)
+    assert group.order == 3
+    assert searches[1] % p0 != 0
+    _assert_exact_walk(group, gens)
+
+
+@pytest.mark.parametrize("name", ["G8", "SL2:2I"])
+def test_a_second_round_reproduces_the_exact_walk(name, searches, monkeypatch):
+    monkeypatch.setattr(matgroup, "_seed_bound", lambda den, norm, dim: 1)
+    gens = generators(parse_spec(name))
+    group = closure(gens)
+    assert len(searches) >= 2 and searches[0] < searches[-1]
+    _assert_exact_walk(group, gens)
+
+
+def test_closure_takes_one_exact_product_per_element(searches, monkeypatch):
+    gens = generators(parse_spec("G12"))
+    calls = []
+    product = SquareMatrix.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return product(self, other)
+
+    monkeypatch.setattr(SquareMatrix, "__mul__", counted)
+    group = closure(gens)
+    assert group.order == 1080
+    assert len(calls) <= group.order
+    assert len(searches) == 1
