@@ -5,8 +5,9 @@ representation pi has adjacency m[i][j] = <chi_pi * gamma_i, gamma_j>, the
 multiplicity of gamma_j in pi tensor gamma_i.  From it we form B = n*I - M
 (n the dimension of pi) and the generalized Cartan matrix A = B + B^T, and
 check the structural facts exactly: A is positive semi-definite, the
-dimension vector spans the kernel, every table column is an eigenvector of M,
-and conjugating pi transposes the quiver.
+dimension vector spans the kernel, and every table column is an eigenvector
+of M, which on an orthogonal table also proves that conjugating pi
+transposes the quiver (`pipeline.Analysis.dual_transpose`).
 """
 
 from __future__ import annotations
@@ -21,13 +22,6 @@ from .modp import gram, integer_charpoly, prime_one_mod
 
 class NotSymmetric(ValueError):
     """Positive semidefiniteness is only tested for symmetric matrices."""
-
-
-# the (table, quiver, chi) objects that `adjacency` last certified.  All three
-# are immutable, so a later `eigenvector_check` on the very same objects has
-# the same all-pass verdict; the slot saves recomputing it and changes no
-# result for any caller.
-_certified: tuple = (None, None, None)
 
 
 @dataclass(frozen=True)
@@ -72,12 +66,11 @@ def adjacency(table: CharacterTable, chi=None) -> Quiver:
     value that is not an algebraic integer (denominator other than 1) is
     rejected the same way before any residue is taken.
     """
-    global _certified
     if chi is None:
         if table.class_reps is None:
             raise ValueError("table has no class representatives; pass chi")
         chi = tuple(m.trace() for m in table.class_reps)
-    chi = tuple(chi)  # immutable, so the certificate kept below cannot go stale
+    chi = tuple(chi)  # read twice: for its residues and by the certificate
     n = chi[0].try_rational()
     if n is None or n.denominator != 1 or n < 0:
         raise NonIntegralMultiplicity(f"chi(identity) = {chi[0]} is not a degree")
@@ -97,7 +90,6 @@ def adjacency(table: CharacterTable, chi=None) -> Quiver:
         raise NonIntegralMultiplicity(
             f"chi is not a character: M X = X diag(chi) fails at class {failing[0]}"
         )
-    _certified = (table, quiver, chi)
     return quiver
 
 
@@ -164,11 +156,7 @@ def eigenvector_check(table: CharacterTable, quiver: Quiver, chi) -> tuple[bool,
 
     Since B = n*I - M, this is the same as B p_k = (n - chi(C_k)) p_k.
     Each row sum runs over the nonzero m_ij only; a row with none sums to 0.
-    On the very objects that `adjacency` has just certified, the verdict is
-    known to be all pass and is returned without recomputing it.
     """
-    if all(a is b for a, b in zip(_certified, (table, quiver, chi))):
-        return (True,) * table.count
     target = lcm(table.conductor, *(v.conductor for v in chi))
     cols = list(zip(*([v.promote(target) for v in row] for row in table.values)))
     chi_p = [v.promote(target) for v in chi]
@@ -184,27 +172,6 @@ def eigenvector_check(table: CharacterTable, quiver: Quiver, chi) -> tuple[bool,
         )
         for p_k, lam in zip(cols, chi_p)
     )
-
-
-def dual_transpose_check(table: CharacterTable, quiver: Quiver, chi) -> bool:
-    """Replacing pi by its dual must transpose the quiver.
-
-    Certified as M^T X = X diag(conj chi), with X the table (X[i][k] =
-    gamma_i(C_k)), so no second tensor product is decomposed.
-
-    Precondition: the table satisfies the orthogonality relations, which
-    `dixon_table` certifies over one prime before it returns and
-    `chartab.verify_orthogonality` checks exactly for any other table.
-    Then X D X^H = |G| I, so X is invertible and
-    its rows are an orthonormal basis of the class functions.  The dual
-    quiver M' has M'[i][j] = <conj(chi) gamma_i, gamma_j>, the coordinates of
-    conj(chi) gamma_i in that basis, so M' X = X diag(conj chi).  Any N with
-    N X = X diag(conj chi) equals X diag(conj chi) X^-1 = M'.  Hence
-    M^T = M' exactly when M^T X = X diag(conj chi), which is
-    `eigenvector_check` on the transposed quiver against conj(chi).
-    """
-    transposed = Quiver(quiver.dims, tuple(zip(*quiver.matrix)), quiver.rep_dim)
-    return all(eigenvector_check(table, transposed, tuple(v.conjugate() for v in chi)))
 
 
 # ---------------------------------------------------------------------------

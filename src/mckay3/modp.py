@@ -1,6 +1,6 @@
 """Arithmetic over prime fields F_p, and exact results recovered from it.
 
-Every mod-p step of the package lives here: primes, primitive roots, row
+Every mod-p step of the package lives here: primes, roots of unity, row
 reduction, matrix products, the Gram matrix of class functions, and the
 Hessenberg characteristic polynomial, which `integer_charpoly` lifts to the
 integers by CRT under a proven bound.  Its CRT step, `garner`, also builds
@@ -42,21 +42,17 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
-def primitive_root(q: int) -> int:
-    """The least generator of the multiplicative group of F_q, q prime."""
-    n = q - 1
-    factors = prime_factors(n)
-    for g in range(2, q):
-        if all(pow(g, n // f, q) != 1 for f in factors):
-            return g
-    raise AssertionError("no primitive root found (q not prime?)")
-
-
 def root_of_unity(q: int, n: int) -> int:
-    """An element of exact multiplicative order n in F_q; n must divide q - 1."""
+    """The first g^((q-1)/n), g = 2, 3, ..., of exact multiplicative order n
+    in F_q, q prime; n must divide q - 1."""
     if (q - 1) % n != 0:
         raise ValueError(f"F_{q} has no element of order {n}")
-    return pow(primitive_root(q), (q - 1) // n, q)
+    factors = prime_factors(n)
+    for g in range(2, q):
+        z = pow(g, (q - 1) // n, q)
+        if all(pow(z, n // f, q) != 1 for f in factors):
+            return z
+    raise ValueError(f"F_{q} has no element of order {n} (q not prime?)")
 
 
 def prime_one_mod(n: int, above: int) -> int:

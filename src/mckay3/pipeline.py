@@ -9,9 +9,11 @@ analysis into the report that `mckay verify` prints.
 
 `dimensionBalance` is the kernel verdict B.delta = 0 and B^T.delta = 0
 (with B = n*I - M these are, term for term, the row and column balances
-sum_j m_ij d_j = n d_i and sum_i d_i m_ij = n d_j), and `dualTranspose` is
-certified as M^T X = X diag(conj chi) on the verified table X, with no
-second tensor-product decomposition.
+sum_j m_ij d_j = n d_i and sum_i d_i m_ij = n d_j).  `eigenvectorProp` is
+the one exact certificate on the quiver, M X = X diag(chi) on the verified
+table X, and `dualTranspose` follows from it: on an orthogonal table it is
+the same identity as M^T X = X diag(conj chi), so no second tensor product
+is decomposed and no second identity is tested.
 """
 
 from __future__ import annotations
@@ -63,15 +65,30 @@ class Analysis:
     def eigen(self) -> tuple[bool, ...]:
         """Per class: is the table column an eigenvector of M?
 
-        `adjacency` certified M by this check, so on its own quiver the
-        verdict is read back rather than computed a second time.
+        One exact pass, M X = X diag(chi) on the quiver as built; the
+        `dualTranspose` verdict is read off it.
         """
         return mckay.eigenvector_check(self.table, self.quiver, self.chi)
 
     @cached_property
     def dual_transpose(self) -> bool:
-        """Does the dual representation give the transposed quiver?"""
-        return mckay.dual_transpose_check(self.table, self.quiver, self.chi)
+        """Does the dual representation give the transposed quiver?
+
+        Exactly when every class passes `eigen`.  Let X be the table,
+        Y[i][k] = X[i][inv k] and D = diag(|C_k|); `dixon_table` certifies
+        X.D.Y^T = |G| I and that inv is an involution preserving class
+        sizes.  With Q the permutation matrix of inv, Y = X Q and Q = Q^T =
+        Q^-1 commutes with D, so X^-1 = |G|^-1 D Y^T and
+        X^T X = |G| Q D^-1, that is X^-T = |G|^-1 X D Q.  If
+        M X = X diag(chi) then M^T = X^-T diag(chi) X^T and
+        M^T X = X D Q diag(chi) Q D^-1 = X diag(chi o inv).  Applied to
+        M^T and chi o inv this gives the converse, as inv is an involution.
+        chi is the natural character and the class of g^-1 is inv of the
+        class of g, so chi o inv = conj chi.  The dual quiver M' is the one
+        solution of M' X = X diag(conj chi), X being invertible, so
+        M^T = M' exactly when M X = X diag(chi).
+        """
+        return all(self.eigen)
 
     @cached_property
     def audit(self) -> published.CartanAudit | None:

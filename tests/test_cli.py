@@ -268,8 +268,8 @@ def test_tampered_quiver_fails_every_derived_check(monkeypatch, capsys, fresh_an
 
 def test_verify_certifies_the_quiver_once(monkeypatch, fresh_analysis):
     # every exact inner product of mckay: one r x r pass for M X = X diag(chi)
-    # inside adjacency, read back by the eigenvectorProp check, and one for
-    # the dual quiver's M^T
+    # inside adjacency, one for the eigenvectorProp check, and none for
+    # dualTranspose, which is read off eigenvectorProp
     calls = []
     real = mckay.dot
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mckay3 import mckay, pipeline
 from mckay3.catalog import build_group, parse_spec
 from mckay3.chartab import dixon_table
 from mckay3.exactnum import Cyclotomic
@@ -15,7 +16,6 @@ from mckay3.mckay import (
     Quiver,
     adjacency,
     char_poly,
-    dual_transpose_check,
     eigenvector_check,
     export_dot,
     export_json,
@@ -107,11 +107,30 @@ def test_eigenvector_check_takes_a_row_without_arrows(h22):
     assert eigenvector_check(table, no_arrows, chi) == (False,) * 4
 
 
-def test_dual_transpose_on_an_asymmetric_quiver():
-    table, q = _pipeline("Hmn:2,4")
-    assert q.matrix != tuple(zip(*q.matrix))  # genuinely directed
+def test_eigenvector_check_recomputes_on_a_certified_quiver(h22, monkeypatch):
+    # the same objects adjacency has just certified are checked afresh,
+    # one exact dot per (class, row), and the verdict does not change
+    table, _ = h22
     chi = tuple(m.trace() for m in table.class_reps)
-    assert dual_transpose_check(table, q, chi)
+    q = adjacency(table, chi)
+    calls = []
+    real = mckay.dot
+
+    def counted(xs, ys):
+        calls.append(1)
+        return real(xs, ys)
+
+    monkeypatch.setattr(mckay, "dot", counted)
+    for _ in range(2):
+        assert eigenvector_check(table, q, chi) == (True,) * 4
+    assert len(calls) == 2 * 16
+
+
+def test_dual_transpose_on_an_asymmetric_quiver():
+    an = pipeline.analyze(parse_spec("Hmn:2,4"), 20000)
+    q = an.quiver
+    assert q.matrix != tuple(zip(*q.matrix))  # genuinely directed
+    assert an.dual_transpose
 
 
 def _tamperings(q: Quiver):
@@ -160,12 +179,13 @@ def test_dual_transpose_matches_a_second_decomposition(name):
     for mat in _tamperings(q):
         tampered = Quiver(q.dims, mat, q.rep_dim)
         expected = all(dual[i][j] == mat[j][i] for i in range(r) for j in range(r))
-        got = dual_transpose_check(table, tampered, chi)
-        assert got == expected
-        verdicts.append(got)
         # the whole per-class tuple, since `cartan` prints how many classes pass
         eigen = eigenvector_check(table, tampered, chi)
         assert eigen == _termwise_eigenvector_check(table, tampered, chi)
+        # the dual verdict `Analysis.dual_transpose` derives from it
+        got = all(eigen)
+        assert got == expected
+        verdicts.append(got)
         per_class.add(eigen)
     assert verdicts[0] is True
     assert False in verdicts
