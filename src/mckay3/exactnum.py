@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 
 from .modp import root_of_unity
 
@@ -78,8 +78,8 @@ def _reduction_table(n: int) -> tuple[tuple[int, ...], ...]:
     """Row k is the coefficient vector of x^k reduced mod Phi_n.
 
     Covers k up to max(n-1, 2*phi-2).  Rows 0..n-1 are every power of x, since
-    x^n = 1 mod Phi_n; only `_mul_vectors` reads rows past n-1, for the high
-    half of a product of two reduced values.
+    x^n = 1 mod Phi_n; only `_fold` reads rows past n-1, for the high half
+    of a product of reduced values.
     """
     phi = totient(n)
     top = list(cyclotomic_polynomial(n)[:phi])  # x^phi = -(these)
@@ -135,7 +135,7 @@ def root_sum(conductor: int, terms, den: int = 1) -> "Cyclotomic":
     return _normalize(conductor, out, den)
 
 
-def residues(values, n: int, p: int, z: int | None = None) -> list[int]:
+def residues(values, n: int, p: int) -> list[int]:
     """Images in F_p of cyclotomic integers, with zeta_n sent to z.
 
     z = `root_of_unity(p, n)`, so n | p - 1 and p does not divide n; then z
@@ -145,13 +145,9 @@ def residues(values, n: int, p: int, z: int | None = None) -> list[int]:
     algebraic integer, which in canonical form means denominator 1 (the
     power basis is an integral basis of Z[zeta_c]); any other value raises
     ValueError.
-
-    Given z, p may be any modulus at which z is a root of Phi_n, such as a
-    product of such primes with z the CRT of their roots; the images are
-    then the CRT of the images modulo each prime.
     """
     z_pows = [1] * n
-    z = root_of_unity(p, n) if z is None else z
+    z = root_of_unity(p, n)
     for k in range(1, n):
         z_pows[k] = z_pows[k - 1] * z % p
     out = []
@@ -163,14 +159,6 @@ def residues(values, n: int, p: int, z: int | None = None) -> list[int]:
         step = n // v.conductor
         out.append(sum(c * z_pows[k * step] for k, c in enumerate(v._num) if c) % p)
     return out
-
-
-def height(values: list) -> tuple[int, int]:
-    """(D, b): the lcm D of the denominators of the values and the largest
-    l1 norm b of a numerator vector.  Then D*v is a cyclotomic integer and,
-    as every embedding sends zeta to a root of unity, |sigma(D v)| <= D b
-    for each value v and each embedding sigma."""
-    return lcm(*(v._den for v in values)), max(sum(map(abs, v._num)) for v in values)
 
 
 class Cyclotomic:
@@ -222,7 +210,7 @@ class Cyclotomic:
 
     def encode(self) -> bytes:
         """Deterministic byte key; equal values give equal keys."""
-        body = ",".join(str(c) for c in self._num)
+        body = ",".join(map(str, self._num))
         return f"{self.conductor};{self._den};{body}".encode()
 
     # -- predicates -------------------------------------------------------
@@ -402,21 +390,24 @@ class Cyclotomic:
 
 def _mul_vectors(conductor: int, a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
     """Schoolbook product of two reduced vectors, folded back mod Phi_N."""
-    phi = totient(conductor)
-    conv = [0] * (2 * phi - 1)
+    conv = [0] * (2 * totient(conductor) - 1)
     for i, ca in enumerate(a):
         if ca:
             for j, cb in enumerate(b):
                 if cb:
                     conv[i + j] += ca * cb
+    return _fold(conductor, conv)
+
+
+def _fold(conductor: int, conv: list[int]) -> list[int]:
+    """A vector of length 2 phi - 1 reduced mod Phi_N to length phi."""
+    phi = totient(conductor)
     table = _reduction_table(conductor)
     out = conv[:phi]
     for k in range(phi, 2 * phi - 1):
         c = conv[k]
         if c:
-            row = table[k]
-            for i in range(phi):
-                out[i] += c * row[i]
+            out = [o + c * t for o, t in zip(out, table[k])]
     return out
 
 
@@ -458,28 +449,32 @@ def common_conductor(*values: Cyclotomic) -> tuple[Cyclotomic, ...]:
 def dot(xs, ys) -> Cyclotomic:
     """Fused exact inner product sum(x*y); the hot path of matrix products.
 
-    Accumulates raw integer vectors over a running common denominator and
-    normalizes once at the end, which avoids a gcd pass per term.
+    Every nonzero term is convolved into one vector over a running common
+    denominator, which is folded mod Phi_N and normalized once at the end.
     """
     xs = list(xs)
     ys = list(ys)
     conductor = xs[0].conductor
-    acc: list[int] | None = None
+    conv = [0] * (2 * totient(conductor) - 1)
     acc_den = 1
     for x, y in zip(xs, ys):
         if x.conductor != conductor or y.conductor != conductor:
             raise ConductorMismatch("dot() operands must share one conductor")
-        if x.is_zero() or y.is_zero():
+        a, b = x._num, y._num
+        if not (any(a) and any(b)):
             continue
-        vec = _mul_vectors(conductor, x._num, y._num)
         den = x._den * y._den
-        if acc is None:
-            acc, acc_den = vec, den
-        else:
+        scale = 1
+        if den != acc_den:
+            # acc/acc_den + a*b/den over lcm(acc_den, den)
             g = gcd(acc_den, den)
-            ma, mb = den // g, acc_den // g
-            acc = [a * ma + b * mb for a, b in zip(acc, vec)]
-            acc_den = acc_den * ma
-    if acc is None:
-        return Cyclotomic.rational(0, conductor)
-    return _normalize(conductor, acc, acc_den)
+            up, scale = den // g, acc_den // g
+            if up != 1:
+                conv = [c * up for c in conv]
+                acc_den *= up
+        nonzero = [(j, cb * scale) for j, cb in enumerate(b) if cb]
+        for i, ca in enumerate(a):
+            if ca:
+                for j, cb in nonzero:
+                    conv[i + j] += ca * cb
+    return _normalize(conductor, _fold(conductor, conv), acc_den)

@@ -183,7 +183,9 @@ def quiver_iso(q1: Quiver, q2: Quiver) -> tuple[int, ...] | None:
 
     Returns a permutation p with q2.matrix[p[i]][p[j]] == q1.matrix[i][j]
     and q2.dims[p[i]] == q1.dims[i].  Deterministic: the search tries
-    candidates in ascending vertex order.
+    candidates in ascending vertex order.  An isomorphism preserves the
+    directed distances, so a partial map that breaks one has no extension
+    and is pruned; the first witness found is the same as without it.
     """
     n = q1.count
     if q2.count != n or sorted(q1.dims) != sorted(q2.dims):
@@ -194,6 +196,7 @@ def quiver_iso(q1: Quiver, q2: Quiver) -> tuple[int, ...] | None:
         return None
 
     m1, m2 = q1.matrix, q2.matrix
+    d1, d2 = _distances(m1), _distances(m2)
     mapping = [-1] * n
     used = [False] * n
 
@@ -204,6 +207,8 @@ def quiver_iso(q1: Quiver, q2: Quiver) -> tuple[int, ...] | None:
             j2 = mapping[i2]
             if j2 >= 0:
                 if m1[i][i2] != m2[j][j2] or m1[i2][i] != m2[j2][j]:
+                    return False
+                if d1[i][i2] != d2[j][j2] or d1[i2][i] != d2[j2][j]:
                     return False
         return True
 
@@ -226,6 +231,27 @@ def quiver_iso(q1: Quiver, q2: Quiver) -> tuple[int, ...] | None:
     if search(0):
         return tuple(mapping)
     return None
+
+
+def _distances(m) -> list[list[int]]:
+    """d[i][j]: the number of arrows on a shortest path i -> j, -1 if none."""
+    n = len(m)
+    heads = [[b for b in range(n) if row[b]] for row in m]
+    out = []
+    for i in range(n):
+        d = [-1] * n
+        d[i] = 0
+        layer = [i]
+        while layer:
+            nxt = []
+            for a in layer:
+                for b in heads[a]:
+                    if d[b] < 0:
+                        d[b] = d[a] + 1
+                        nxt.append(b)
+            layer = nxt
+        out.append(d)
+    return out
 
 
 def _refine_colors(q: Quiver) -> list[int]:

@@ -3,9 +3,7 @@
 Every mod-p step of the package lives here: primes, roots of unity, row
 reduction, matrix products, the Gram matrix of class functions, and the
 Hessenberg characteristic polynomial, which `integer_charpoly` lifts to the
-integers by CRT under a proven bound.  Its CRT step, `garner`, also builds
-the root of unity modulo the prime product on which `matgroup.closure`
-searches.
+integers by CRT under a proven bound, one `garner` step per prime.
 """
 from __future__ import annotations
 

@@ -20,7 +20,6 @@ from mckay3.matgroup import (
     to_common_conductor,
 )
 from mckay3.mckay import adjacency
-from mckay3.modp import CRT_START, prime_one_mod
 
 
 def _cycle():
@@ -246,22 +245,19 @@ def _assert_exact_walk(group, gens):
     assert group._tree == tree
 
 
-@pytest.fixture
-def searches(monkeypatch):
-    """The modulus of every round of the modular walk."""
-    moduli = []
-    search = matgroup._search
-
-    def recorded(gens, columns, modulus, max_order):
-        moduli.append(modulus)
-        return search(gens, columns, modulus, max_order)
-
-    monkeypatch.setattr(matgroup, "_search", recorded)
-    return moduli
-
-
 @pytest.mark.parametrize(
-    "name", ["G5", "G8", "G10", "SL2:2I", "Hmn:3,5", "Gm3:6", "SL2:binD:3:alpha=4"]
+    "name",
+    [
+        "G5",
+        "G8",
+        "G10",
+        "SL2:2I",
+        "Hmn:3,5",
+        "Gm3:6",
+        "Gm6:3",
+        "SL2:binD:3:alpha=4",
+        "SL2:cyclic:5:alpha=3",
+    ],
 )
 def test_closure_matches_the_exact_walk(name):
     gens = generators(parse_spec(name))
@@ -285,39 +281,36 @@ def test_sl2z_exceeds_the_bound():
         closure(gens, max_order=300)
 
 
-def test_a_prime_dividing_a_denominator_is_skipped(searches):
-    p0 = prime_one_mod(1, CRT_START)  # the first candidate at conductor 1
-    closure([_cycle()])
-    assert searches[0] % p0 == 0
-    d = SquareMatrix([[p0, 0, 0], [0, 1, 0], [0, 0, 1]])
-    d_inv = SquareMatrix([[Fraction(1, p0), 0, 0], [0, 1, 0], [0, 0, 1]])
+def test_a_denominator_closes_exactly():
+    # d * cycle * d^-1 has the entries 5 and 1/5
+    d = SquareMatrix([[5, 0, 0], [0, 1, 0], [0, 0, 1]])
+    d_inv = SquareMatrix([[Fraction(1, 5), 0, 0], [0, 1, 0], [0, 0, 1]])
     gens = [d * _cycle() * d_inv]
     group = closure(gens)
     assert group.order == 3
-    assert searches[1] % p0 != 0
     _assert_exact_walk(group, gens)
 
 
-@pytest.mark.parametrize("name", ["G8", "SL2:2I"])
-def test_a_second_round_reproduces_the_exact_walk(name, searches, monkeypatch):
-    monkeypatch.setattr(matgroup, "_seed_bound", lambda den, norm, dim: 1)
-    gens = generators(parse_spec(name))
-    group = closure(gens)
-    assert len(searches) >= 2 and searches[0] < searches[-1]
-    _assert_exact_walk(group, gens)
-
-
-def test_closure_takes_one_exact_product_per_element(searches, monkeypatch):
+def test_closure_takes_one_dot_per_row_and_generator(monkeypatch):
+    # each distinct row is multiplied by each generator once, entry by entry,
+    # and no element is built by a matrix product
     gens = generators(parse_spec("G12"))
-    calls = []
-    product = SquareMatrix.__mul__
+    dots, products = [], []
+    dot, product = matgroup.dot, SquareMatrix.__mul__
 
-    def counted(self, other):
-        calls.append(1)
+    def counted_dot(xs, ys):
+        dots.append(1)
+        return dot(xs, ys)
+
+    def counted_product(self, other):
+        products.append(1)
         return product(self, other)
 
-    monkeypatch.setattr(SquareMatrix, "__mul__", counted)
+    monkeypatch.setattr(matgroup, "dot", counted_dot)
+    monkeypatch.setattr(SquareMatrix, "__mul__", counted_product)
     group = closure(gens)
+    rows = {r for m in group.elements for r in m.rows}
     assert group.order == 1080
-    assert len(calls) <= group.order
-    assert len(searches) == 1
+    assert len(rows) == 270
+    assert len(dots) == group.dim * len(gens) * len(rows) == 3240
+    assert products == []

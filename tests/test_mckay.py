@@ -1,6 +1,9 @@
 """Adjacency, Cartan matrices, exact PSD, quiver isomorphism, export."""
 
+import json
 import re
+import subprocess
+import sys
 from math import lcm
 
 import pytest
@@ -255,6 +258,19 @@ def test_quiver_iso_finds_relabelings(q, rng):
     back = quiver_iso(other, q)
     assert back is not None
     _check_witness(other, q, back)
+
+
+def test_quiver_iso_prunes_a_circulant_quiver():
+    # the quiver of a cyclic group is a circulant, so colour refinement
+    # separates no vertex and only the distance prune bounds the search
+    proc = subprocess.run(
+        [sys.executable, "-m", "mckay3", "verify", "--group", "SL2:cyclic:30", "--format", "json"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["checks"]["expectedQuiverMatch"] == "pass"
 
 
 # ---------------------------------------------------------------------------
