@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .chartab import CharacterTable
+from .chartab import CharacterTable, with_galois_action
 from .exactnum import Cyclotomic, common_conductor, dot, root, root_sum, sqrt_constant
 from .matgroup import (
     FiniteMatrixGroup,
@@ -742,7 +742,13 @@ def expected_adjacency(spec: GroupSpec) -> Quiver | None:
 
 def abelian_table(m: int, n: int) -> CharacterTable:
     """Character table of Hmn written down directly: every element is its own
-    class and the characters are (i,j) -> z_m^(ik) z_n^(jl)."""
+    class and the characters are (i,j) -> z_m^(ik) z_n^(jl).
+
+    Galois action.  The class (i,j) is diag(z_m^i, z_n^j, ...), so its s-th
+    power is the class (si mod m, sj mod n), and pi_a(i,j) = (ai mod m,
+    aj mod n).  sigma_a sends z_m^(ik) z_n^(jl) to z_m^(aik) z_n^(ajl), the
+    value at (ai, aj): X[(k,l)][pi_a(i,j)] = sigma_a X[(k,l)][(i,j)].  Every
+    value is a root of unity, so it lies in Z[zeta_e] with |X| = 1 = d."""
     cond = lcm(m, n)
     sm, sn = cond // m, cond // n
     labels = [(i, j) for i in range(m) for j in range(n)]
@@ -761,7 +767,11 @@ def abelian_table(m: int, n: int) -> CharacterTable:
         lcm(m // gcd(i, m), n // gcd(j, n)) for (i, j) in labels
     )
     inverse = tuple(pos[((-i) % m, (-j) % n)] for (i, j) in labels)
-    return CharacterTable(
+    powers = (
+        [pos[(s * i % m, s * j % n)] for s in range(o)]
+        for (i, j), o in zip(labels, orders)
+    )
+    return with_galois_action(CharacterTable(
         conductor=cond,
         order=m * n,
         dims=(1,) * (m * n),
@@ -770,4 +780,4 @@ def abelian_table(m: int, n: int) -> CharacterTable:
         class_orders=orders,
         inverse_class=inverse,
         class_reps=reps,
-    )
+    ), powers)

@@ -21,7 +21,7 @@ same order on every run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd, isqrt, lcm
 from operator import mul
 
@@ -130,10 +130,39 @@ class CharacterTable:
     class_orders: tuple[int, ...]
     inverse_class: tuple[int, ...]
     class_reps: tuple[SquareMatrix, ...] | None = None
+    # the Galois action: power_classes[k][s] is the class of rep_k^s for
+    # s < o_k, so pi_a k = power_classes[k][a mod o_k].  Only a constructor
+    # that proves X[i][pi_a k] = sigma_a X[i][k], with every value in
+    # Z[zeta_e] and |X[i][k]| <= d_i, sets it (`with_galois_action`); a
+    # `dataclasses.replace` copy comes back without it.
+    power_classes: tuple[tuple[int, ...], ...] | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     @property
     def count(self) -> int:
         return len(self.dims)
+
+
+def with_galois_action(table: CharacterTable, power_classes) -> CharacterTable:
+    """The table, with its proven Galois action stored; see `power_classes`."""
+    object.__setattr__(table, "power_classes", tuple(map(tuple, power_classes)))
+    return table
+
+
+def galois_orbits(table: CharacterTable) -> list[list[int]] | None:
+    """The orbits {pi_a k : a a unit mod o_k} of the classes, each listed
+    once, ascending; None for a table without the Galois action."""
+    if table.power_classes is None:
+        return None
+    orbits: list[list[int]] = []
+    placed: set[int] = set()
+    for k, walk in enumerate(table.power_classes):
+        if k not in placed:
+            o = len(walk)
+            orbits.append(sorted({walk[a] for a in range(o) if gcd(a, o) == 1}))
+            placed.update(orbits[-1])
+    return orbits
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +328,7 @@ def dixon_table(
     rest.sort(key=lambda row: (row[0], tuple(v.encode() for v in row[1])))
     ordered = trivial + rest
 
-    table = CharacterTable(
+    table = with_galois_action(CharacterTable(
         conductor=e,
         order=n,
         dims=tuple(d for d, _ in ordered),
@@ -308,7 +337,7 @@ def dixon_table(
         class_orders=classes.orders,
         inverse_class=classes.inverse_class,
         class_reps=tuple(group.elements[g] for g in classes.reps),
-    )
+    ), power_classes)
     if not _orthogonal_mod_prime(table):
         raise OrthogonalityFailure("orthogonality relations fail mod p'")
     return table

@@ -13,11 +13,11 @@ transposes the quiver (`pipeline.Analysis.dual_transpose`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
+from math import gcd, lcm
 
-from .chartab import CharacterTable, NonIntegralMultiplicity
+from .chartab import CharacterTable, NonIntegralMultiplicity, galois_orbits
 from .exactnum import Cyclotomic, dot, residues
-from .modp import gram, integer_charpoly, prime_one_mod
+from .modp import gram, integer_charpoly, matmul, prime_one_mod
 
 
 class NotSymmetric(ValueError):
@@ -108,13 +108,40 @@ def gen_cartan(b) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(b[i][j] + b[j][i] for j in range(r)) for i in range(r))
 
 
-def char_poly(mat) -> tuple[int, ...]:
+def char_poly(mat, eigenvalues=None) -> tuple[int, ...]:
     """Characteristic polynomial det(xI - mat), coefficients descending.
 
     Exact: Hessenberg form mod p, combined by CRT under a Hadamard bound
-    (see `modp.integer_charpoly`).
+    (see `modp.integer_charpoly`).  A caller that has proved the spectrum
+    of mat may pass it as `eigenvalues`: groups of Cyclotomic values that
+    together are the eigenvalues with multiplicity, each group closed under
+    the Galois group.  Each group's product of the x - lambda is then
+    multiplied out exactly; if every one lies in Z[x], their product is the
+    answer, and otherwise the Hessenberg path runs.
     """
-    return tuple(reversed(integer_charpoly(mat)))
+    poly = None if eigenvalues is None else _integer_product(eigenvalues)
+    if poly is None:
+        poly = integer_charpoly(mat)
+    return tuple(reversed(poly))
+
+
+def _integer_product(groups) -> list[int] | None:
+    """prod (x - lambda) over every lambda of every group, ascending, when
+    each group's product lies in Z[x]; None when one does not."""
+    poly = [1]
+    for group in groups:
+        factor = [Cyclotomic.rational(1, group[0].conductor)]
+        for lam in group:  # factor * (x - lam)
+            factor = [a - lam * b for a, b in zip([0] + factor, factor + [0])]
+        coeffs = [c.try_rational() for c in factor]
+        if any(q is None or q.denominator != 1 for q in coeffs):
+            return None
+        product = [0] * (len(poly) + len(coeffs) - 1)
+        for i, a in enumerate(poly):
+            for j, q in enumerate(coeffs):
+                product[i + j] += a * int(q)
+        poly = product
+    return poly
 
 
 @dataclass(frozen=True)
@@ -124,19 +151,20 @@ class PsdReport:
     failing_index: int | None
 
 
-def psd_check(mat) -> PsdReport:
+def psd_check(mat, eigenvalues=None) -> PsdReport:
     """Exact positive semidefiniteness for a symmetric integer matrix.
 
     A symmetric matrix has real spectrum, and det(xI - A) = sum_k (-1)^k
     e_k x^(r-k) with e_k the elementary symmetric functions of the
     eigenvalues; all eigenvalues are >= 0 exactly when every e_k >= 0.
+    `eigenvalues`, a proven spectrum, is passed on to `char_poly`.
     """
     r = len(mat)
     for i in range(r):
         for j in range(i + 1, r):
             if mat[i][j] != mat[j][i]:
                 raise NotSymmetric(f"entry ({i},{j}) != ({j},{i})")
-    poly = char_poly(mat)
+    poly = char_poly(mat, eigenvalues)
     for k in range(1, r + 1):
         e_k = poly[k] if k % 2 == 0 else -poly[k]
         if e_k < 0:
@@ -154,12 +182,17 @@ def eigenvector_check(table: CharacterTable, quiver: Quiver, chi) -> tuple[bool,
     """Per-class test that each table column p_k = (gamma_i(C_k))_i satisfies
     M p_k = chi(C_k) p_k exactly.
 
-    Since B = n*I - M, this is the same as B p_k = (n - chi(C_k)) p_k.
-    Each row sum runs over the nonzero m_ij only; a row with none sums to 0.
+    Since B = n*I - M, this is the same as B p_k = (n - chi(C_k)) p_k.  On a
+    table with its Galois action the identity is decided modulo one prime
+    (`_eigenvector_check_mod_p`).  Otherwise each row sum runs exactly,
+    over the nonzero m_ij only; a row with none sums to 0.
     """
     target = lcm(table.conductor, *(v.conductor for v in chi))
-    cols = list(zip(*([v.promote(target) for v in row] for row in table.values)))
     chi_p = [v.promote(target) for v in chi]
+    verdicts = _eigenvector_check_mod_p(table, quiver, chi_p, target)
+    if verdicts is not None:
+        return verdicts
+    cols = list(zip(*([v.promote(target) for v in row] for row in table.values)))
     support = [[j for j, m in enumerate(row) if m] for row in quiver.matrix]
     m = [
         [Cyclotomic.rational(row[j], target) for j in js]
@@ -172,6 +205,66 @@ def eigenvector_check(table: CharacterTable, quiver: Quiver, chi) -> tuple[bool,
         )
         for p_k, lam in zip(cols, chi_p)
     )
+
+
+def _eigenvector_check_mod_p(table, quiver, chi, t) -> tuple[bool, ...] | None:
+    """`eigenvector_check` modulo one prime; None where it does not apply.
+
+    Conditions.  The table carries its Galois action pi
+    (`CharacterTable.power_classes`), every value of chi (given at
+    t = lcm(e, conductors of chi)) has denominator 1, and
+    chi(C_(pi_b k)) = sigma_b chi(C_k) for every unit b mod t at the first
+    class k of each orbit.  Then it holds at every class: rep_(pi_a k)^b is
+    conjugate to rep_k^(ba), so pi_b pi_a = pi_ba, and chi(C_(pi_b pi_a k))
+    = sigma_ba chi(C_k) = sigma_b chi(C_(pi_a k)).
+
+    Test.  Let alpha_ik = sum_j m_ij X[j][k] - chi(C_k) X[i][k] in
+    Z[zeta_t], and B = max_i (sum_j |m_ij| d_j + max_k ||chi(C_k)||_1 d_i)
+    with ||.||_1 the l1 norm of the coefficient vector.  Take p = 1
+    (mod t) above B and map zeta_t -> z (`exactnum.residues`).  A class
+    passes when alpha_ik = 0 mod p for every i at every class of its orbit.
+
+    Proof.  m_ij is an integer, X[j][pi_c k] = sigma_c X[j][k] and
+    chi(C_(pi_c k)) = sigma_c chi(C_k), so sigma_c alpha_ik =
+    alpha_(i, pi_c k).  The kernel of the map is a prime P above p; as
+    p = 1 (mod t), p splits completely in Q(zeta_t), and the primes above
+    it are the sigma_c^-1 P (Washington, Introduction to Cyclotomic
+    Fields, ch. 2).  If alpha vanishes mod p across the orbit of k, then
+    alpha_ik lies in every prime above p, so in their product p Z[zeta_t],
+    and p^phi(t) divides N(alpha_ik).  Each conjugate alpha_(i, pi_c k) is
+    at most B in absolute value, as every table value has |X[j][k']| <= d_j
+    and every root of unity has modulus 1.  So |N(alpha_ik)| <= B^phi(t)
+    < p^phi(t), hence alpha_ik = 0.  Conversely alpha_ik = 0 gives
+    alpha = 0 on the whole orbit.  So each verdict is the exact one.
+    """
+    orbits = galois_orbits(table)
+    if orbits is None or any(type(c) is not int for v in chi for _, c in v.terms()):
+        return None
+    units = [b for b in range(1, t + 1) if gcd(b, t) == 1]
+    for k in (orbit[0] for orbit in orbits):
+        walk = table.power_classes[k]
+        if any(chi[walk[b % len(walk)]] != chi[k].galois(b) for b in units):
+            return None
+    dims = table.dims
+    chi_norm = max(sum(abs(c) for _, c in v.terms()) for v in chi)
+    bound = max(
+        sum(abs(m) * d for m, d in zip(row, dims)) + chi_norm * d_i
+        for row, d_i in zip(quiver.matrix, dims)
+    )
+    p = prime_one_mod(t, bound)
+    x = [residues(row, t, p) for row in table.values]
+    lam = residues(chi, t, p)
+    mx = matmul(quiver.matrix, x, p)
+    holds = [
+        all((s[k] - lam[k] * x_i[k]) % p == 0 for s, x_i in zip(mx, x))
+        for k in range(len(chi))
+    ]
+    verdicts = [False] * len(chi)
+    for orbit in orbits:
+        ok = all(holds[k] for k in orbit)
+        for k in orbit:
+            verdicts[k] = ok
+    return tuple(verdicts)
 
 
 # ---------------------------------------------------------------------------

@@ -52,8 +52,25 @@ class Analysis:
 
     @cached_property
     def psd(self) -> mckay.PsdReport:
-        """Characteristic polynomial of A and its semidefiniteness verdict."""
-        return mckay.psd_check(self.a)
+        """Characteristic polynomial of A and its semidefiniteness verdict.
+
+        When every class passes `eigen`, M X = X diag(chi), and
+        M^T X = X diag(chi o inv) by the proof at `dual_transpose`, so
+        A X = X diag(lambda) with lambda_k = 2n - chi(C_k) - chi(C_(inv k)).
+        X is invertible, so det(xI - A) = prod_k (x - lambda_k), and
+        `char_poly` multiplies it out one Galois orbit of classes at a
+        time.  M is rational and X[i][pi_c k] = sigma_c X[i][k], so
+        chi(C_(pi_c k)) = sigma_c chi(C_k); pi_c commutes with inv, so
+        sigma_c lambda_k = lambda_(pi_c k), and each orbit's lambdas are
+        closed under the Galois group.  Otherwise the polynomial is
+        computed from A alone.
+        """
+        orbits = chartab.galois_orbits(self.table) if all(self.eigen) else None
+        if orbits is None:
+            return mckay.psd_check(self.a)
+        chi, inv = self.chi, self.table.inverse_class
+        lam = [2 * self.quiver.rep_dim - chi[k] - chi[inv[k]] for k in range(len(chi))]
+        return mckay.psd_check(self.a, [[lam[k] for k in orbit] for orbit in orbits])
 
     @cached_property
     def kernel(self) -> tuple[bool, bool, bool]:
@@ -65,8 +82,9 @@ class Analysis:
     def eigen(self) -> tuple[bool, ...]:
         """Per class: is the table column an eigenvector of M?
 
-        One exact pass, M X = X diag(chi) on the quiver as built; the
-        `dualTranspose` verdict is read off it.
+        One pass of M X = X diag(chi) on the quiver as built, decided
+        modulo one prime on the Dixon table; the `dualTranspose` verdict
+        and the PSD spectrum are read off it.
         """
         return mckay.eigenvector_check(self.table, self.quiver, self.chi)
 

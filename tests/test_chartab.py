@@ -146,22 +146,6 @@ def test_decompose_product_rejects_non_characters():
         adjacency(t, half)
 
 
-# small groups on which every one-prime certificate is pinned to its exact
-# reference; SL2:2T has a natural character at a larger conductor than its
-# table's, so adjacency promotes chi there
-_SMALL = ("G7", "G8", "Hmn:4,5", "Gm3:6", "SL2:2T", "SL2:cyclic:12")
-
-
-@pytest.fixture(scope="module")
-def small_tables():
-    out = {}
-    for name in _SMALL:
-        g = build_group(parse_spec(name))
-        classes = conjugacy_classes(g)
-        out[name] = (dixon_table(g, classes), natural_character(g, classes))
-    return out
-
-
 def test_one_prime_orthogonality_matches_the_exact_check(small_tables):
     verdicts = []
     for t, _ in small_tables.values():

@@ -6,6 +6,7 @@ import json
 import re
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -266,10 +267,11 @@ def test_tampered_quiver_fails_every_derived_check(monkeypatch, capsys, fresh_an
         assert checks[name] == "fail", name
 
 
-def test_verify_certifies_the_quiver_once(monkeypatch, fresh_analysis):
-    # every exact inner product of mckay: one r x r pass for M X = X diag(chi)
-    # inside adjacency, one for the eigenvectorProp check, and none for
-    # dualTranspose, which is read off eigenvectorProp
+def test_verify_certifies_the_quiver_without_exact_dot(monkeypatch, fresh_analysis):
+    # the Dixon table carries its Galois action, so both eigenvector passes
+    # (inside adjacency and for eigenvectorProp) run modulo one prime and
+    # dualTranspose is read off eigenvectorProp; the same check on a copy
+    # of the table without the action is one exact dot per (class, row)
     calls = []
     real = mckay.dot
 
@@ -280,7 +282,11 @@ def test_verify_certifies_the_quiver_once(monkeypatch, fresh_analysis):
     monkeypatch.setattr(mckay, "dot", counted)
     report = pipeline.verify(catalog.parse_spec("Hmn:2,2"), 20000)
     assert report["checks"]["eigenvectorProp"] == "pass"
-    assert len(calls) == 2 * report["classCount"] ** 2
+    assert calls == []
+    an = pipeline.analyze(catalog.parse_spec("Hmn:2,2"), 20000)
+    bare = replace(an.table, order=an.table.order)
+    assert mckay.eigenvector_check(bare, an.quiver, an.chi) == an.eigen
+    assert len(calls) == report["classCount"] ** 2
 
 
 _SEPS = st.sampled_from([":", ",", "", "::", ";", " ", "=", ":,"])

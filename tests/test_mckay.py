@@ -1,19 +1,22 @@
 """Adjacency, Cartan matrices, exact PSD, quiver isomorphism, export."""
 
+import copy
 import json
 import re
 import subprocess
 import sys
-from math import lcm
+from dataclasses import replace
+from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mckay3 import mckay, pipeline
-from mckay3.catalog import build_group, parse_spec
+from mckay3 import chartab, mckay, pipeline
+from mckay3.catalog import abelian_table, all_specs, build_group, parse_spec
 from mckay3.chartab import dixon_table
-from mckay3.exactnum import Cyclotomic
+from mckay3.exactnum import Cyclotomic, root
 from mckay3.mckay import (
     NotSymmetric,
     Quiver,
@@ -28,6 +31,7 @@ from mckay3.mckay import (
     psd_check,
     quiver_iso,
 )
+from mckay3.modp import integer_charpoly
 
 
 def _pipeline(name):
@@ -111,8 +115,9 @@ def test_eigenvector_check_takes_a_row_without_arrows(h22):
 
 
 def test_eigenvector_check_recomputes_on_a_certified_quiver(h22, monkeypatch):
-    # the same objects adjacency has just certified are checked afresh,
-    # one exact dot per (class, row), and the verdict does not change
+    # the same objects adjacency has just certified are checked afresh:
+    # modulo one prime, with no exact dot, on the table with its Galois
+    # action, and one exact dot per (class, row) on a copy without it
     table, _ = h22
     chi = tuple(m.trace() for m in table.class_reps)
     q = adjacency(table, chi)
@@ -126,6 +131,10 @@ def test_eigenvector_check_recomputes_on_a_certified_quiver(h22, monkeypatch):
     monkeypatch.setattr(mckay, "dot", counted)
     for _ in range(2):
         assert eigenvector_check(table, q, chi) == (True,) * 4
+    assert calls == []
+    bare = replace(table, order=table.order)
+    for _ in range(2):
+        assert eigenvector_check(bare, q, chi) == (True,) * 4
     assert len(calls) == 2 * 16
 
 
@@ -194,6 +203,170 @@ def test_dual_transpose_matches_a_second_decomposition(name):
     assert False in verdicts
     assert eigenvector_check(table, q, chi) == (True,) * r
     assert len(per_class) > 1
+
+
+# ---------------------------------------------------------------------------
+# the Galois action of the table, and the two certificates that read it
+
+
+def _action_holds(table) -> bool:
+    """X[i][pi_a k] == sigma_a X[i][k] for every class k and unit a mod e."""
+    e = table.conductor
+    units = [a for a in range(1, e + 1) if gcd(a, e) == 1]
+    return all(
+        row[walk[a % len(walk)]] == row[k].galois(a)
+        for k, walk in enumerate(table.power_classes)
+        for a in units
+        for row in table.values
+    )
+
+
+def test_tables_carry_a_proven_galois_action(small_tables):
+    tables = [t for t, _ in small_tables.values()]
+    tables += [abelian_table(m, n) for m, n in ((1, 1), (3, 4), (2, 6))]
+    for t in tables:
+        assert len(t.power_classes) == t.count
+        assert [len(walk) for walk in t.power_classes] == list(t.class_orders)
+        for k, walk in enumerate(t.power_classes):
+            assert walk[0] == 0 and walk[1 % len(walk)] == k
+        assert _action_holds(t)
+
+
+def test_replaced_table_has_no_galois_action(small_tables):
+    t, _ = small_tables["G7"]
+    for copy_ in (replace(t, order=t.order), replace(t, values=t.values[::-1])):
+        assert copy_.power_classes is None
+        assert chartab.galois_orbits(copy_) is None
+    assert replace(t, order=t.order) == t  # the action takes no part in ==
+
+
+@pytest.fixture
+def modular(monkeypatch):
+    """One entry per eigenvector check: did the one-prime path decide it?"""
+    taken = []
+    real = mckay._eigenvector_check_mod_p
+
+    def spy(*args):
+        out = real(*args)
+        taken.append(out is not None)
+        return out
+
+    monkeypatch.setattr(mckay, "_eigenvector_check_mod_p", spy)
+    return taken
+
+
+def test_modular_eigenvector_check_matches_the_termwise_loop(small_tables, modular):
+    seen = set()
+    for t, chi in small_tables.values():
+        q = adjacency(t, chi)
+        conj = tuple(v.conjugate() for v in chi)
+        for mat in _tamperings(q):
+            for m, c in ((mat, chi), (tuple(zip(*mat)), conj)):
+                tampered = Quiver(q.dims, m, q.rep_dim)
+                modular.clear()
+                got = eigenvector_check(t, tampered, c)
+                assert modular == [True]
+                assert got == _termwise_eigenvector_check(t, tampered, c)
+                seen.add(got)
+    # whole passes, whole failures, and orbits that pass beside ones that fail
+    assert any(all(v) for v in seen) and any(not any(v) for v in seen)
+    assert any(True in v and False in v for v in seen)
+
+
+def test_chi_swapped_at_conjugate_classes_takes_the_exact_path(small_tables, modular):
+    # a swap inside an orbit of two classes is sigma_-1 on that orbit, which
+    # keeps chi Galois-equivariant, so that one still runs modulo a prime
+    paths = []
+    for t, chi in small_tables.values():
+        q = adjacency(t, chi)
+        for orbit in chartab.galois_orbits(t):
+            k1 = orbit[0]
+            k2 = next((k for k in orbit if chi[k] != chi[k1]), None)
+            if k2 is None:
+                continue
+            bad = list(chi)
+            bad[k1], bad[k2] = bad[k2], bad[k1]
+            modular.clear()
+            got = eigenvector_check(t, q, bad)
+            paths.append((len(orbit) > 2, modular[0]))
+            assert got == _termwise_eigenvector_check(t, q, bad)
+            assert not got[k1] and not got[k2]
+    assert (True, False) in paths and (False, True) in paths
+
+
+def test_non_integral_chi_takes_the_exact_path(small_tables, modular):
+    t, chi = small_tables["SL2:2T"]
+    q = adjacency(t, chi)
+    halved = (chi[0],) + tuple(v * Fraction(1, 2) for v in chi[1:])
+    modular.clear()
+    got = eigenvector_check(t, q, halved)
+    assert modular == [False]
+    assert got == _termwise_eigenvector_check(t, q, halved)
+    assert got[0] and not all(got)
+
+
+def test_abelian_table_verdicts_match_the_exact_loop(modular):
+    for m, n in ((3, 4), (2, 6), (5, 1)):
+        t = abelian_table(m, n)
+        bare = replace(t, order=t.order)
+        chi = tuple(rep.trace() for rep in t.class_reps)
+        q = adjacency(t, chi)
+        for mat in _tamperings(q):
+            tampered = Quiver(q.dims, mat, q.rep_dim)
+            modular.clear()
+            got = eigenvector_check(t, tampered, chi)
+            assert got == eigenvector_check(bare, tampered, chi)
+            assert modular == [True, False]
+
+
+def _fresh_psd(an):
+    """The analysis with its PSD report dropped, so that it is rebuilt."""
+    an = copy.copy(an)
+    vars(an).pop("psd", None)
+    return an
+
+
+def _hessenberg_calls(monkeypatch):
+    calls = []
+    real = mckay.integer_charpoly
+
+    def counted(mat):
+        calls.append(1)
+        return real(mat)
+
+    monkeypatch.setattr(mckay, "integer_charpoly", counted)
+    return calls
+
+
+def test_orbit_product_equals_the_hessenberg_charpoly(monkeypatch):
+    calls = _hessenberg_calls(monkeypatch)
+    specs = list(all_specs(max_m=6)) + [parse_spec("Gm3:12"), parse_spec("Hmn:8,8")]
+    for spec in specs:
+        an = _fresh_psd(pipeline.analyze(spec, 20000))
+        assert an.psd.char_poly == tuple(reversed(integer_charpoly(an.a))), spec.name
+    assert calls == []
+
+
+def test_tampered_quiver_takes_the_hessenberg_path(monkeypatch):
+    an = _fresh_psd(pipeline.analyze(parse_spec("Hmn:3,3"), 20000))
+    rows = [list(row) for row in an.quiver.matrix]
+    rows[0][1] += 1
+    for name in ("quiver", "b", "a", "eigen"):
+        vars(an).pop(name, None)
+    an.quiver = Quiver(an.quiver.dims, tuple(map(tuple, rows)), an.quiver.rep_dim)
+    calls = _hessenberg_calls(monkeypatch)
+    assert not all(an.eigen)
+    assert an.psd.char_poly == tuple(reversed(integer_charpoly(an.a)))
+    assert calls == [1]
+
+
+def test_char_poly_falls_back_when_an_orbit_is_not_integral():
+    # zeta_3 and zeta_3^2 are the eigenvalues of [[-1, -1], [1, 0]], but
+    # apart neither factor x - zeta is in Z[x]; together they give x^2 + x + 1
+    mat = [[-1, -1], [1, 0]]
+    conj = [root(1, 3), root(2, 3)]
+    assert char_poly(mat, [conj]) == (1, 1, 1)
+    assert char_poly(mat, [conj[:1], conj[1:]]) == (1, 1, 1)
 
 
 # ---------------------------------------------------------------------------
