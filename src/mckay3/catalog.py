@@ -12,9 +12,9 @@ Five constructions are available through a small spec language:
 Besides generators and groups, the module knows what to expect: orders,
 irreducible dimension multisets, and for most families an independently
 constructed adjacency matrix of the natural-representation quiver (torus
-translation rule for Hmn, induced characters of the wreath-like products
-for Gm3/Gm6, affine ADE diagrams for the SL(2) embeddings, and recorded
-fusion data for G5/G6/G8/G9/G10).
+translation rule for Hmn, integer Clifford-Mackey counts over the little
+groups for Gm3/Gm6, affine ADE diagrams for the SL(2) embeddings, and
+recorded fusion data for G5/G6/G8/G9/G10).
 """
 
 from __future__ import annotations
@@ -22,11 +22,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, lcm
 
 from .chartab import CharacterTable, with_galois_action
-from .exactnum import Cyclotomic, common_conductor, dot, root, root_sum, sqrt_constant
+from .exactnum import Cyclotomic, common_conductor, root, sqrt_constant
 from .matgroup import (
     FiniteMatrixGroup,
     OrderBoundExceeded,
@@ -582,7 +581,7 @@ def _block_shift_quiver(block_dims, block) -> Quiver:
     return Quiver(tuple(block_dims) * 3, tuple(tuple(row) for row in mat), 3)
 
 
-# -- induced characters for the monomial families ---------------------------
+# -- Clifford-Mackey counting for the monomial families ----------------------
 
 _PERMS3 = ((0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 2, 1), (2, 1, 0), (1, 0, 2))
 
@@ -605,114 +604,105 @@ def _parity(p) -> int:
     return -1 if inv % 2 else 1
 
 
-def _k_irreps(kc, conductor):
-    """Irreducible characters of a subgroup of S3 as dicts perm -> value,
-    each value a pair (c, k) standing for c * zeta^k at the conductor."""
+def _fixing_irreps(stab):
+    """Irreducible characters of a subgroup of S3, each as a dict perm -> int
+    on the elements that fix a point (the identity and the transpositions),
+    the only values the count reads.  A trivial or A3 stabilizer has only
+    linear characters, and its identity is its one point-fixing element."""
     e = (0, 1, 2)
-    one, minus = (1, 0), (-1, 0)
-    if len(kc) == 1:
-        return [{e: one}]
-    if len(kc) == 2:
-        t = next(p for p in kc if p != e)
-        return [{e: one, t: one}, {e: one, t: minus}]
-    if len(kc) == 3:
-        g, g2 = (1, 2, 0), (2, 0, 1)
-        w, w2 = (1, conductor // 3), (1, 2 * conductor // 3)
-        return [
-            {e: one, g: one, g2: one},
-            {e: one, g: w, g2: w2},
-            {e: one, g: w2, g2: w},
-        ]
-    triv = {p: one for p in kc}
-    sgn = {p: (one if _parity(p) > 0 else minus) for p in kc}
-    std = {
-        p: ((2, 0) if p == e else ((0, 0) if _parity(p) < 0 else minus)) for p in kc
-    }
-    return [triv, sgn, std]
+    if len(stab) in (1, 3):
+        return [{e: 1}] * len(stab)
+    fixing = [p for p in stab if _parity(p) < 0 or p == e]
+    out = [{p: 1 for p in fixing}, {p: _parity(p) for p in fixing}]
+    if len(stab) == 6:
+        out.append({p: 2 if p == e else 0 for p in fixing})
+    return out
 
 
-@lru_cache(maxsize=None)
 def _little_group_quiver(m: int, full_s3: bool) -> Quiver:
-    """Quiver of (Z_m^3 with zero coordinate sum) semidirect K, K in {A3, S3},
-    against the natural monomial representation, computed from scratch with
-    induced characters.
+    """Quiver of G = H semidirect K, H = (Z_m^3 with zero coordinate sum)
+    and K in {A3, S3}, against the natural monomial representation V,
+    counted in the integers from the little-group description of Irr(G).
 
-    Every irreducible arises from a K-orbit of characters of the diagonal
-    part and an irreducible of the orbit stabilizer; the adjacency entries
-    are plain inner products, so this is independent of the class-algebra
-    route used for computed tables.
+    Nodes (Serre, Linear Representations of Finite Groups, 8.2).  A
+    character of H is c in Z_m^3 / Z_m (1,1,1), stored as (c0 - c2, c1 - c2);
+    K permutes the coordinates.  Each K-orbit, with representative c and
+    stabilizer K_c, and each tau in Irr(K_c) give the irreducible
+    W(c, tau) = Ind_{H K_c}^G (c tensor tau), of dimension |K : K_c| tau(1).
+
+    Entries.  In K a permutation s acts on V as eta(s) P_s, eta the sign (on
+    A3, and so for Gm3, eta = 1), and Res_H V = e_0 + e_1 + e_2.  By
+    Ind(theta) tensor V = Ind(theta tensor Res V), V tensor W(c, tau) is the
+    sum over the K_c-orbits of {0,1,2}, with representative i and
+    S = Stab_{K_c}(i), of Ind_{H S}^G ((c + e_i) tensor eta tau|_S).  By
+    Frobenius and Mackey the multiplicity of W(c'', tau'') in that summand
+    is 0 unless c + e_i = k c'' for some k in K, and otherwise
+    (1/|S|) sum_{s in S} eta(s) tau(s) tau''(k^-1 s k): the (c + e_i)-part
+    of W(c'', tau'') is k applied to c'' tensor tau''.  Another k differs by
+    an element of K_c'' on the right, which tau'' does not see
+    (Reiten-Riedtmann, J. Algebra 92 (1985), give the same quiver for
+    skew group algebras).
+
+    Integrality.  S fixes the point i, so it lies in Stab_{S3}(i), of order
+    2: |S| <= 2 and every s in S, as every k^-1 s k, is the identity or a
+    transposition.  A character's value at an element of order <= 2 is a
+    sum of +-1, an integer, so every value read is an integer and no field
+    arithmetic is left.  A sum that |S| does not divide, a negative
+    multiplicity, or a node of nonpositive dimension raises CatalogError.
     """
     kgrp = _PERMS3 if full_s3 else _PERMS3[:3]
-    cond = lcm(m, 3)
-    step = cond // m
-
-    def norm(c3):
-        return ((c3[0] - c3[2]) % m, (c3[1] - c3[2]) % m)
+    units = ((1, 0), (0, 1), (-1, -1))  # e_0, e_1, e_2 as (c0 - c2, c1 - c2)
 
     def act(p, c):
-        pinv = _inv_perm(p)
         c3 = (c[0], c[1], 0)
-        return norm(tuple(c3[pinv[i]] for i in range(3)))
+        moved = [0, 0, 0]
+        for i in range(3):
+            moved[p[i]] = c3[i]
+        return ((moved[0] - moved[2]) % m, (moved[1] - moved[2]) % m)
 
-    hpart = [(x0, x1, (-x0 - x1) % m) for x0 in range(m) for x1 in range(m)]
-    elements = [(x, p) for x in hpart for p in kgrp]
-
-    seen = set()
+    home = {}  # character -> (orbit representative c'', k with k c'' = it)
     nodes = []
+    span = {}
     for a in range(m):
         for b in range(m):
             c = (a, b)
-            if c in seen:
+            if c in home:
                 continue
-            orbit = {act(p, c) for p in kgrp}
-            seen |= orbit
+            for p in kgrp:
+                home.setdefault(act(p, c), (c, p))
             stab = tuple(p for p in kgrp if act(p, c) == c)
-            for tau in _k_irreps(stab, cond):
-                nodes.append((c, frozenset(stab), tau))
+            start = len(nodes)
+            nodes += [(c, stab, tau) for tau in _fixing_irreps(stab)]
+            span[c] = range(start, len(nodes))
 
-    conj_by = {(g, s): _comp(_comp(_inv_perm(g), s), g) for g in kgrp for s in kgrp}
-    thetas = []
-    for c, stab, tau in nodes:
-        moved = [(g, act(g, c)) for g in kgrp]
-        vals = []
-        for x, s in elements:
-            terms = []
-            for g, gc in moved:
-                conj = conj_by[g, s]
-                if conj in stab:
-                    coeff, k = tau[conj]
-                    terms.append(((gc[0] * x[0] + gc[1] * x[1]) * step + k, coeff))
-            vals.append(root_sum(cond, terms, len(stab)))
-        thetas.append(vals)
-
-    chi_pi = []
-    for x, s in elements:
-        sign = -1 if full_s3 and _parity(s) < 0 else 1
-        fixed = [(x[i] * step, sign) for i in range(3) if s[i] == i]
-        chi_pi.append(root_sum(cond, fixed))
-
-    order = len(elements)
+    dims = tuple(len(kgrp) // len(stab) * tau[(0, 1, 2)] for _, stab, tau in nodes)
+    if min(dims) <= 0:
+        raise CatalogError("little-group node has a nonpositive dimension")
     r = len(nodes)
-    weighted = [[c * th for c, th in zip(chi_pi, theta)] for theta in thetas]
-    conj = [[v.conjugate() for v in theta] for theta in thetas]
     mat = [[0] * r for _ in range(r)]
-    for i in range(r):
-        for j in range(r):
-            val = (dot(weighted[i], conj[j]) / order).try_rational()
-            if val is None or val.denominator != 1 or val < 0:
-                raise CatalogError("induced-character bookkeeping failed")
-            mat[i][j] = int(val)
-    dims = []
-    for i in range(r):
-        d = thetas[i][0].try_rational()
-        if d is None or d.denominator != 1 or d <= 0:
-            raise CatalogError("induced character has a bad degree")
-        dims.append(int(d))
-    return Quiver(tuple(dims), tuple(tuple(row) for row in mat), 3)
+    for row, (c, stab, tau) in enumerate(nodes):
+        for i in {min(s[j] for s in stab) for j in range(3)}:
+            fix = [s for s in stab if s[i] == i]
+            target, k = home[((c[0] + units[i][0]) % m, (c[1] + units[i][1]) % m)]
+            kinv = _inv_perm(k)
+            for col in span[target]:
+                tau2 = nodes[col][2]
+                total = sum(
+                    _parity(s) * tau[s] * tau2[_comp(_comp(kinv, s), k)] for s in fix
+                )
+                if total % len(fix) or total < 0:
+                    raise CatalogError("Clifford-Mackey count is not a multiplicity")
+                mat[row][col] += total // len(fix)
+    return Quiver(dims, tuple(tuple(row) for row in mat), 3)
 
 
 def expected_adjacency(spec: GroupSpec) -> Quiver | None:
-    """An independently constructed quiver to compare against, or None."""
+    """An independently constructed quiver to compare against, or None.
+
+    Every construction here is integer bookkeeping on labels: none reads a
+    character table or does field arithmetic, so it shares no step with the
+    computed quiver.  Gm3/Gm6 count multiplicities over the little groups
+    (`_little_group_quiver`, proof there)."""
     if spec.kind == "Hmn":
         return _torus_quiver(spec.m, spec.n)
     if spec.kind == "Gm3":

@@ -4,8 +4,11 @@ import hashlib
 
 import pytest
 
-from mckay3 import catalog, matgroup
+import mckay3
+from mckay3 import catalog, chartab, exactnum, matgroup, mckay, pipeline, published
 from mckay3.catalog import (
+    CatalogError,
+    GroupSpec,
     SpecError,
     abelian_table,
     all_specs,
@@ -17,6 +20,7 @@ from mckay3.catalog import (
     parse_spec,
 )
 from mckay3.chartab import verify_orthogonality
+from mckay3.exactnum import Cyclotomic
 from mckay3.matgroup import OrderBoundExceeded
 from mckay3.mckay import adjacency, quiver_iso
 
@@ -229,6 +233,74 @@ def test_semidirect_oracle_matches_computed_for_one_case():
 
     quiver = adjacency(dixon_table(group))
     assert quiver_iso(quiver, expected_adjacency(spec)) is not None
+
+
+@pytest.mark.parametrize(
+    "name", [f"{kind}:{m}" for kind in ("Gm3", "Gm6") for m in (7, 8, 9)]
+)
+def test_monomial_oracle_matches_the_pipeline_past_the_roster(name):
+    spec = parse_spec(name)
+    computed = pipeline.analyze(spec, 20000).quiver
+    assert quiver_iso(computed, expected_adjacency(spec)) is not None
+
+
+def test_monomial_oracle_meets_the_closed_forms_up_to_m30():
+    for kind in ("Gm3", "Gm6"):
+        for m in range(1, 31):
+            spec = GroupSpec(kind=kind, m=m)
+            q = expected_adjacency(spec)
+            assert tuple(sorted(q.dims)) == expected_profile(spec).dims, spec.name
+            rows = [sum(a * d for a, d in zip(row, q.dims)) for row in q.matrix]
+            cols = [
+                sum(a * d for a, d in zip(col, q.dims)) for col in zip(*q.matrix)
+            ]
+            assert rows == cols == [3 * d for d in q.dims], spec.name
+
+
+def test_monomial_oracle_uses_no_field_arithmetic(monkeypatch):
+    specs = [parse_spec("Gm3:5"), parse_spec("Gm6:6")]
+    before = [expected_adjacency(spec) for spec in specs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("field arithmetic reached")
+
+    modules = (mckay3, exactnum, catalog, chartab, matgroup, mckay, pipeline, published)
+    for module in modules:
+        for name in ("dot", "root_sum"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    for op in ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__", "__truediv__"):
+        monkeypatch.setattr(Cyclotomic, op, refuse)
+    with pytest.raises(AssertionError, match="field arithmetic"):
+        exactnum.root(1, 3) * exactnum.root(1, 3)
+    with pytest.raises(AssertionError, match="field arithmetic"):
+        chartab.root_sum(3, [(0, 1)])
+    # a memoized oracle would answer from the calls above without computing
+    for attr in vars(catalog).values():
+        getattr(attr, "cache_clear", lambda: None)()
+    assert [expected_adjacency(spec) for spec in specs] == before
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        # tau(t) = 0 at every transposition t: trivial to trivial sums to 1,
+        # which |S| = 2 does not divide
+        (lambda tau: {p: 0 if p != (0, 1, 2) else v for p, v in tau.items()},
+         "not a multiplicity"),
+        # tau(t) tripled: every sum stays even, trivial to trivial is 1 - 9
+        (lambda tau: {p: 3 * v if p != (0, 1, 2) else v for p, v in tau.items()},
+         "not a multiplicity"),
+        (lambda tau: dict.fromkeys(tau, 0), "nonpositive dimension"),
+    ],
+)
+def test_monomial_oracle_fails_fast_on_bad_bookkeeping(monkeypatch, values, message):
+    real = catalog._fixing_irreps
+    monkeypatch.setattr(
+        catalog, "_fixing_irreps", lambda stab: [values(t) for t in real(stab)]
+    )
+    with pytest.raises(CatalogError, match=message):
+        expected_adjacency(parse_spec("Gm6:2"))
 
 
 def test_abelian_table_is_a_character_table():
