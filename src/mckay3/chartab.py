@@ -14,6 +14,12 @@ size, and `dixon_table` decides them exactly modulo one prime before it
 returns; a table that comes back is correct, not heuristically likely.
 `verify_orthogonality` is the exact check for a table built any other way.
 
+A group whose generators are all diagonal (`is_diagonal`) has a shorter
+route, which `pipeline.Analysis` takes: `_diagonal_table` reads every
+irreducible off the coordinate characters eps_i(g) = g_ii as an exponent
+vector mod e, with no class constants, no split and no Gram matrix, and
+returns the same table as `dixon_table`.
+
 Everything downstream keys off the deterministic element order produced by
 the closure walk, so classes, class constants and table rows come out in the
 same order on every run.
@@ -25,7 +31,7 @@ from dataclasses import dataclass, field
 from math import gcd, isqrt, lcm
 from operator import mul
 
-from .exactnum import Cyclotomic, dot, residues, root_sum
+from .exactnum import Cyclotomic, dot, residues, root, root_sum
 from .matgroup import FiniteMatrixGroup, SquareMatrix
 from .modp import (
     charpoly, gram, horner, kernel_basis, matmul, prime_one_mod, root_of_unity, rref
@@ -374,6 +380,108 @@ def _orthogonal_mod_prime(table: CharacterTable) -> bool:
     x = [residues(row, e, p) for row in table.values]
     g = gram(x, [1] * r, table.class_sizes, table.inverse_class, p)
     return g == [[n if i == j else 0 for j in range(r)] for i in range(r)]
+
+
+# ---------------------------------------------------------------------------
+# diagonal groups
+
+
+def is_diagonal(group: FiniteMatrixGroup) -> bool:
+    """Is every generator zero off its diagonal?  Then so is every element."""
+    return all(
+        group.elements[g].rows[i][j].is_zero()
+        for g in group.generator_indices
+        for i in range(group.dim)
+        for j in range(group.dim)
+        if i != j
+    )
+
+
+def _diagonal_table(
+    group: FiniteMatrixGroup, classes: ConjugacyClassSet
+) -> CharacterTable:
+    """The character table of a diagonal group (`is_diagonal`), read off
+    its coordinate characters and certified before it is returned.
+
+    Rows.  Diagonal matrices multiply entrywise, so each coordinate
+    eps_i(g) = g_ii is a linear character.  rep_k has order o_k, so
+    eps_i(rep_k) is an e-th root of unity, e = lcm of the class orders, and
+    its exponent x[i][k] mod e is read exactly by matching the canonical
+    entry against the e powers of zeta_e.  A product of the eps_i is then a
+    linear character with value zeta_e^(row[k]) at class k, its row an
+    exponent vector mod e.  The walk starts at the zero row, the trivial
+    character, and adds each x[i] breadth first.
+
+    Completeness.  The natural representation is faithful, so the eps_i
+    generate the dual group: a proper subgroup of the dual of a finite
+    abelian group is killed by some g != 1, and an element killed by every
+    eps_i is the identity matrix.  Both counts are checked, not assumed:
+    r = |G| (one class per element), and the walk reaches exactly |G|
+    distinct rows.  Distinct rows take different values, so they are |G|
+    distinct linear characters.  Distinct linear characters are
+    orthonormal (Serre, Linear Representations of Finite Groups, 2.3), so
+    they are the whole table and satisfy the orthogonality relations: no
+    Gram matrix is formed and `class_constants` is not called.
+    `_exact_table_checks` still runs.
+
+    Galois action.  rep_k^s has the exponents s*x[.][k] mod e, which name
+    its class, as the natural representation is faithful; that class is
+    power_classes[k][s].  For a coprime to e,
+    X[i][pi_a k] = zeta_e^(a row[k]) = sigma_a X[i][k], and every value is
+    a root of unity in Z[zeta_e] with |X[i][k]| = 1 = d_i.
+
+    Order.  The rows are sorted by `dixon_table`'s key: trivial first, then
+    (dim, encoded values), with every dim 1.
+    """
+    n = group.order
+    r = classes.count
+    if r != n:
+        raise OrthogonalityFailure("a diagonal group needs one class per element")
+    e = lcm(*classes.orders)
+    field_n = lcm(e, group.conductor)
+    exponent_of = {root(t * (field_n // e), field_n).encode(): t for t in range(e)}
+    reps = [group.elements[g] for g in classes.reps]
+    try:
+        x = [
+            [exponent_of[m.rows[i][i].promote(field_n).encode()] for m in reps]
+            for i in range(group.dim)
+        ]
+    except KeyError:
+        raise OrthogonalityFailure("a diagonal entry is no e-th root of unity") from None
+
+    seen = {(0,) * r}
+    walk = [(0,) * r]
+    for row in walk:  # breadth first: the list grows as it is read
+        for eps in x:
+            nxt = tuple([(a + b) % e for a, b in zip(row, eps)])
+            if nxt not in seen:
+                seen.add(nxt)
+                walk.append(nxt)
+    if len(walk) != n:
+        raise OrthogonalityFailure("the coordinate characters do not reach |G| rows")
+
+    roots = [root(t, e) for t in range(e)]
+    keys = [v.encode() for v in roots]
+    walk[1:] = sorted(walk[1:], key=lambda row: [keys[t] for t in row])
+
+    class_of = {coords: k for k, coords in enumerate(zip(*x))}
+    power_classes = [
+        [class_of[tuple([s * c % e for c in coords])] for s in range(o)]
+        for coords, o in zip(zip(*x), classes.orders)
+    ]
+    table = with_galois_action(CharacterTable(
+        conductor=e,
+        order=n,
+        dims=(1,) * r,
+        values=tuple(tuple([roots[t] for t in row]) for row in walk),
+        class_sizes=classes.sizes,
+        class_orders=classes.orders,
+        inverse_class=classes.inverse_class,
+        class_reps=tuple(reps),
+    ), power_classes)
+    if not _exact_table_checks(table):
+        raise OrthogonalityFailure("the diagonal table fails its exact checks")
+    return table
 
 
 def _split_subspace(

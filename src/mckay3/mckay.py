@@ -42,7 +42,7 @@ def adjacency(table: CharacterTable, chi=None) -> Quiver:
 
     chi defaults to the trace of the stored class representatives, i.e. the
     natural (defining) representation of the matrix group.  The table must
-    satisfy the orthogonality relations, as every `dixon_table` result does.
+    satisfy the orthogonality relations, as every table `chartab` builds does.
 
     M is read off modulo one prime and then certified exactly.  Let
     e' = lcm(e, conductors of chi) and p = 1 (mod e') above

@@ -1,11 +1,14 @@
 """The analysis pipeline: one catalog group from spec to audited quiver.
 
-generators -> closure -> conjugacy classes -> Dixon table -> quiver -> B, A,
-then the certificates.  `analyze` builds the table once per (spec,
-max_order); the quiver, B, A and each certificate are computed on first use
-and kept, so `chartab` and `info` never build the quiver, and the
-`cartan` and `verify` commands read the same verdicts.  `verify` turns one
-analysis into the report that `mckay verify` prints.
+generators -> closure -> conjugacy classes -> character table -> quiver ->
+B, A, then the certificates.  The table of a group whose generators are all
+diagonal is read off its coordinate characters (`chartab._diagonal_table`);
+any other group's comes from `chartab.dixon_table`.  The route is decided
+by the generators, not by the catalog kind.  `analyze` builds the table
+once per (spec, max_order); the quiver, B, A and each certificate are
+computed on first use and kept, so `chartab` and `info` never build the
+quiver, and the `cartan` and `verify` commands read the same verdicts.
+`verify` turns one analysis into the report that `mckay verify` prints.
 
 `dimensionBalance` is the kernel verdict B.delta = 0 and B^T.delta = 0
 (with B = n*I - M these are, term for term, the row and column balances
@@ -31,8 +34,12 @@ class Analysis:
         self.spec = spec
         self.group = catalog.build_group(spec, max_order=max_order)
         self.classes = chartab.conjugacy_classes(self.group)
-        # dixon_table returns only tables whose orthogonality it certified
-        self.table = chartab.dixon_table(self.group, self.classes)
+        # either constructor returns only tables whose orthogonality it
+        # certified; the route is an exact property of the generators
+        if chartab.is_diagonal(self.group):
+            self.table = chartab._diagonal_table(self.group, self.classes)
+        else:
+            self.table = chartab.dixon_table(self.group, self.classes)
         self.chi = chartab.natural_character(self.group, self.classes)
 
     @cached_property
@@ -83,7 +90,7 @@ class Analysis:
         """Per class: is the table column an eigenvector of M?
 
         One pass of M X = X diag(chi) on the quiver as built, decided
-        modulo one prime on the Dixon table; the `dualTranspose` verdict
+        modulo one prime on the table; the `dualTranspose` verdict
         and the PSD spectrum are read off it.
         """
         return mckay.eigenvector_check(self.table, self.quiver, self.chi)
@@ -93,10 +100,10 @@ class Analysis:
         """Does the dual representation give the transposed quiver?
 
         Exactly when every class passes `eigen`.  Let X be the table,
-        Y[i][k] = X[i][inv k] and D = diag(|C_k|); `dixon_table` certifies
-        X.D.Y^T = |G| I and that inv is an involution preserving class
-        sizes.  With Q the permutation matrix of inv, Y = X Q and Q = Q^T =
-        Q^-1 commutes with D, so X^-1 = |G|^-1 D Y^T and
+        Y[i][k] = X[i][inv k] and D = diag(|C_k|); both table constructors
+        certify X.D.Y^T = |G| I and that inv is an involution preserving
+        class sizes.  With Q the permutation matrix of inv, Y = X Q and
+        Q = Q^T = Q^-1 commutes with D, so X^-1 = |G|^-1 D Y^T and
         X^T X = |G| Q D^-1, that is X^-T = |G|^-1 X D Q.  If
         M X = X diag(chi) then M^T = X^-T diag(chi) X^T and
         M^T X = X D Q diag(chi) Q D^-1 = X diag(chi o inv).  Applied to

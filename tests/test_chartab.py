@@ -1,5 +1,7 @@
-"""Conjugacy classes and Dixon character tables on small known groups."""
+"""Conjugacy classes, Dixon character tables on small known groups, and the
+tables of diagonal groups read off their coordinate characters."""
 
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -7,15 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mckay3 import chartab
-from mckay3.catalog import abelian_table, build_group, parse_spec
+from mckay3 import chartab, pipeline
+from mckay3.catalog import abelian_table, all_specs, build_group, parse_spec
 from mckay3.chartab import (
     CharacterTable,
     NonIntegralMultiplicity,
     OrthogonalityFailure,
+    _diagonal_table,
     conjugacy_classes,
     decompose_product,
     dixon_table,
+    is_diagonal,
     natural_character,
     tables_match_by_reps,
     verify_orthogonality,
@@ -372,3 +376,92 @@ def test_tables_match_rejects_different_groups():
 @settings(max_examples=16, deadline=None)
 def test_abelian_tables_are_orthogonal(m, n):
     assert verify_orthogonality(abelian_table(m, n))
+
+
+# ---------------------------------------------------------------------------
+# diagonal groups: the table read off the coordinate characters
+
+
+def test_dixon_agrees_with_the_diagonal_table():
+    # the pipeline sends these groups past Dixon, so this keeps Dixon's
+    # coverage on them; the Klein four-group has conductor 1 and exponent 2
+    groups = [build_group(spec) for spec in all_specs()]
+    diagonal = [g for g in groups if is_diagonal(g)]
+    assert len(diagonal) == 44
+    diagonal += [build_group(parse_spec(name)) for name in ("SL2:cyclic:60", "Hmn:8,8")]
+    diagonal.append(closure([
+        SquareMatrix([[-1, 0, 0], [0, -1, 0], [0, 0, 1]]),
+        SquareMatrix([[-1, 0, 0], [0, 1, 0], [0, 0, -1]]),
+    ]))
+    for g in diagonal:
+        classes = conjugacy_classes(g)
+        table, reference = _diagonal_table(g, classes), dixon_table(g, classes)
+        assert table == reference
+        assert table.power_classes == reference.power_classes
+
+
+def _refuse_everywhere(monkeypatch, fn):
+    """Make every mckay3 namespace that binds fn raise when it is called."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{fn.__name__} called")
+
+    for modname, module in list(sys.modules.items()):
+        if modname == "mckay3" or modname.startswith("mckay3."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, refuse)
+
+
+def test_diagonal_groups_skip_dixon(monkeypatch, fresh_analysis):
+    _refuse_everywhere(monkeypatch, chartab.dixon_table)
+    _refuse_everywhere(monkeypatch, chartab.class_constants)
+    with pytest.raises(AssertionError, match="dixon_table called"):
+        pipeline.analyze(parse_spec("G7"), 20000)
+    for name in ("Hmn:4,5", "SL2:cyclic:12", "SL2:cyclic:4:alpha=3"):
+        report = pipeline.verify(parse_spec(name), 20000)
+        assert "fail" not in report["checks"].values(), name
+
+
+def test_other_groups_take_dixon(monkeypatch, fresh_analysis):
+    _refuse_everywhere(monkeypatch, chartab._diagonal_table)
+    with pytest.raises(AssertionError, match="_diagonal_table called"):
+        pipeline.analyze(parse_spec("Hmn:2,2"), 20000)
+    for name in ("Gm3:3", "G7"):
+        assert not is_diagonal(pipeline.analyze(parse_spec(name), 20000).group)
+        report = pipeline.verify(parse_spec(name), 20000)
+        assert "fail" not in report["checks"].values(), name
+
+
+def test_diagonal_walk_short_of_the_order_raises(monkeypatch):
+    g = build_group(parse_spec("Hmn:2,2"))
+    classes = conjugacy_classes(g)
+    # on SL3 eps_2 = (eps_0 eps_1)^-1, so the walk must lose eps_1 as well
+    # to fall short: eps_0 alone reaches 2 of the 4 characters
+    monkeypatch.setattr(g, "dim", 1)
+    with pytest.raises(OrthogonalityFailure, match="do not reach"):
+        _diagonal_table(g, classes)
+
+
+def test_diagonal_table_refuses_a_group_with_fewer_classes():
+    g = build_group(parse_spec("SL2:binD:2"))
+    with pytest.raises(OrthogonalityFailure, match="one class per element"):
+        _diagonal_table(g, conjugacy_classes(g))
+
+
+def test_diagonal_entries_must_be_roots_of_the_exponent():
+    g = build_group(parse_spec("Hmn:2,2"))
+    classes = conjugacy_classes(g)
+    # orders of 1 give e = 1, and -1 is no power of zeta_1
+    wrong = replace(classes, orders=(1,) * classes.count)
+    with pytest.raises(OrthogonalityFailure, match="no e-th root"):
+        _diagonal_table(g, wrong)
+
+
+def test_diagonal_table_failing_its_exact_checks_raises():
+    g = build_group(parse_spec("Hmn:2,2"))
+    classes = conjugacy_classes(g)
+    # a class size of 3 does not divide |G| = 4
+    wrong = replace(classes, sizes=(1, 1, 1, 3))
+    with pytest.raises(OrthogonalityFailure, match="exact checks"):
+        _diagonal_table(g, wrong)

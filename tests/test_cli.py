@@ -195,24 +195,28 @@ def _failing_eigen(table, quiver, chi):
     return (False,) * table.count
 
 
-# the orthogonality certificate of dixon_table and the eigenvector
-# certificate inside adjacency; the ids are the names of the exact checks
-# these certificates took over from, kept so the test ids stay stable
+# the orthogonality certificate of dixon_table (SL2:binD:2 is not
+# diagonal, so it takes Dixon), the exact checks of the diagonal table and
+# the eigenvector certificate inside adjacency; the first two ids are the
+# names of the exact checks these certificates took over from, kept so the
+# test ids stay stable
 @pytest.mark.parametrize(
-    "module, name, stub",
+    "module, name, stub, group",
     [
-        (chartab, "_orthogonal_mod_prime", lambda table: False),
-        (mckay, "eigenvector_check", _failing_eigen),
+        (chartab, "_orthogonal_mod_prime", lambda table: False, "SL2:binD:2"),
+        (mckay, "eigenvector_check", _failing_eigen, "Hmn:2,2"),
+        (chartab, "_exact_table_checks", lambda table: False, "Hmn:2,2"),
     ],
     ids=[
         "mckay3.chartab-verify_orthogonality-<lambda>",
         "mckay3.mckay-decompose_product-_raise_non_integral",
+        "mckay3.chartab-_exact_table_checks-diagonal",
     ],
 )
-def test_failed_certificate_exits_1(monkeypatch, capsys, module, name, stub):
+def test_failed_certificate_exits_1(monkeypatch, capsys, module, name, stub, group):
     monkeypatch.setattr(module, name, stub)
     pipeline.analyze.cache_clear()  # the group must be computed afresh
-    code, out, err = _run(capsys, "verify", "--group", "Hmn:2,2")
+    code, out, err = _run(capsys, "verify", "--group", group)
     assert code == 1
     assert out == ""
     assert err.startswith("error:")
@@ -245,14 +249,6 @@ def _tamper_first_row(moves):
     return tampered
 
 
-@pytest.fixture
-def fresh_analysis():
-    """Clear the analysis memo before and after, so no tampered quiver stays."""
-    pipeline.analyze.cache_clear()
-    yield
-    pipeline.analyze.cache_clear()
-
-
 @pytest.mark.parametrize(
     "moves",
     [((1, 1),), ((1, -1), (2, 1))],
@@ -268,7 +264,7 @@ def test_tampered_quiver_fails_every_derived_check(monkeypatch, capsys, fresh_an
 
 
 def test_verify_certifies_the_quiver_without_exact_dot(monkeypatch, fresh_analysis):
-    # the Dixon table carries its Galois action, so both eigenvector passes
+    # the table carries its Galois action, so both eigenvector passes
     # (inside adjacency and for eigenvectorProp) run modulo one prime and
     # dualTranspose is read off eigenvectorProp; the same check on a copy
     # of the table without the action is one exact dot per (class, row)
