@@ -11,7 +11,9 @@ one shared Krylov basis, with the kernel of A - lambda as the fallback
 (`_split_subspace`).  The lift makes the table Galois-equivariant by
 construction, so its orthogonality relations are rational integers of known
 size, and `dixon_table` decides them exactly modulo one prime before it
-returns; a table that comes back is correct, not heuristically likely.
+returns; a table that comes back is correct, not heuristically likely.  The
+same integer Gram matrix, weighted by a character, is |G| times the quiver
+that `mckay.adjacency` reads off it (`_integer_gram`).
 `verify_orthogonality` is the exact check for a table built any other way.
 
 A group whose generators are all diagonal (`is_diagonal`) has a shorter
@@ -206,8 +208,8 @@ def dixon_table(
     e, by construction.  rep_k^a generates the same cyclic group as rep_k,
     so it has the same centralizer, and pi_a preserves class sizes; and
     (rep_k^a)^-1 = (rep_k^-1)^a, so pi_a commutes with `inverse_class`.
-    `_orthogonal_mod_prime` uses these facts to decide orthogonality over
-    one prime.
+    `_integer_gram` uses these facts to decide orthogonality and the
+    quiver over one prime.
 
     Pin.  Mapped to F_p by `exactnum.residues` (zeta_e -> the same z_e),
     the lifted table must equal the modular rows chi: DFT inversion gives
@@ -350,36 +352,41 @@ def dixon_table(
 
 
 def _orthogonal_mod_prime(table: CharacterTable) -> bool:
-    """The verdict of `verify_orthogonality`, for a table `dixon_table` built.
+    """The verdict of `verify_orthogonality`, for a table with its Galois
+    action: the shared `_exact_table_checks` (inv an involution preserving
+    class sizes, each size dividing n = |G|, sum d^2 = n, X[i][0] = d_i),
+    then R = X.D.Y^T = n*I by `_integer_gram` with chi = 1, so c = 1; as
+    n < p/2, R and n*I agree exactly when their residues do.  Other tables
+    take `verify_orthogonality`."""
+    n, r, e = table.order, table.count, table.conductor
+    identity = [[n if i == j else 0 for j in range(r)] for i in range(r)]
+    ones = [Cyclotomic.rational(1, e)] * r
+    return _exact_table_checks(table) and _integer_gram(table, ones, e) == identity
 
-    The cheap exact checks are shared (`_exact_table_checks`): inv is an
-    involution that preserves class sizes, every size divides n = |G|,
-    sum d^2 = n and X[i][0] = d_i.  The relations R = X.D.Y^T = n*I, with
-    Y[i][k] = X[i][inv k] and D = diag(|C_k|), are decided modulo one prime:
-    R mod p' is `modp.gram` of the residue rows with weight 1, the one
-    definition of the mod-p Gram matrix, compared with n*I.
 
-    Proof.  By the `dixon_table` lift, X[i][pi_a k] = sigma_a X[i][k] for
-    every a coprime to e, with pi_a a permutation of the classes that
-    preserves sizes and commutes with inv.  Then sigma_a R_ij =
-    sum_k |C_k| X[i][pi_a k] X[j][inv pi_a k] = R_ij, reindexed by pi_a, so
-    R_ij is rational; it lies in Z[zeta_e], so it is a rational integer.
-    The lift gives |X[i][k]| <= d_i, so |R_ij| <= sum_k |C_k| d_i d_j =
-    n d_i d_j <= n d_max^2 < p'/2 for p' = 1 (mod e) above 2 n d_max^2, and
-    also |n delta_ij| < p'/2.  zeta_e -> z is a ring map Z[zeta_e] -> F_p'
-    (`exactnum.residues`) that reduces integers mod p', so R_ij = n delta_ij
-    exactly when the two agree mod p'.  The proof needs the lift's Galois
-    property, so `verify_orthogonality` stays the check for other tables.
+def _integer_gram(table: CharacterTable, chi, t: int) -> list[list[int]]:
+    """R = (X o chi).D.Y^T = |G| (<chi gamma_i, gamma_j>), read off mod p.
+
+    Y[i][k] = X[i][inv k], D = diag(|C_k|); chi is given at a multiple t of
+    e, with denominators 1.  With c = max_k ||chi(C_k)||_1 (l1 norm of the
+    coefficients) and n = |G|, p = 1 (mod t) lies above 2 n c d_max^2, and
+    R mod p is `modp.gram` of the residue rows (`exactnum.residues`) with
+    weight chi; each entry is returned as its symmetric residue.
+
+    Proof.  Let the table carry its Galois action pi_a (`power_classes`:
+    X[i][pi_a k] = sigma_a X[i][k], |X[i][k]| <= d_i, and pi_a preserves
+    class sizes and commutes with inv, `dixon_table`), and let
+    chi(C_(pi_a k)) = sigma_a chi(C_k) for every unit a mod t.  Reindexed by
+    pi_a, sigma_a R_ij = R_ij, so R_ij is rational and in Z[zeta_t]: a
+    rational integer.  Each conjugate of chi(C_k) has modulus at most c, so
+    |R_ij| <= sum_k |C_k| c d_i d_j = n c d_i d_j < p/2; zeta_t -> z reduces
+    integers mod p, so the symmetric residue is R_ij.
     """
-    if not _exact_table_checks(table):
-        return False
-    r = table.count
-    n = table.order
-    e = table.conductor
-    p = prime_one_mod(e, 2 * n * max(table.dims) ** 2)
-    x = [residues(row, e, p) for row in table.values]
-    g = gram(x, [1] * r, table.class_sizes, table.inverse_class, p)
-    return g == [[n if i == j else 0 for j in range(r)] for i in range(r)]
+    c = max(sum(abs(a) for _, a in v.terms()) for v in chi)
+    p = prime_one_mod(t, 2 * table.order * c * max(table.dims) ** 2)
+    x = [residues(row, t, p) for row in table.values]
+    g = gram(x, residues(chi, t, p), table.class_sizes, table.inverse_class, p)
+    return [[v - p if 2 * v > p else v for v in row] for row in g]
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,14 @@
 
 The quiver of a group with character table gamma_1..gamma_r against a chosen
 representation pi has adjacency m[i][j] = <chi_pi * gamma_i, gamma_j>, the
-multiplicity of gamma_j in pi tensor gamma_i.  From it we form B = n*I - M
-(n the dimension of pi) and the generalized Cartan matrix A = B + B^T, and
-check the structural facts exactly: A is positive semi-definite, the
-dimension vector spans the kernel, and every table column is an eigenvector
-of M, which on an orthogonal table also proves that conjugating pi
-transposes the quiver (`pipeline.Analysis.dual_transpose`).
+multiplicity of gamma_j in pi tensor gamma_i, read off the integer Gram
+matrix |G| M that also certifies the table (`chartab._integer_gram`).  From
+it we form B = n*I - M (n the dimension of pi) and the generalized Cartan
+matrix A = B + B^T, and check the structural facts exactly: A is positive
+semi-definite, the dimension vector spans the kernel, and every table
+column is an eigenvector of M (`eigenvector_check`, one pass per quiver),
+which on an orthogonal table also proves that conjugating pi transposes
+the quiver (`pipeline.Analysis.dual_transpose`).
 """
 
 from __future__ import annotations
@@ -15,9 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, lcm
 
-from .chartab import CharacterTable, NonIntegralMultiplicity, galois_orbits
+from .chartab import (
+    CharacterTable, NonIntegralMultiplicity, _integer_gram, decompose_product, galois_orbits
+)
 from .exactnum import Cyclotomic, dot, residues
-from .modp import gram, integer_charpoly, matmul, prime_one_mod
+from .modp import integer_charpoly, matmul, prime_one_mod
 
 
 class NotSymmetric(ValueError):
@@ -41,56 +45,36 @@ def adjacency(table: CharacterTable, chi=None) -> Quiver:
     """Quiver of the table against the class function chi.
 
     chi defaults to the trace of the stored class representatives, i.e. the
-    natural (defining) representation of the matrix group.  The table must
-    satisfy the orthogonality relations, as every table `chartab` builds does.
-
-    M is read off modulo one prime and then certified exactly.  Let
-    e' = lcm(e, conductors of chi) and p = 1 (mod e') above
-    max(|G|, chi(1) d_max).  Under zeta_e' -> z (`exactnum.residues`), M is
-    taken as the least residues of (1/|G|) (X o chi).D.Y^T, with X the
-    table, Y[i][k] = X[i][inv k] and D = diag(|C_k|); that product mod p is
-    `modp.gram` of the residue rows with weight chi, the one definition of
-    the mod-p Gram matrix.  `eigenvector_check` then tests M X = X diag(chi)
-    exactly.
-
-    Proof.  The table is orthogonal, so X is invertible, and
-    M X = X diag(chi) has exactly one solution, X diag(chi) X^-1, whose
-    entries are the m_ij = <chi gamma_i, gamma_j> that
-    `chartab.decompose_product` computes.  If chi is a character, each m_ij
-    is an integer with 0 <= m_ij <= chi(1) d_i / d_j < p; its residue mod p
-    is the computed entry, so the least residue is m_ij and the check
-    passes.  If chi is not a character, some m_ij is not a nonnegative
-    integer (else chi = sum_j m_0j gamma_j would be one); the least residues
-    are, so they are not the solution, the check fails, and
-    NonIntegralMultiplicity is raised, as `decompose_product` would.  A chi
-    value that is not an algebraic integer (denominator other than 1) is
-    rejected the same way before any residue is taken.
+    natural (defining) representation.  A chi(1) that is not a degree, or a
+    value that is not an algebraic integer, is rejected first.  If the table
+    has its Galois action and chi is equivariant (`_equivariant_orbits`),
+    M = `chartab._integer_gram` / |G| exactly; if chi is no character, some
+    m_ij is not a nonnegative integer (else chi = sum_j m_0j gamma_j would
+    be one), and the first raises NonIntegralMultiplicity, as in
+    `decompose_product`.  Other inputs take the exact `decompose_product`,
+    which raises on a non-equivariant chi: every character is equivariant.
     """
     if chi is None:
         if table.class_reps is None:
             raise ValueError("table has no class representatives; pass chi")
         chi = tuple(m.trace() for m in table.class_reps)
-    chi = tuple(chi)  # read twice: for its residues and by the certificate
     n = chi[0].try_rational()
     if n is None or n.denominator != 1 or n < 0:
         raise NonIntegralMultiplicity(f"chi(identity) = {chi[0]} is not a degree")
-    target = lcm(table.conductor, *(v.conductor for v in chi))
-    p = prime_one_mod(target, max(table.order, int(n) * max(table.dims)))
-    try:
-        chi_p = residues(chi, target, p)
-    except ValueError as exc:
-        raise NonIntegralMultiplicity(f"chi is not a character: {exc}") from None
-    x = [residues(row, target, p) for row in table.values]
-    g = gram(x, chi_p, table.class_sizes, table.inverse_class, p)
-    inv_order = pow(table.order, -1, p)
-    matrix = tuple(tuple(v * inv_order % p for v in row) for row in g)
-    quiver = Quiver(dims=table.dims, matrix=matrix, rep_dim=int(n))
-    failing = [k for k, ok in enumerate(eigenvector_check(table, quiver, chi)) if not ok]
-    if failing:
-        raise NonIntegralMultiplicity(
-            f"chi is not a character: M X = X diag(chi) fails at class {failing[0]}"
-        )
-    return quiver
+    for v in chi:
+        if any(type(c) is not int for _, c in v.terms()):
+            raise NonIntegralMultiplicity(f"chi value {v} is not an algebraic integer")
+    t = lcm(table.conductor, *(v.conductor for v in chi))
+    chi_t = [v.promote(t) for v in chi]
+    if _equivariant_orbits(table, chi_t, t) is None:
+        return Quiver(table.dims, tuple(map(tuple, decompose_product(table, chi))), int(n))
+    order = table.order
+    g = _integer_gram(table, chi_t, t)
+    for i, row in enumerate(g):
+        for j, total in enumerate(row):
+            if total < 0 or total % order:
+                raise NonIntegralMultiplicity(f"<chi*gamma_{i}, gamma_{j}> = {total} / {order}")
+    return Quiver(table.dims, tuple(tuple(v // order for v in row) for row in g), int(n))
 
 
 def pre_cartan(quiver: Quiver) -> tuple[tuple[int, ...], ...]:
@@ -207,16 +191,29 @@ def eigenvector_check(table: CharacterTable, quiver: Quiver, chi) -> tuple[bool,
     )
 
 
-def _eigenvector_check_mod_p(table, quiver, chi, t) -> tuple[bool, ...] | None:
-    """`eigenvector_check` modulo one prime; None where it does not apply.
+def _equivariant_orbits(table, chi, t) -> list[list[int]] | None:
+    """The Galois orbits of the classes if the one-prime certificates apply
+    to chi, given at t = lcm(e, conductors of chi), else None: the table has
+    its Galois action pi (`CharacterTable.power_classes`), chi has
+    denominators 1, and chi(C_(pi_b k)) = sigma_b chi(C_k) for every unit
+    b mod t at the first class k of each orbit.  Then it holds at each class:
+    rep_(pi_a k)^b is conjugate to rep_k^(ba), so pi_b pi_a = pi_ba, and
+    chi(C_(pi_b pi_a k)) = sigma_ba chi(C_k) = sigma_b chi(C_(pi_a k)).
+    Every character is equivariant: chi(g^b) = sigma_b chi(g).
+    """
+    orbits = galois_orbits(table)
+    if orbits is None or any(type(c) is not int for v in chi for _, c in v.terms()):
+        return None
+    units = [b for b in range(1, t + 1) if gcd(b, t) == 1]
+    for k in (orbit[0] for orbit in orbits):
+        walk = table.power_classes[k]
+        if any(chi[walk[b % len(walk)]] != chi[k].galois(b) for b in units):
+            return None
+    return orbits
 
-    Conditions.  The table carries its Galois action pi
-    (`CharacterTable.power_classes`), every value of chi (given at
-    t = lcm(e, conductors of chi)) has denominator 1, and
-    chi(C_(pi_b k)) = sigma_b chi(C_k) for every unit b mod t at the first
-    class k of each orbit.  Then it holds at every class: rep_(pi_a k)^b is
-    conjugate to rep_k^(ba), so pi_b pi_a = pi_ba, and chi(C_(pi_b pi_a k))
-    = sigma_ba chi(C_k) = sigma_b chi(C_(pi_a k)).
+
+def _eigenvector_check_mod_p(table, quiver, chi, t) -> tuple[bool, ...] | None:
+    """`eigenvector_check` modulo one prime; None off `_equivariant_orbits`.
 
     Test.  Let alpha_ik = sum_j m_ij X[j][k] - chi(C_k) X[i][k] in
     Z[zeta_t], and B = max_i (sum_j |m_ij| d_j + max_k ||chi(C_k)||_1 d_i)
@@ -237,14 +234,9 @@ def _eigenvector_check_mod_p(table, quiver, chi, t) -> tuple[bool, ...] | None:
     < p^phi(t), hence alpha_ik = 0.  Conversely alpha_ik = 0 gives
     alpha = 0 on the whole orbit.  So each verdict is the exact one.
     """
-    orbits = galois_orbits(table)
-    if orbits is None or any(type(c) is not int for v in chi for _, c in v.terms()):
+    orbits = _equivariant_orbits(table, chi, t)
+    if orbits is None:
         return None
-    units = [b for b in range(1, t + 1) if gcd(b, t) == 1]
-    for k in (orbit[0] for orbit in orbits):
-        walk = table.power_classes[k]
-        if any(chi[walk[b % len(walk)]] != chi[k].galois(b) for b in units):
-            return None
     dims = table.dims
     chi_norm = max(sum(abs(c) for _, c in v.terms()) for v in chi)
     bound = max(

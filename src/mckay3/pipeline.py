@@ -14,9 +14,10 @@ quiver, and the `cartan` and `verify` commands read the same verdicts.
 (with B = n*I - M these are, term for term, the row and column balances
 sum_j m_ij d_j = n d_i and sum_i d_i m_ij = n d_j).  `eigenvectorProp` is
 the one exact certificate on the quiver, M X = X diag(chi) on the verified
-table X, and `dualTranspose` follows from it: on an orthogonal table it is
-the same identity as M^T X = X diag(conj chi), so no second tensor product
-is decomposed and no second identity is tested.
+table X, and `Analysis.eigen` is its only pass: `adjacency` reads M off an
+integer Gram matrix without it.  `dualTranspose` follows from it: on an
+orthogonal table it is the same identity as M^T X = X diag(conj chi), so no
+second tensor product is decomposed and no second identity is tested.
 """
 
 from __future__ import annotations
@@ -89,9 +90,9 @@ class Analysis:
     def eigen(self) -> tuple[bool, ...]:
         """Per class: is the table column an eigenvector of M?
 
-        One pass of M X = X diag(chi) on the quiver as built, decided
-        modulo one prime on the table; the `dualTranspose` verdict
-        and the PSD spectrum are read off it.
+        The one pass of M X = X diag(chi) per group, on the quiver as
+        held, decided modulo one prime on the table; the `dualTranspose`
+        verdict and the PSD spectrum are read off it.
         """
         return mckay.eigenvector_check(self.table, self.quiver, self.chi)
 

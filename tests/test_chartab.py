@@ -4,6 +4,7 @@ tables of diagonal groups read off their coordinate characters."""
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -161,15 +162,17 @@ def test_one_prime_orthogonality_matches_the_exact_check(small_tables):
 
 def test_adjacency_matches_decompose_product(small_tables):
     promoted = 0
-    for t, chi in small_tables.values():
+    roster = [pipeline.analyze(spec, 20000) for spec in all_specs()]
+    for t, chi in (*small_tables.values(), *((an.table, an.chi) for an in roster)):
         promoted += chi[0].conductor != t.conductor
         assert [list(row) for row in adjacency(t, chi).matrix] == decompose_product(t, chi)
     assert promoted
 
 
 def test_adjacency_prime_exceeds_every_multiplicity():
-    # 50 copies of the regular character of Z/2: every m_ij is 50, above
-    # |G| = 2, so only the chi(1) factor of the prime bound recovers it
+    # 50 copies of the regular character of Z/2: every m_ij is 50, so
+    # R = |G| M has entries 100, and only the factor c = ||chi||_1 = 100 of
+    # the integer Gram's prime bound 2 |G| c d_max^2 recovers them
     t = dixon_table(build_group(parse_spec("Hmn:2,1")))
     chi = (Cyclotomic.rational(100, 2), Cyclotomic.rational(0, 2))
     assert adjacency(t, chi).matrix == ((50, 50), (50, 50))
@@ -193,6 +196,36 @@ def test_adjacency_rejects_non_characters(small_tables):
             adjacency(t, bad)
     with pytest.raises(NonIntegralMultiplicity, match="not an algebraic integer"):
         adjacency(t, halved)
+
+
+def test_integer_gram_equals_the_exact_gram(small_tables):
+    # a virtual character has negative multiplicities, so R = |G| M has
+    # negative entries, which only the symmetric residues give back
+    negative = 0
+    for t, chi in small_tables.values():
+        virtual = tuple(a - b for a, b in zip(t.values[-1], t.values[1]))
+        for c in (chi, virtual):
+            target = lcm(t.conductor, *(v.conductor for v in c))
+            got = chartab._integer_gram(t, [v.promote(target) for v in c], target)
+            exact = [[int(v.try_rational()) for v in row] for row in chartab._gram(t, c)]
+            assert got == exact
+            negative += any(v < 0 for row in got for v in row)
+    assert negative
+
+
+def test_adjacency_names_the_entry_decompose_product_names(small_tables):
+    t, _ = small_tables["SL2:2T"]
+    e = t.conductor
+    half_regular = (Cyclotomic.rational(t.order // 2, e),) + (
+        Cyclotomic.rational(0, e),
+    ) * (t.count - 1)
+    virtual = tuple(a - b for a, b in zip(t.values[2], t.values[1]))
+    for bad in (half_regular, virtual):
+        with pytest.raises(NonIntegralMultiplicity) as exact:
+            decompose_product(t, bad)
+        with pytest.raises(NonIntegralMultiplicity) as modular:
+            adjacency(t, bad)
+        assert str(modular.value) == str(exact.value)
 
 
 def test_failed_orthogonality_certificate_raises(monkeypatch):

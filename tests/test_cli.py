@@ -191,20 +191,21 @@ def test_unwritable_out_exits_2(tmp_path):
     assert not target.exists()
 
 
-def _failing_eigen(table, quiver, chi):
-    return (False,) * table.count
+def _failing_gram(table, chi, t):
+    """An integer Gram matrix whose every entry, 1, is not divisible by |G|."""
+    return [[1] * table.count for _ in range(table.count)]
 
 
 # the orthogonality certificate of dixon_table (SL2:binD:2 is not
 # diagonal, so it takes Dixon), the exact checks of the diagonal table and
-# the eigenvector certificate inside adjacency; the first two ids are the
-# names of the exact checks these certificates took over from, kept so the
-# test ids stay stable
+# the integer Gram matrix that adjacency reads the quiver off; the first
+# two ids are the names of the exact checks these certificates took over
+# from, kept so the test ids stay stable
 @pytest.mark.parametrize(
     "module, name, stub, group",
     [
         (chartab, "_orthogonal_mod_prime", lambda table: False, "SL2:binD:2"),
-        (mckay, "eigenvector_check", _failing_eigen, "Hmn:2,2"),
+        (mckay, "_integer_gram", _failing_gram, "Hmn:2,2"),
         (chartab, "_exact_table_checks", lambda table: False, "Hmn:2,2"),
     ],
     ids=[
@@ -223,7 +224,7 @@ def test_failed_certificate_exits_1(monkeypatch, capsys, module, name, stub, gro
 
 
 def test_chartab_and_info_never_build_the_quiver(monkeypatch, capsys):
-    monkeypatch.setattr(mckay, "eigenvector_check", _failing_eigen)
+    monkeypatch.setattr(mckay, "_integer_gram", _failing_gram)
     pipeline.analyze.cache_clear()  # the group must be computed afresh
     for command in ("chartab", "info"):
         code, out, _ = _run(capsys, command, "--group", "Hmn:2,2")
@@ -264,10 +265,11 @@ def test_tampered_quiver_fails_every_derived_check(monkeypatch, capsys, fresh_an
 
 
 def test_verify_certifies_the_quiver_without_exact_dot(monkeypatch, fresh_analysis):
-    # the table carries its Galois action, so both eigenvector passes
-    # (inside adjacency and for eigenvectorProp) run modulo one prime and
-    # dualTranspose is read off eigenvectorProp; the same check on a copy
-    # of the table without the action is one exact dot per (class, row)
+    # the table carries its Galois action, so adjacency reads the quiver
+    # off the integer Gram matrix, the one eigenvector pass (for
+    # eigenvectorProp) runs modulo one prime and dualTranspose is read off
+    # it; the same check on a copy of the table without the action is one
+    # exact dot per (class, row)
     calls = []
     real = mckay.dot
 

@@ -319,6 +319,75 @@ def test_abelian_table_verdicts_match_the_exact_loop(modular):
             assert modular == [True, False]
 
 
+@pytest.fixture
+def exact_route(monkeypatch):
+    """One entry per call of the exact `decompose_product` from `adjacency`."""
+    calls = []
+    real = mckay.decompose_product
+
+    def spy(table, chi):
+        calls.append(1)
+        return real(table, chi)
+
+    monkeypatch.setattr(mckay, "decompose_product", spy)
+    return calls
+
+
+def test_adjacency_takes_the_exact_path_only_when_a_premise_fails(small_tables, exact_route):
+    g = build_group(parse_spec("Hmn:4,5"))
+    classes = chartab.conjugacy_classes(g)
+    diagonal = (chartab._diagonal_table(g, classes), chartab.natural_character(g, classes))
+    roster = [pipeline.analyze(spec, 20000) for spec in all_specs()]
+    for t, chi in (*small_tables.values(), diagonal, *((an.table, an.chi) for an in roster)):
+        adjacency(t, chi)
+    assert exact_route == []
+    # a copy without the Galois action: the same matrix, by the exact path
+    for t, chi in small_tables.values():
+        bare = replace(t, order=t.order)
+        exact_route.clear()
+        assert [list(row) for row in adjacency(bare, chi).matrix] == (
+            chartab.decompose_product(t, chi)
+        )
+        assert exact_route == [1]
+    # chi swapped at two classes of an orbit of three or more is not
+    # Galois-equivariant, so it is no character and the exact path raises
+    swapped = 0
+    for t, chi in small_tables.values():
+        for orbit in chartab.galois_orbits(t):
+            k2 = next((k for k in orbit if chi[k] != chi[orbit[0]]), None)
+            if len(orbit) < 3 or k2 is None:
+                continue
+            bad = list(chi)
+            bad[orbit[0]], bad[k2] = bad[k2], bad[orbit[0]]
+            exact_route.clear()
+            with pytest.raises(chartab.NonIntegralMultiplicity):
+                adjacency(t, bad)
+            assert exact_route == [1]
+            swapped += 1
+    assert swapped
+
+
+def test_verify_runs_one_eigenvector_check_per_group(small_tables, monkeypatch, fresh_analysis):
+    calls = []
+    real = mckay.eigenvector_check
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(mckay, "eigenvector_check", counted)
+    for name, diagonal in (("G7", False), ("Hmn:4,5", True)):
+        calls.clear()
+        report = pipeline.verify(parse_spec(name), 20000)
+        assert report["checks"]["eigenvectorProp"] == "pass"
+        assert chartab.is_diagonal(pipeline.analyze(parse_spec(name), 20000).group) == diagonal
+        assert calls == [1]
+    calls.clear()
+    for t, chi in small_tables.values():
+        adjacency(t, chi)
+    assert calls == []
+
+
 def _fresh_psd(an):
     """The analysis with its PSD report dropped, so that it is rebuilt."""
     an = copy.copy(an)
