@@ -604,14 +604,21 @@ def natural_character(
     return tuple(group.elements[g].trace() for g in classes.reps)
 
 
+def _check_class_function(table: CharacterTable, chi) -> None:
+    """Raise ValueError unless chi has one value per class of the table."""
+    if len(chi) != table.count:
+        raise ValueError(f"chi has {len(chi)} values, the table {table.count} classes")
+
+
 def decompose_product(table: CharacterTable, chi) -> list[list[int]]:
     """Multiplicity matrix m[i][j] = <chi * gamma_i, gamma_j>.
 
-    chi is a class function given on the table's classes; it may live at a
-    different conductor, in which case everything is promoted to the lcm.
-    m is `_gram(table, chi)` / |G|, each entry checked to be a nonnegative
-    integer.
+    chi is a class function, one value per class of the table; it may live
+    at a different conductor, in which case everything is promoted to the
+    lcm.  m is `_gram(table, chi)` / |G|, each entry checked to be a
+    nonnegative integer.
     """
+    _check_class_function(table, chi)
     out: list[list[int]] = []
     for i, totals in enumerate(_gram(table, chi)):
         line = []

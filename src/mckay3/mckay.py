@@ -3,9 +3,10 @@
 The quiver of a group with character table gamma_1..gamma_r against a chosen
 representation pi has adjacency m[i][j] = <chi_pi * gamma_i, gamma_j>, the
 multiplicity of gamma_j in pi tensor gamma_i, read off the integer Gram
-matrix |G| M that also certifies the table (`chartab._integer_gram`).  From
-it we form B = n*I - M (n the dimension of pi) and the generalized Cartan
-matrix A = B + B^T, and check the structural facts exactly: A is positive
+matrix |G| M that also certifies the table (`chartab._integer_gram`) and
+checked by its row 0, the decomposition of chi_pi itself.  From it we form
+B = n*I - M (n the dimension of pi) and the generalized Cartan matrix
+A = B + B^T, and check the structural facts exactly: A is positive
 semi-definite, the dimension vector spans the kernel, and every table
 column is an eigenvector of M (`eigenvector_check`, one pass per quiver),
 which on an orthogonal table also proves that conjugating pi transposes
@@ -15,10 +16,11 @@ the quiver (`pipeline.Analysis.dual_transpose`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import lcm
 
 from .chartab import (
-    CharacterTable, NonIntegralMultiplicity, _integer_gram, decompose_product, galois_orbits
+    CharacterTable, NonIntegralMultiplicity, _check_class_function, _integer_gram,
+    decompose_product, galois_orbits,
 )
 from .exactnum import Cyclotomic, dot, residues
 from .modp import integer_charpoly, matmul, prime_one_mod
@@ -45,36 +47,54 @@ def adjacency(table: CharacterTable, chi=None) -> Quiver:
     """Quiver of the table against the class function chi.
 
     chi defaults to the trace of the stored class representatives, i.e. the
-    natural (defining) representation.  A chi(1) that is not a degree, or a
-    value that is not an algebraic integer, is rejected first.  If the table
-    has its Galois action and chi is equivariant (`_equivariant_orbits`),
-    M = `chartab._integer_gram` / |G| exactly; if chi is no character, some
-    m_ij is not a nonnegative integer (else chi = sum_j m_0j gamma_j would
-    be one), and the first raises NonIntegralMultiplicity, as in
-    `decompose_product`.  Other inputs take the exact `decompose_product`,
-    which raises on a non-equivariant chi: every character is equivariant.
+    natural (defining) representation.  A chi without one value per class
+    raises ValueError; a chi(1) that is not a degree, or a value that is not
+    an algebraic integer, raises NonIntegralMultiplicity.  On a table with
+    its Galois action, M = `chartab._integer_gram` / |G|: the first m_ij
+    that is not a nonnegative integer raises, as in `decompose_product`,
+    and so does a row 0 that does not give chi back (`_trivial_row`).
+    Proof: a character is Galois-equivariant, so R = |G| M is exact and,
+    gamma_0 being trivial, row 0 gives chi back; an equivariant chi that is
+    no character has an exact m_ij that is not a nonnegative integer (else
+    chi = sum_j m_0j gamma_j would be one).  Conversely, nonnegative
+    integers m_0j with chi = sum_j m_0j gamma_j make chi a character, so M
+    is exact.  A table without the action takes `decompose_product`.
     """
     if chi is None:
         if table.class_reps is None:
             raise ValueError("table has no class representatives; pass chi")
         chi = tuple(m.trace() for m in table.class_reps)
+    _check_class_function(table, chi)
     n = chi[0].try_rational()
     if n is None or n.denominator != 1 or n < 0:
         raise NonIntegralMultiplicity(f"chi(identity) = {chi[0]} is not a degree")
     for v in chi:
         if any(type(c) is not int for _, c in v.terms()):
             raise NonIntegralMultiplicity(f"chi value {v} is not an algebraic integer")
+    if table.power_classes is None:
+        return Quiver(table.dims, tuple(map(tuple, decompose_product(table, chi))), int(n))
     t = lcm(table.conductor, *(v.conductor for v in chi))
     chi_t = [v.promote(t) for v in chi]
-    if _equivariant_orbits(table, chi_t, t) is None:
-        return Quiver(table.dims, tuple(map(tuple, decompose_product(table, chi))), int(n))
     order = table.order
     g = _integer_gram(table, chi_t, t)
     for i, row in enumerate(g):
         for j, total in enumerate(row):
             if total < 0 or total % order:
                 raise NonIntegralMultiplicity(f"<chi*gamma_{i}, gamma_{j}> = {total} / {order}")
-    return Quiver(table.dims, tuple(tuple(v // order for v in row) for row in g), int(n))
+    m = tuple(tuple(v // order for v in row) for row in g)
+    if [mu.promote(t) for mu in _trivial_row(table, m[0])] != chi_t:
+        raise NonIntegralMultiplicity("row 0 of the quiver does not give chi back")
+    return Quiver(table.dims, m, int(n))
+
+
+def _trivial_row(table: CharacterTable, row) -> list[Cyclotomic]:
+    """mu_k = sum_j row[j] X[j][k] at the table's conductor, over the nonzero
+    row[j] only.  Every constructor that sets the Galois action puts the
+    trivial character at row 0, so for row = M[0], mu is the class function
+    that row 0 of the quiver decomposes: m_0j = <chi gamma_0, gamma_j>."""
+    zero = Cyclotomic.rational(0, table.conductor)
+    terms = [(m, table.values[j]) for j, m in enumerate(row) if m]
+    return [sum((m * x[k] for m, x in terms), zero) for k in range(table.count)]
 
 
 def pre_cartan(quiver: Quiver) -> tuple[tuple[int, ...], ...]:
@@ -164,18 +184,58 @@ def kernel_delta(mat, vec) -> bool:
 
 def eigenvector_check(table: CharacterTable, quiver: Quiver, chi) -> tuple[bool, ...]:
     """Per-class test that each table column p_k = (gamma_i(C_k))_i satisfies
-    M p_k = chi(C_k) p_k exactly.
+    M p_k = chi(C_k) p_k exactly, the same as B p_k = (n - chi(C_k)) p_k.
 
-    Since B = n*I - M, this is the same as B p_k = (n - chi(C_k)) p_k.  On a
-    table with its Galois action the identity is decided modulo one prime
-    (`_eigenvector_check_mod_p`).  Otherwise each row sum runs exactly,
-    over the nonzero m_ij only; a row with none sums to 0.
+    chi and M need one value and one vertex per class, else ValueError.  On
+    a table with its Galois action, every constructor of which puts the
+    trivial character at row 0, row 0 of M X is mu = `_trivial_row` of M[0],
+    so class k passes when mu_k = chi(C_k), compared exactly at the lcm of
+    the conductors, and M p_k = mu_k p_k, decided modulo one prime:
+    chi is never reduced, so neither its integrality nor its equivariance
+    is a premise.  Let alpha_ik = (M X)_ik - mu_k X[i][k] in Z[zeta_e], e the
+    table's conductor, s_i = sum_j |m_ij| d_j, B = max_i (s_i + s_0 d_i),
+    and map zeta_e -> z modulo the least prime p = 1 (mod e) above B
+    (`exactnum.residues`).  M p_k = mu_k p_k is taken to hold when
+    alpha_ic = 0 mod p for every i at every class c of k's Galois orbit.
+
+    Proof.  m_ij is an integer and X[j][pi_a k] = sigma_a X[j][k], so
+    sigma_a alpha_ik = alpha_(i, pi_a k).  The kernel of the map is a prime
+    P above p; as p = 1 (mod e), p splits completely in Q(zeta_e), and the
+    primes above it are the sigma_a^-1 P (Washington, Introduction to
+    Cyclotomic Fields, ch. 2).  If alpha vanishes mod p across the orbit of
+    k, then alpha_ik lies in every prime above p, so in their product
+    p Z[zeta_e], and p^phi(e) divides N(alpha_ik).  As |X[j][c]| <= d_j,
+    |mu_c| <= s_0, and each conjugate alpha_(i, pi_a k) is at most B in
+    absolute value.  So |N(alpha_ik)| <= B^phi(e) < p^phi(e), hence
+    alpha_ik = 0.  Conversely alpha_ik = 0 gives alpha = 0 on the whole
+    orbit.  So each verdict is the exact one.
+
+    A table without the action takes the exact loop against chi, each row
+    sum over the nonzero m_ij only; a row with none sums to 0.
     """
+    _check_class_function(table, chi)
+    if quiver.count != table.count:
+        raise ValueError(f"the quiver has {quiver.count} vertices, the table {table.count}")
     target = lcm(table.conductor, *(v.conductor for v in chi))
     chi_p = [v.promote(target) for v in chi]
-    verdicts = _eigenvector_check_mod_p(table, quiver, chi_p, target)
-    if verdicts is not None:
-        return verdicts
+    orbits = galois_orbits(table)
+    if orbits is not None:
+        e, dims = table.conductor, table.dims
+        s = [sum(abs(m) * d for m, d in zip(row, dims)) for row in quiver.matrix]
+        p = prime_one_mod(e, max(s_i + s[0] * d_i for s_i, d_i in zip(s, dims)))
+        x = [residues(row, e, p) for row in table.values]
+        mx = matmul(quiver.matrix, x, p)
+        holds = [
+            all((mx_i[k] - mx[0][k] * x_i[k]) % p == 0 for mx_i, x_i in zip(mx, x))
+            for k in range(len(chi))
+        ]
+        mu = _trivial_row(table, quiver.matrix[0])
+        verdicts = [False] * len(chi)
+        for orbit in orbits:
+            ok = all(holds[k] for k in orbit)
+            for k in orbit:
+                verdicts[k] = ok and mu[k].promote(target) == chi_p[k]
+        return tuple(verdicts)
     cols = list(zip(*([v.promote(target) for v in row] for row in table.values)))
     support = [[j for j, m in enumerate(row) if m] for row in quiver.matrix]
     m = [
@@ -189,74 +249,6 @@ def eigenvector_check(table: CharacterTable, quiver: Quiver, chi) -> tuple[bool,
         )
         for p_k, lam in zip(cols, chi_p)
     )
-
-
-def _equivariant_orbits(table, chi, t) -> list[list[int]] | None:
-    """The Galois orbits of the classes if the one-prime certificates apply
-    to chi, given at t = lcm(e, conductors of chi), else None: the table has
-    its Galois action pi (`CharacterTable.power_classes`), chi has
-    denominators 1, and chi(C_(pi_b k)) = sigma_b chi(C_k) for every unit
-    b mod t at the first class k of each orbit.  Then it holds at each class:
-    rep_(pi_a k)^b is conjugate to rep_k^(ba), so pi_b pi_a = pi_ba, and
-    chi(C_(pi_b pi_a k)) = sigma_ba chi(C_k) = sigma_b chi(C_(pi_a k)).
-    Every character is equivariant: chi(g^b) = sigma_b chi(g).
-    """
-    orbits = galois_orbits(table)
-    if orbits is None or any(type(c) is not int for v in chi for _, c in v.terms()):
-        return None
-    units = [b for b in range(1, t + 1) if gcd(b, t) == 1]
-    for k in (orbit[0] for orbit in orbits):
-        walk = table.power_classes[k]
-        if any(chi[walk[b % len(walk)]] != chi[k].galois(b) for b in units):
-            return None
-    return orbits
-
-
-def _eigenvector_check_mod_p(table, quiver, chi, t) -> tuple[bool, ...] | None:
-    """`eigenvector_check` modulo one prime; None off `_equivariant_orbits`.
-
-    Test.  Let alpha_ik = sum_j m_ij X[j][k] - chi(C_k) X[i][k] in
-    Z[zeta_t], and B = max_i (sum_j |m_ij| d_j + max_k ||chi(C_k)||_1 d_i)
-    with ||.||_1 the l1 norm of the coefficient vector.  Take p = 1
-    (mod t) above B and map zeta_t -> z (`exactnum.residues`).  A class
-    passes when alpha_ik = 0 mod p for every i at every class of its orbit.
-
-    Proof.  m_ij is an integer, X[j][pi_c k] = sigma_c X[j][k] and
-    chi(C_(pi_c k)) = sigma_c chi(C_k), so sigma_c alpha_ik =
-    alpha_(i, pi_c k).  The kernel of the map is a prime P above p; as
-    p = 1 (mod t), p splits completely in Q(zeta_t), and the primes above
-    it are the sigma_c^-1 P (Washington, Introduction to Cyclotomic
-    Fields, ch. 2).  If alpha vanishes mod p across the orbit of k, then
-    alpha_ik lies in every prime above p, so in their product p Z[zeta_t],
-    and p^phi(t) divides N(alpha_ik).  Each conjugate alpha_(i, pi_c k) is
-    at most B in absolute value, as every table value has |X[j][k']| <= d_j
-    and every root of unity has modulus 1.  So |N(alpha_ik)| <= B^phi(t)
-    < p^phi(t), hence alpha_ik = 0.  Conversely alpha_ik = 0 gives
-    alpha = 0 on the whole orbit.  So each verdict is the exact one.
-    """
-    orbits = _equivariant_orbits(table, chi, t)
-    if orbits is None:
-        return None
-    dims = table.dims
-    chi_norm = max(sum(abs(c) for _, c in v.terms()) for v in chi)
-    bound = max(
-        sum(abs(m) * d for m, d in zip(row, dims)) + chi_norm * d_i
-        for row, d_i in zip(quiver.matrix, dims)
-    )
-    p = prime_one_mod(t, bound)
-    x = [residues(row, t, p) for row in table.values]
-    lam = residues(chi, t, p)
-    mx = matmul(quiver.matrix, x, p)
-    holds = [
-        all((s[k] - lam[k] * x_i[k]) % p == 0 for s, x_i in zip(mx, x))
-        for k in range(len(chi))
-    ]
-    verdicts = [False] * len(chi)
-    for orbit in orbits:
-        ok = all(holds[k] for k in orbit)
-        for k in orbit:
-            verdicts[k] = ok
-    return tuple(verdicts)
 
 
 # ---------------------------------------------------------------------------

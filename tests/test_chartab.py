@@ -25,9 +25,9 @@ from mckay3.chartab import (
     tables_match_by_reps,
     verify_orthogonality,
 )
-from mckay3.exactnum import Cyclotomic
+from mckay3.exactnum import Cyclotomic, root
 from mckay3.matgroup import SquareMatrix, closure
-from mckay3.mckay import adjacency, eigenvector_check
+from mckay3.mckay import Quiver, adjacency, eigenvector_check
 from mckay3.modp import kernel_basis, rref
 
 
@@ -196,6 +196,35 @@ def test_adjacency_rejects_non_characters(small_tables):
             adjacency(t, bad)
     with pytest.raises(NonIntegralMultiplicity, match="not an algebraic integer"):
         adjacency(t, halved)
+
+
+def test_adjacency_rejects_a_chi_whose_gram_is_integral():
+    # chi = (2, zeta_3 - 1, zeta_3 - 1) on Z/3 is not Galois-equivariant;
+    # its Gram reads 2|G| I mod p, so every m_ij passes as 2 delta_ij, and
+    # only row 0 giving 2 gamma_0 != chi back rejects it
+    t = dixon_table(build_group(parse_spec("Hmn:3,1")))
+    w = root(1, 3) - 1
+    chi = (Cyclotomic.rational(2, 3), w, w)
+    assert chartab._integer_gram(t, list(chi), 3) == [[6, 0, 0], [0, 6, 0], [0, 0, 6]]
+    with pytest.raises(NonIntegralMultiplicity, match="does not give chi back"):
+        adjacency(t, chi)
+    with pytest.raises(NonIntegralMultiplicity):
+        decompose_product(t, chi)
+
+
+def test_class_functions_need_one_value_per_class(small_tables):
+    t, chi = small_tables["G7"]
+    q = adjacency(t, chi)
+    for table in (t, replace(t, order=t.order)):
+        for bad in (chi[:1], chi[:-1], chi + chi[:1]):
+            for call in (adjacency, decompose_product):
+                with pytest.raises(ValueError, match="values, the table"):
+                    call(table, bad)
+            with pytest.raises(ValueError, match="values, the table"):
+                eigenvector_check(table, q, bad)
+        short = Quiver(q.dims[:-1], tuple(row[:-1] for row in q.matrix[:-1]), q.rep_dim)
+        with pytest.raises(ValueError, match="vertices, the table"):
+            eigenvector_check(table, short, chi)
 
 
 def test_integer_gram_equals_the_exact_gram(small_tables):

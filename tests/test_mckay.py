@@ -222,9 +222,14 @@ def _action_holds(table) -> bool:
 
 
 def test_tables_carry_a_proven_galois_action(small_tables):
+    g = build_group(parse_spec("Hmn:4,5"))
     tables = [t for t, _ in small_tables.values()]
     tables += [abelian_table(m, n) for m, n in ((1, 1), (3, 4), (2, 6))]
+    tables.append(chartab._diagonal_table(g, chartab.conjugacy_classes(g)))
     for t in tables:
+        # `mckay._trivial_row` reads row 0 of a quiver as the decomposition
+        # of chi itself, so gamma_0 must be the trivial character
+        assert all(v == 1 for v in t.values[0])
         assert len(t.power_classes) == t.count
         assert [len(walk) for walk in t.power_classes] == list(t.class_orders)
         for k, walk in enumerate(t.power_classes):
@@ -242,16 +247,17 @@ def test_replaced_table_has_no_galois_action(small_tables):
 
 @pytest.fixture
 def modular(monkeypatch):
-    """One entry per eigenvector check: did the one-prime path decide it?"""
+    """One entry per eigenvector check: did the one-prime path decide it?
+    It does exactly when the table has Galois orbits to read."""
     taken = []
-    real = mckay._eigenvector_check_mod_p
+    real = mckay.galois_orbits
 
-    def spy(*args):
-        out = real(*args)
+    def spy(table):
+        out = real(table)
         taken.append(out is not None)
         return out
 
-    monkeypatch.setattr(mckay, "_eigenvector_check_mod_p", spy)
+    monkeypatch.setattr(mckay, "galois_orbits", spy)
     return taken
 
 
@@ -273,10 +279,11 @@ def test_modular_eigenvector_check_matches_the_termwise_loop(small_tables, modul
     assert any(True in v and False in v for v in seen)
 
 
-def test_chi_swapped_at_conjugate_classes_takes_the_exact_path(small_tables, modular):
-    # a swap inside an orbit of two classes is sigma_-1 on that orbit, which
-    # keeps chi Galois-equivariant, so that one still runs modulo a prime
-    paths = []
+def test_chi_swapped_at_conjugate_classes_fails_modulo_one_prime(small_tables, modular):
+    # a swap inside an orbit of three or more classes breaks Galois
+    # equivariance, one inside an orbit of two is sigma_-1 there; chi is
+    # only compared with row 0 of M X, so both run modulo one prime
+    orbit_sizes = set()
     for t, chi in small_tables.values():
         q = adjacency(t, chi)
         for orbit in chartab.galois_orbits(t):
@@ -288,21 +295,55 @@ def test_chi_swapped_at_conjugate_classes_takes_the_exact_path(small_tables, mod
             bad[k1], bad[k2] = bad[k2], bad[k1]
             modular.clear()
             got = eigenvector_check(t, q, bad)
-            paths.append((len(orbit) > 2, modular[0]))
+            assert modular == [True]
             assert got == _termwise_eigenvector_check(t, q, bad)
             assert not got[k1] and not got[k2]
-    assert (True, False) in paths and (False, True) in paths
+            orbit_sizes.add(len(orbit) > 2)
+    assert orbit_sizes == {True, False}
 
 
-def test_non_integral_chi_takes_the_exact_path(small_tables, modular):
+def test_non_integral_chi_is_decided_modulo_one_prime(small_tables, modular):
+    # chi is never reduced mod p, so a denominator is no obstacle
     t, chi = small_tables["SL2:2T"]
     q = adjacency(t, chi)
     halved = (chi[0],) + tuple(v * Fraction(1, 2) for v in chi[1:])
     modular.clear()
     got = eigenvector_check(t, q, halved)
-    assert modular == [False]
+    assert modular == [True]
     assert got == _termwise_eigenvector_check(t, q, halved)
     assert got[0] and not all(got)
+
+
+def test_modular_eigenvector_check_on_hand_built_quivers(modular):
+    # Z/3 with chi = mu, the trivial row, so only alpha = M X - X diag(mu)
+    # decides.  First quiver: s = (4, 5, 4), alpha at class 0 is (0, 7, 0),
+    # and 7 is the least prime = 1 (mod 3) above max_i s_i = 5; the s_0 d_i
+    # term of the bound lifts p to 13.  Second: p = 13, and at class 1
+    # alpha_2 = 1 - 3 zeta_3 has norm 13, so it lies in one prime above 13,
+    # vanishing mod p at one class of the orbit {1, 2} and not at the other
+    t = dixon_table(build_group(parse_spec("Hmn:3,1")))
+    assert chartab.galois_orbits(t) == [[0], [1, 2]]
+    for mat in (((-3, 0, 1), (1, 3, 1), (1, 0, -3)), ((2, -1, -1), (-2, 1, -2), (-1, -2, -2))):
+        q = Quiver(t.dims, mat, 3)
+        mu = mckay._trivial_row(t, mat[0])
+        modular.clear()
+        assert eigenvector_check(t, q, mu) == (False,) * 3
+        assert modular == [True]
+        assert _termwise_eigenvector_check(t, q, mu) == (False,) * 3
+
+
+def test_certificates_never_apply_galois_to_chi(small_tables, monkeypatch):
+    roster = [pipeline.analyze(spec, 20000) for spec in all_specs()]
+    cases = [(t, chi, adjacency(t, chi)) for t, chi in small_tables.values()]
+    cases += [(an.table, an.chi, an.quiver) for an in roster]
+
+    def refuse(self, t):
+        raise AssertionError("sigma_t applied")
+
+    monkeypatch.setattr(Cyclotomic, "galois", refuse)
+    for t, chi, q in cases:
+        assert adjacency(t, chi) == q
+        assert all(eigenvector_check(t, q, chi))
 
 
 def test_abelian_table_verdicts_match_the_exact_loop(modular):
@@ -350,7 +391,8 @@ def test_adjacency_takes_the_exact_path_only_when_a_premise_fails(small_tables, 
         )
         assert exact_route == [1]
     # chi swapped at two classes of an orbit of three or more is not
-    # Galois-equivariant, so it is no character and the exact path raises
+    # Galois-equivariant, so it is no character: the integer Gram's row 0
+    # does not give it back, and the exact path agrees
     swapped = 0
     for t, chi in small_tables.values():
         for orbit in chartab.galois_orbits(t):
@@ -362,7 +404,9 @@ def test_adjacency_takes_the_exact_path_only_when_a_premise_fails(small_tables, 
             exact_route.clear()
             with pytest.raises(chartab.NonIntegralMultiplicity):
                 adjacency(t, bad)
-            assert exact_route == [1]
+            assert exact_route == []
+            with pytest.raises(chartab.NonIntegralMultiplicity):
+                chartab.decompose_product(t, bad)
             swapped += 1
     assert swapped
 
