@@ -51,11 +51,34 @@ def _short(v) -> str:
 
 
 def _dump_json(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    """`json.dumps(payload, indent=2) + "\n"` byte for byte, rendering each
+    dict, list or tuple object once per depth however often it recurs."""
+    enc = json.encoder.encode_basestring_ascii
+    # Keyed on id(): sound only because `payload` keeps every container alive
+    # until this call returns, so no id can pass to another object meanwhile.
+    memo: dict[tuple[int, int], str] = {}
 
+    def key(k) -> str:
+        # json's own text for a non-str key ("1", "true", "null") and its TypeError
+        return enc(k) if isinstance(k, str) else json.dumps({k: 0})[1:-4]
 
-def _matrix_rows(mat) -> list[list[int]]:
-    return [list(row) for row in mat]
+    def render(o, depth: int) -> str:
+        if isinstance(o, str):
+            return enc(o)
+        if not isinstance(o, (dict, list, tuple)):
+            return json.dumps(o)
+        text = memo.get((id(o), depth))
+        if text is None:
+            if isinstance(o, dict):
+                ends, items = "{}", [f"{key(k)}: {render(v, depth + 1)}" for k, v in o.items()]
+            else:
+                ends, items = "[]", [render(v, depth + 1) for v in o]
+            pad = "\n" + "  " * (depth + 1)
+            body = pad + ("," + pad).join(items) + "\n" + "  " * depth if items else ""
+            text = memo[(id(o), depth)] = ends[0] + body + ends[1]
+        return text
+
+    return render(payload, 0) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +157,11 @@ def _cmd_chartab(args) -> tuple[int, str]:
     spec = catalog.parse_spec(args.group)
     an = pipeline.analyze(spec, args.max_order)
     t = an.table
+    # Each distinct value is rendered once.  Keying on the value is sound since
+    # every value sits at t.conductor (== across two conductors raises).
+    distinct = {v for row in t.values for v in row}
     if args.format == "json":
+        encoded = {v: _enc_cyc(v) for v in distinct}
         payload = {
             "group": {"spec": spec.name, "order": t.order, "conductor": t.conductor},
             "classes": [
@@ -146,11 +173,12 @@ def _cmd_chartab(args) -> tuple[int, str]:
                 for k in range(t.count)
             ],
             "irreps": [{"dim": d} for d in t.dims],
-            "values": [[_enc_cyc(v) for v in row] for row in t.values],
+            "values": [[encoded[v] for v in row] for row in t.values],
         }
         return 0, _dump_json(payload)
-    cells = [[_short(v) for v in row] for row in t.values]
-    width = max(4, max(len(c) for row in cells for c in row))
+    short = {v: _short(v) for v in distinct}
+    cells = [[short[v] for v in row] for row in t.values]
+    width = max(4, max(map(len, short.values())))
     head = [
         f"# {spec.name}: order {t.order}, {t.count} classes, "
         f"entries in Q(zeta_{t.conductor})",
@@ -209,7 +237,7 @@ def _cmd_cartan(args) -> tuple[int, str]:
         payload = {
             "group": spec.name,
             "requested": args.print,
-            "matrix": _matrix_rows(chosen),
+            "matrix": chosen,
             "report": report,
         }
         return 0, _dump_json(payload)

@@ -176,6 +176,51 @@ def test_out_writes_identical_bytes(tmp_path, capsys):
     assert first.read_bytes() == second.read_bytes()
 
 
+_SHARED = {"a": [1, 2], "b": {}}
+
+_PAYLOADS = {
+    "empty dict": {},
+    "empty list": [],
+    "nested empties": {"d": {}, "l": [], "in": [{}, [], [[]]]},
+    "tuples": (1, (2, (3,)), (), [()]),
+    "constants": [None, True, False],
+    "ints": [-7, 0, 10**40, -(10**40)],
+    "floats": [0.1, 1e20, -0.0, float("nan"), float("inf"), -float("inf")],
+    "strings": ['"', "\\", "\n", "\u00e9", "\u2028", 'a"b\\c\nd \u00e9\u2028'],
+    "shared dict": {"x": _SHARED, "y": _SHARED, "deeper": [_SHARED]},
+    "non-str keys": [{1: "one"}, {True: "yes"}, {None: "none", 2.5: "half"}],
+    "top-level scalar": "\u00e9",
+}
+
+
+@pytest.mark.parametrize("payload", list(_PAYLOADS.values()), ids=list(_PAYLOADS))
+def test_dump_json_is_json_dumps_indent_2(payload):
+    assert cli._dump_json(payload) == json.dumps(payload, indent=2) + "\n"
+
+
+_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+_json_like = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text() | st.integers() | st.none(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(_json_like)
+@settings(max_examples=200, deadline=None)
+def test_dump_json_matches_json_dumps_on_random_payloads(payload):
+    assert cli._dump_json(payload) == json.dumps(payload, indent=2) + "\n"
+
+
+def test_dump_json_rejects_a_set_as_json_dumps_does():
+    with pytest.raises(TypeError):
+        json.dumps({"s": [{1}]}, indent=2)
+    with pytest.raises(TypeError):
+        cli._dump_json({"s": [{1}]})
+
+
 def test_unwritable_out_exits_2(tmp_path):
     target = tmp_path / "missing" / "x.json"
     proc = subprocess.run(
