@@ -305,6 +305,10 @@ def dixon_table(
             placed[k2] = True
         orbits.append((k, dft, members))
 
+    # a term tuple is lifted once, and equal values from different term
+    # tuples are merged on (num, den), so each value is one shared object
+    lifts: dict[tuple[tuple[int, int], ...], Cyclotomic] = {}
+    shared: dict[tuple[tuple[int, ...], int], Cyclotomic] = {}
     lifted: list[tuple[int, tuple[Cyclotomic, ...]]] = []
     for d, chi in rows_mod:
         vals: list = [None] * r  # every class is in one orbit
@@ -320,7 +324,12 @@ def dixon_table(
                 )
             step = e // o
             for k2, a in members.items():
-                vals[k2] = root_sum(e, ((step * a * t, m) for t, m in enumerate(mu) if m))
+                terms = tuple((step * a * t, m) for t, m in enumerate(mu) if m)
+                v = lifts.get(terms)
+                if v is None:
+                    v = root_sum(e, terms)
+                    v = lifts[terms] = shared.setdefault((v._num, v._den), v)
+                vals[k2] = v
         lifted.append((d, tuple(vals)))
     flat = [v for _, vals in lifted for v in vals]
     if residues(flat, e, p) != [c for _, chi in rows_mod for c in chi]:
@@ -333,7 +342,8 @@ def dixon_table(
     if len(trivial) != 1:
         raise OrthogonalityFailure("trivial character missing or duplicated")
     rest = [row for row in lifted if row is not trivial[0]]
-    rest.sort(key=lambda row: (row[0], tuple(v.encode() for v in row[1])))
+    codes = {id(v): v.encode() for v in shared.values()}  # shared keeps ids valid
+    rest.sort(key=lambda row: (row[0], tuple([codes[id(v)] for v in row[1]])))
     ordered = trivial + rest
 
     table = with_galois_action(CharacterTable(

@@ -8,7 +8,8 @@ reproducible across runs and platforms.
 
 The walk is exact and runs on rows: row i of x*g is (row i of x)*g, so each
 distinct row met is multiplied by each generator once, and an element is the
-tuple of its row ids (see `closure`).
+tuple of its row ids; each product or sum of two entry values is computed
+once (see `closure`).
 
 The walk records the Cayley graph it computes anyway: for each generator g
 the permutation x -> x*g of element indices, and the breadth-first tree.
@@ -163,9 +164,11 @@ def closure(generators, max_order: int = 20000) -> "FiniteMatrixGroup":
     and that orbit is usually far smaller than the group (G12: 270 rows for
     1080 elements).  Each distinct row gets an id and its byte key, and a
     memo holds the id of row*g, so each distinct row is multiplied by each
-    generator exactly once, one exact `dot` per entry.  An element is the
-    tuple of its row ids.  Entries are in canonical form, so two matrices
-    are equal exactly when their row-id tuples are, and the walk is exact.
+    generator exactly once.  A row is a tuple of value ids, and the entries
+    of row*g are folded from memoised products and sums of two values, so
+    each distinct pair is multiplied or added once.  An element is the tuple
+    of its row ids.  Entries are in canonical form, so two matrices are
+    equal exactly when their row-id tuples are, and the walk is exact.
     """
     gens = list(generators)
     if not gens:
@@ -180,34 +183,69 @@ def closure(generators, max_order: int = 20000) -> "FiniteMatrixGroup":
         if g.det().is_zero():
             raise SingularMatrix("generator is singular")
 
-    columns = [tuple(zip(*g.rows)) for g in gens]
-    rows: list[tuple[Cyclotomic, ...]] = []
+    # Entries are interned: values[v] has the value id v, keyed in
+    # value_ids by its canonical data (num, den), and id 0 is zero.  Every
+    # entry is canonical at the one conductor, so equal (num, den) is equal
+    # value; each memo entry products[a, b] or sums[a, b] is therefore the
+    # exact product or sum of values[a] and values[b], computed once with
+    # Cyclotomic * and +.  An entry of row*g is the left fold of
+    # plus(acc, times(row[i], g[i][j])), the exact value `dot` gives, so the
+    # rows, keys and Cayley graph are those of one `dot` per entry.
+    values: list[Cyclotomic] = []
+    value_ids: dict[tuple[tuple[int, ...], int], int] = {}
+    products: dict[tuple[int, int], int] = {}
+    sums: dict[tuple[int, int], int] = {}
+
+    def value_id(v: Cyclotomic) -> int:
+        i = value_ids.setdefault((v._num, v._den), len(values))
+        if i == len(values):
+            values.append(v)
+        return i
+
+    value_id(Cyclotomic.rational(0, conductor))
+    columns = [[tuple(map(value_id, col)) for col in zip(*g.rows)] for g in gens]
+    rows: list[tuple[int, ...]] = []
+    row_values: list[tuple[Cyclotomic, ...]] = []  # shared by the elements
     row_keys: list[bytes] = []
-    row_ids: dict[bytes, int] = {}
+    row_ids: dict[tuple[int, ...], int] = {}
+    encodings: dict[int, bytes] = {}  # each value encoded once, in a row
     # step[pos][r]: the id of rows[r] * gens[pos], once it is computed
     step: list[list[int | None]] = [[] for _ in gens]
 
-    def row_id(row: tuple[Cyclotomic, ...]) -> int:
-        key = b"|".join([e.encode() for e in row])
-        r = row_ids.get(key)
+    def row_id(row: tuple[int, ...]) -> int:
+        r = row_ids.get(row)
         if r is None:
-            r = row_ids[key] = len(rows)
+            r = row_ids[row] = len(rows)
             rows.append(row)
-            row_keys.append(key)
+            row_values.append(tuple([values[v] for v in row]))
+            encodings.update((v, values[v].encode()) for v in row if v not in encodings)
+            row_keys.append(b"|".join([encodings[v] for v in row]))
             for memo in step:
                 memo.append(None)
         return r
 
-    def times(r: int, pos: int) -> int:
+    def row_times(r: int, pos: int) -> int:
         y = step[pos][r]
         if y is None:
-            row = rows[r]
-            y = step[pos][r] = row_id(tuple([dot(row, col) for col in columns[pos]]))
+            row, out = rows[r], []
+            for col in columns[pos]:
+                acc = 0
+                for a, b in zip(row, col):
+                    if a and b:  # times(0, b) = times(a, 0) = 0
+                        c = products.get((a, b))
+                        if c is None:
+                            c = products[a, b] = value_id(values[a] * values[b])
+                        s = sums.get((acc, c)) if acc else c  # plus(0, c) = c
+                        if s is None:
+                            s = sums[acc, c] = value_id(values[acc] + values[c])
+                        acc = s
+                out.append(acc)
+            y = step[pos][r] = row_id(tuple(out))
         return y
 
     head = b"%d/%d" % (dim, conductor)
     identity = SquareMatrix.identity(dim, conductor)
-    one = tuple(row_id(r) for r in identity.rows)
+    one = tuple(row_id(tuple(map(value_id, r))) for r in identity.rows)
     elements: list[SquareMatrix] = [identity]
     index: dict[bytes, int] = {identity.key(): 0}
     found: dict[tuple[int, ...], int] = {one: 0}
@@ -219,7 +257,7 @@ def closure(generators, max_order: int = 20000) -> "FiniteMatrixGroup":
         fresh, hits = {}, [[] for _ in gens]
         for x, ids in frontier:
             for pos, level_hits in enumerate(hits):
-                y = tuple([times(r, pos) for r in ids])
+                y = tuple([row_times(r, pos) for r in ids])
                 level_hits.append(found.get(y, y))  # an index once y is known
                 if y not in found and y not in fresh:
                     fresh[y] = (x, pos)
@@ -238,7 +276,7 @@ def closure(generators, max_order: int = 20000) -> "FiniteMatrixGroup":
             # so the element skips the constructor's promotion pass
             m = object.__new__(SquareMatrix)
             m.dim, m.conductor, m._key = dim, conductor, k
-            m.rows = tuple([rows[r] for r in y])
+            m.rows = tuple([row_values[r] for r in y])
             index[k] = found[y] = len(elements)
             frontier.append((len(elements), y))
             elements.append(m)

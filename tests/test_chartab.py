@@ -257,6 +257,14 @@ def test_adjacency_names_the_entry_decompose_product_names(small_tables):
         assert str(modular.value) == str(exact.value)
 
 
+@pytest.mark.parametrize("name", ["Gm3:12", "G12"])
+def test_dixon_lift_shares_one_object_per_value(name):
+    # Gm3:12 has 3136 cells over 31 distinct values
+    table = dixon_table(build_group(parse_spec(name)))
+    values = [v for row in table.values for v in row]
+    assert len({id(v) for v in values}) == len(set(values)) < len(values)
+
+
 def test_failed_orthogonality_certificate_raises(monkeypatch):
     monkeypatch.setattr(chartab, "_orthogonal_mod_prime", lambda table: False)
     with pytest.raises(OrthogonalityFailure, match="mod p'"):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from mckay3 import matgroup
 from mckay3.catalog import build_group, generators, parse_spec
 from mckay3.chartab import conjugacy_classes, dixon_table
-from mckay3.exactnum import ConductorMismatch, root
+from mckay3.exactnum import ConductorMismatch, Cyclotomic, root
 from mckay3.matgroup import (
     FiniteMatrixGroup,
     OrderBoundExceeded,
@@ -251,6 +251,8 @@ def _assert_exact_walk(group, gens):
         "G5",
         "G8",
         "G10",
+        "G11",
+        "G12",
         "SL2:2I",
         "Hmn:3,5",
         "Gm3:6",
@@ -291,12 +293,14 @@ def test_a_denominator_closes_exactly():
     _assert_exact_walk(group, gens)
 
 
-def test_closure_takes_one_dot_per_row_and_generator(monkeypatch):
-    # each distinct row is multiplied by each generator once, entry by entry,
-    # and no element is built by a matrix product
+def test_closure_multiplies_each_value_pair_once(monkeypatch):
+    # no element is built by a matrix product or a dot, and each distinct
+    # pair of a row entry and a generator entry is multiplied at most once
+    # (the bound also covers the generators' determinants)
     gens = generators(parse_spec("G12"))
-    dots, products = [], []
+    dots, products, value_products = [], [], []
     dot, product = matgroup.dot, SquareMatrix.__mul__
+    value_product = Cyclotomic.__mul__
 
     def counted_dot(xs, ys):
         dots.append(1)
@@ -306,11 +310,31 @@ def test_closure_takes_one_dot_per_row_and_generator(monkeypatch):
         products.append(1)
         return product(self, other)
 
+    def counted_value_product(self, other):
+        value_products.append(1)
+        return value_product(self, other)
+
     monkeypatch.setattr(matgroup, "dot", counted_dot)
     monkeypatch.setattr(SquareMatrix, "__mul__", counted_product)
+    monkeypatch.setattr(Cyclotomic, "__mul__", counted_value_product)
     group = closure(gens)
     rows = {r for m in group.elements for r in m.rows}
+    row_values = {v for r in rows for v in r}
+    gen_values = {v for g in gens for r in g.rows for v in r}
     assert group.order == 1080
     assert len(rows) == 270
-    assert len(dots) == group.dim * len(gens) * len(rows) == 3240
+    assert dots == []
     assert products == []
+    assert len(value_products) <= len(row_values) * len(gen_values)
+
+
+def test_closure_memo_stays_small():
+    # G10 has 504 elements and 504 rows over 85 distinct entry values
+    gens = generators(parse_spec("G10"))
+    tracemalloc.start()
+    try:
+        assert closure(gens).order == 504
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 2**20
