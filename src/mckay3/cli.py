@@ -15,14 +15,18 @@ payloads are byte deterministic; elapsed-time fields are the only exception
 and are clearly named (elapsedMs).
 
 The analysis itself lives in `pipeline`; this module only parses
-arguments, formats payloads and maps errors to exit codes.
+arguments, formats payloads and maps errors to exit codes.  One option table,
+`_COMMANDS`, declares every command and flag: `_parse` reads a plain command
+line (exact long flags, each once, each value the next token) off it
+directly, and anything else goes to the argparse parser `_build_parser` makes
+from the same table, so argparse alone writes help and usage errors.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+import types
 
 from . import catalog, mckay, pipeline
 from .catalog import CatalogError, SpecError
@@ -306,70 +310,102 @@ def _cmd_verify(args) -> tuple[int, str]:
 # ---------------------------------------------------------------------------
 # argument wiring
 
+# The one option table: command -> (function, help, options), each option a
+# long flag and its add_argument keywords; "one_of" marks verify's required
+# choice of exactly one of --group and --all.
+_GROUP = ("--group", {"required": True})
 
-def _build_parser() -> argparse.ArgumentParser:
+
+def _common(*formats):
+    """--format (its default the first choice), --out and --max-order."""
+    return (
+        ("--format", {"choices": formats, "default": formats[0]}),
+        ("--out", {"help": "write the payload to this file"}),
+        ("--max-order", {"type": int, "default": 20000,
+                         "help": "abort closure beyond this many elements (default 20000)"}),
+    )
+
+
+_COMMANDS = {
+    "list": (_cmd_list, "spec grammar and catalog types",
+             (("--format", {"choices": ("text", "json"), "default": "text"}), ("--out", {}))),
+    "info": (_cmd_info, "order, exponent, classes, dims", (_GROUP, *_common("text", "json"))),
+    "chartab": (_cmd_chartab, "character table", (_GROUP, *_common("text", "json"))),
+    "quiver": (_cmd_quiver, "the quiver as DOT or JSON", (_GROUP, *_common("dot", "json"))),
+    "cartan": (_cmd_cartan, "adjacency / pre-Cartan / Cartan matrix",
+               (_GROUP, ("--print", {"choices": ("M", "B", "A"), "default": "A"}),
+                *_common("text", "json", "csv"))),
+    "verify": (_cmd_verify, "run all structural checks",
+               (("--group", {"one_of": True}),
+                ("--all", {"one_of": True, "action": "store_true", "default": False}),
+                ("--max-m", {"type": int, "default": 6,
+                             "help": "parameter bound for the parametric families under --all"}),
+                *_common("text", "json"))),
+}
+
+
+def _build_parser():
+    """The argparse parser for `_COMMANDS`: the author of help and usage errors."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="mckay",
         description="character tables, quivers and Cartan matrices of the "
         "catalog of finite SL3(C) subgroups",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, formats, default_format):
-        p.add_argument("--format", choices=formats, default=default_format)
-        p.add_argument("--out", help="write the payload to this file")
-        p.add_argument(
-            "--max-order",
-            type=int,
-            default=20000,
-            help="abort closure beyond this many elements (default 20000)",
-        )
-
-    p = sub.add_parser("list", help="spec grammar and catalog types")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_list)
-
-    p = sub.add_parser("info", help="order, exponent, classes, dims")
-    p.add_argument("--group", required=True)
-    common(p, ("text", "json"), "text")
-    p.set_defaults(func=_cmd_info)
-
-    p = sub.add_parser("chartab", help="character table")
-    p.add_argument("--group", required=True)
-    common(p, ("text", "json"), "text")
-    p.set_defaults(func=_cmd_chartab)
-
-    p = sub.add_parser("quiver", help="the quiver as DOT or JSON")
-    p.add_argument("--group", required=True)
-    common(p, ("dot", "json"), "dot")
-    p.set_defaults(func=_cmd_quiver)
-
-    p = sub.add_parser("cartan", help="adjacency / pre-Cartan / Cartan matrix")
-    p.add_argument("--group", required=True)
-    p.add_argument("--print", choices=("M", "B", "A"), default="A")
-    common(p, ("text", "json", "csv"), "text")
-    p.set_defaults(func=_cmd_cartan)
-
-    p = sub.add_parser("verify", help="run all structural checks")
-    target = p.add_mutually_exclusive_group(required=True)
-    target.add_argument("--group")
-    target.add_argument("--all", action="store_true")
-    p.add_argument(
-        "--max-m",
-        type=int,
-        default=6,
-        help="parameter bound for the parametric families under --all",
-    )
-    common(p, ("text", "json"), "text")
-    p.set_defaults(func=_cmd_verify)
-
+    for name, (func, help_text, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        one_of = None
+        for flag, kw in options:
+            kw = dict(kw)
+            if kw.pop("one_of", False):
+                one_of = one_of or p.add_mutually_exclusive_group(required=True)
+                one_of.add_argument(flag, **kw)
+            else:
+                p.add_argument(flag, **kw)
+        p.set_defaults(func=func)
     return parser
 
 
+def _parse(argv):
+    """argparse's namespace for argv, read off `_COMMANDS`; None (argparse
+    must parse) unless argv is a command and exact long flags of it, each once,
+    each value the next token, not starting with "-" and valid, with every
+    required flag given."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    func, _, options = _COMMANDS[argv[0]]
+    table, given, tokens = dict(options), {}, iter(argv[1:])
+    for flag in tokens:
+        kw = table.get(flag)
+        if kw is None or flag in given:
+            return None
+        if kw.get("action") == "store_true":
+            given[flag] = True
+            continue
+        value = next(tokens, "-")
+        if value.startswith("-"):
+            return None
+        try:
+            value = given[flag] = kw.get("type", str)(value)
+        except ValueError:
+            return None
+        if value not in kw.get("choices", (value,)):
+            return None
+    one_of = [flag for flag, kw in options if kw.get("one_of")]
+    if one_of and sum(flag in given for flag in one_of) != 1:
+        return None
+    if any(kw.get("required") and flag not in given for flag, kw in options):
+        return None
+    return types.SimpleNamespace(command=argv[0], func=func, **{
+        flag[2:].replace("-", "_"): given.get(flag, kw.get("default")) for flag, kw in options
+    })
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parse(argv) or _build_parser().parse_args(argv)
     try:
         code, payload = args.func(args)
     except SpecError as exc:

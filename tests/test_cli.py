@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -61,6 +62,112 @@ def test_missing_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+_USAGE_PINS = json.loads(Path(__file__).with_name("usage_texts.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11),
+    reason="texts pinned on Python 3.11; argparse words help and errors differently in other releases",
+)
+@pytest.mark.parametrize("pin", _USAGE_PINS, ids=lambda pin: " ".join(pin["argv"]) or "(none)")
+def test_help_and_usage_errors_match_the_pinned_texts(pin, monkeypatch, capsys):
+    """argparse still writes every help text and usage error: exit code,
+    stdout and stderr as `main` printed them before the direct parse (with
+    COLUMNS=80, which sets argparse's wrap width)."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(pin["argv"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out, err) == (pin["code"], pin["stdout"], pin["stderr"])
+
+
+_INTS = ["20", "+3", " 7", "\u0663", "ten"]
+_VALUES = ["G7", "Hmn:2,2", "", "out.json"]
+_ODD_TOKENS = [
+    "--gr", "--form", "--max", "--group=G7", "--format=json", "-h", "--help", "--", "--bogus",
+    "--group", "--all", "--print", "--max-m", "G7", "-1", "ten", "", "xml", "Z", "csv",
+]
+
+
+@st.composite
+def _argvs(draw):
+    """A command line drawn from the option table (each flag or not, a
+    required one mostly, in any order, each with a value of its kind, which
+    may fail its type or choices), then up to
+    two edits, each replacing or inserting an odd token: an abbreviated,
+    `=`-form, help or repeated flag, another command's flag, `--`, or a bad
+    value.  The first token may be no command at all."""
+    command = draw(st.sampled_from([*cli._COMMANDS, "frobnicate", "-h", ""]))
+    options = dict(cli._COMMANDS[command][2]) if command in cli._COMMANDS else {}
+    argv = [command]
+    for flag in draw(st.permutations(list(options))):
+        kw = options[flag]
+        if draw(st.sampled_from((True, True, True, False) if kw.get("required") else (True, False))):
+            argv.append(flag)
+            if kw.get("action") != "store_true":
+                if "choices" in kw:
+                    argv.append(draw(st.sampled_from([*kw["choices"], "xml"])))
+                else:
+                    argv.append(draw(st.sampled_from(_INTS if "type" in kw else _VALUES)))
+    for _ in range(draw(st.sampled_from((0, 0, 1, 2)))):
+        at = draw(st.integers(1, len(argv)))
+        odd = draw(st.sampled_from(_ODD_TOKENS))
+        if at < len(argv) and draw(st.booleans()):
+            argv[at] = odd
+        else:
+            argv.insert(at, odd)
+    return argv
+
+
+@given(_argvs() | st.just([]))
+@settings(max_examples=400, deadline=None)
+def test_direct_parse_is_argparse_wherever_it_answers(argv):
+    ns = cli._parse(argv)
+    if ns is None:
+        return  # argparse parses it in `main`
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            expected = vars(cli._build_parser().parse_args(argv))
+        except SystemExit:  # argparse refuses what the direct parse accepted
+            expected = None
+    assert vars(ns) == expected
+
+
+@pytest.mark.parametrize("line", [
+    "list",
+    "list --format json --out list.json",
+    "info --group G8 --format json --max-order 100",
+    "chartab --group G7 --format json",
+    "quiver --group G5 --format dot --out g5.dot",
+    "cartan --group Hmn:2,2 --print M --format csv",
+    "verify --group G7",
+    "verify --all --max-m 6 --format json",
+])
+def test_readme_forms_take_the_direct_parse(line):
+    argv = line.split()
+    ns = cli._parse(argv)
+    assert ns is not None
+    assert vars(ns) == vars(cli._build_parser().parse_args(argv))
+
+
+def test_plain_argv_never_imports_argparse():
+    """The benchmark's argv is parsed from the option table alone.  A silent
+    fall-back to argparse (and the `locale` import its messages pull in)
+    would cost every call milliseconds while every payload stayed the same."""
+    script = (
+        "import contextlib, io, sys\n"
+        "from mckay3 import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(['verify', '--group', 'G7', '--format', 'json']),\n"
+        "             cli.main(['chartab', '--group', 'G12', '--format', 'json'])]\n"
+        "print(codes, sorted({'argparse', 'locale'} & set(sys.modules)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert proc.stdout == "[0, 0] []\n", proc.stderr
 
 
 def test_order_bound_exits_3(capsys):
