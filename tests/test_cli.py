@@ -73,9 +73,9 @@ _USAGE_PINS = json.loads(Path(__file__).with_name("usage_texts.json").read_text(
 )
 @pytest.mark.parametrize("pin", _USAGE_PINS, ids=lambda pin: " ".join(pin["argv"]) or "(none)")
 def test_help_and_usage_errors_match_the_pinned_texts(pin, monkeypatch, capsys):
-    """argparse still writes every help text and usage error: exit code,
-    stdout and stderr as `main` printed them before the direct parse (with
-    COLUMNS=80, which sets argparse's wrap width)."""
+    """argparse writes every help text and usage error: exit code, stdout
+    and stderr equal the pinned texts (taken with COLUMNS=80, which sets
+    argparse's wrap width)."""
     monkeypatch.setenv("COLUMNS", "80")
     with pytest.raises(SystemExit) as exc:
         main(pin["argv"])
@@ -94,11 +94,11 @@ _ODD_TOKENS = [
 @st.composite
 def _argvs(draw):
     """A command line drawn from the option table (each flag or not, a
-    required one mostly, in any order, each with a value of its kind, which
-    may fail its type or choices), then up to
-    two edits, each replacing or inserting an odd token: an abbreviated,
-    `=`-form, help or repeated flag, another command's flag, `--`, or a bad
-    value.  The first token may be no command at all."""
+    required one mostly, in any order, each with a value of its kind that may
+    fail its type or choices), then up to two edits, each replacing or
+    inserting an odd token: an abbreviated, `=`-form, help or repeated flag,
+    another command's flag, `--`, or a bad value.  The first token may be no
+    command at all."""
     command = draw(st.sampled_from([*cli._COMMANDS, "frobnicate", "-h", ""]))
     options = dict(cli._COMMANDS[command][2]) if command in cli._COMMANDS else {}
     argv = [command]
