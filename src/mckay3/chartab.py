@@ -6,9 +6,9 @@ over a prime field F_p with p = 1 (mod exponent) and p^2 > 4|G|, read off the
 modular characters, then lift each value to an exact cyclotomic integer by a
 discrete Fourier transform over the value's own order, one transform per
 Galois orbit of classes.  The diagonalization splits each invariant subspace
-into the eigenlines of one class matrix, reading every simple root's line off
-one shared Krylov basis, with the kernel of A - lambda as the fallback
-(`_split_subspace`).  The lift makes the table Galois-equivariant by
+into the eigenlines of one sparse class matrix: not at all where the matrix is
+scalar, else off one shared Krylov basis, with the kernel of A - lambda as the
+fallback (`_split_subspace`).  The lift makes the table Galois-equivariant by
 construction, so its orthogonality relations are rational integers of known
 size, and `dixon_table` decides them exactly modulo one prime before it
 returns; a table that comes back is correct, not heuristically likely.  The
@@ -29,14 +29,16 @@ same order on every run.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from math import gcd, isqrt, lcm
-from operator import mul
+from operator import add, mul
 
 from .exactnum import Cyclotomic, dot, residues, root, root_sum
 from .matgroup import FiniteMatrixGroup, SquareMatrix
 from .modp import (
-    charpoly, gram, horner, kernel_basis, matmul, prime_one_mod, root_of_unity, rref
+    charpoly, gram, horner, kernel_basis, matmul, prime_one_mod, root_of_unity, rref,
+    sparse_matmul,
 )
 
 
@@ -105,20 +107,20 @@ def conjugacy_classes(group: FiniteMatrixGroup) -> ConjugacyClassSet:
 
 def class_constants(
     group: FiniteMatrixGroup, classes: ConjugacyClassSet
-) -> list[list[list[int]]]:
-    """a[i][j][k] = number of pairs (x, y) in C_i x C_j with x*y = rep(C_k).
-
-    Built from one row z*w (over all w) per class: for a fixed target z,
-    every w in G contributes the unique pair (z*w, w^-1).
+) -> list[list[list[tuple[int, int]]]]:
+    """The class matrices by sparse columns: m[j][k] lists the pairs
+    (i, a_ijk) with a_ijk != 0, a_ijk the number of pairs (x, y) in C_i x C_j
+    with x*y = rep(C_k).  Built from one row z*w (over all w) per class: for
+    a fixed target z, every w in G gives the pair (z*w, w^-1), keyed r*j + i.
     """
     r = classes.count
-    a = [[[0] * r for _ in range(r)] for _ in range(r)]
-    class_of = classes.class_of
-    inverse_class_of = [classes.inverse_class[c] for c in class_of]
+    m: list[list[list[tuple[int, int]]]] = [[[] for _ in range(r)] for _ in range(r)]
+    offset = [r * classes.inverse_class[c] for c in classes.class_of]
     for k, z in enumerate(classes.reps):
-        for w, zw in enumerate(group.left(z)):
-            a[class_of[zw]][inverse_class_of[w]][k] += 1
-    return a
+        keys = Counter(map(add, offset, map(classes.class_of.__getitem__, group.left(z))))
+        for key, count in keys.items():
+            m[key // r][k].append((key % r, count))
+    return m
 
 
 @dataclass(frozen=True)
@@ -227,23 +229,18 @@ def dixon_table(
     e = lcm(*classes.orders)
 
     p = prime_one_mod(e, isqrt(4 * n))  # p^2 > 4|G|
-    a = class_constants(group, classes)
+    m = class_constants(group, classes)
 
-    # split F_p^r under the commuting class matrices M_j[i][k] = a[j][i][k]
+    # split F_p^r under the class matrices M_j[i][k] = a_ijk, as v |-> v*m[j]
     subspaces: list[list[list[int]]] = [
         [[1 if c == i else 0 for c in range(r)] for i in range(r)]
     ]
     for j in range(1, r):
         if all(len(w) == 1 for w in subspaces):
             break
-        # stored so that row-vector action v |-> v*mj realizes u |-> M_j u
-        mj = [[a[j][i][k] % p for i in range(r)] for k in range(r)]
         refined: list[list[list[int]]] = []
         for w in subspaces:
-            if len(w) == 1:
-                refined.append(w)
-                continue
-            refined.extend(_split_subspace(w, mj, p))
+            refined.extend(_split_subspace(w, m[j], p) if len(w) > 1 else [w])
         subspaces = refined
     if any(len(w) != 1 for w in subspaces):
         raise OrthogonalityFailure("class matrices failed to separate characters")
@@ -502,26 +499,33 @@ def _diagonal_table(
 
 
 def _split_subspace(
-    w: list[list[int]], mj: list[list[int]], p: int
+    basis: list[list[int]], mj: list[list[tuple[int, int]]], p: int
 ) -> list[list[list[int]]]:
     """Split an invariant subspace into eigenspaces of one class matrix.
 
-    Let A be the class matrix restricted to the span of w, in coordinates of
-    its RREF basis, f its characteristic polynomial, of degree d, and v = e_0.
-    The Krylov vectors v, Av, ..., A^(d-1) v are built once.  A root lambda
-    with f'(lambda) != 0 takes the line g(A)v, with g = f/(x - lambda) from
-    `horner`, at O(d^2) per root; f'(lambda) = g(lambda), as f = g*(x -
-    lambda).  A repeated root, or a simple one whose vector is zero, takes
+    basis is in RREF (the identity rows, or a chunk an earlier call
+    reduced), so its pivots are the first nonzero of each row.  Let A be mj
+    on the span of basis, f its characteristic polynomial, of degree d, and
+    v = e_0.  A = lambda*I returns [basis]; else the Krylov vectors v, Av,
+    ..., A^(d-1) v are built once.  A root lambda with f'(lambda) != 0
+    takes the line g(A)v, with g = f/(x - lambda) from `horner`, at O(d^2)
+    per root.  A repeated root, or a simple one whose vector is zero, takes
     the kernel of A - lambda.
 
-    Proof.  By Cayley-Hamilton, (A - lambda) g(A)v = f(A)v = 0.  A simple
-    root has a 1-dimensional eigenspace, so a nonzero g(A)v spans it, and
-    each chunk is the RREF of the same line that the kernel gives.
+    Proof.  lambda*I has f = (x - lambda)^d; its one eigenspace is the span.
+    Any other A has two roots or more: the class algebra mod p is F_p^r.
+    Coordinates passing coords.basis = images are A's in any independent
+    basis, so a non-RREF basis can only raise.  As f = g*(x - lambda),
+    f'(lambda) = g(lambda) and, by Cayley-Hamilton, (A - lambda) g(A)v =
+    f(A)v = 0.  A simple root has a 1-dimensional eigenspace, so a nonzero
+    g(A)v spans it, and each chunk is the RREF of the line the kernel gives.
     """
-    basis, pivots = rref(w, p)
-    images = matmul(basis, mj, p)
-    # coordinates of each image against the RREF basis
-    coords = [[img[c] for c in pivots] for img in images]
+    pivots = [row.index(next(filter(None, row))) for row in basis]
+    images = sparse_matmul(basis, mj, p)
+    lam = images[0][pivots[0]]
+    if images == [[lam * x % p for x in row] for row in basis]:
+        return [basis]  # A = lam*I: f = (x - lam)^d has one root, so no split
+    coords = [[img[c] for c in pivots] for img in images]  # against the RREF basis
     if matmul(coords, basis, p) != images:  # the image must lie in the span
         raise OrthogonalityFailure("class matrix does not preserve subspace")
     # column convention: restricted[u][t] = coord u of the image of basis t
@@ -530,8 +534,6 @@ def _split_subspace(
     # ascending, so the refinement order is reproducible
     divided = (horner(poly, lam, p) for lam in range(p))
     roots = [(lam, q) for lam, (value, q) in enumerate(divided) if value == 0]
-    if len(roots) <= 1:
-        return [basis]
     # as rows: A^(i+1) v = A^i v . coords
     krylov = [[1] + [0] * (len(basis) - 1)]
     while len(krylov) < len(basis):

@@ -121,6 +121,19 @@ def matmul(a: list[list[int]], b: list[list[int]], p: int) -> list[list[int]]:
     return out
 
 
+def sparse_matmul(a: list[list[int]], b: list[list[tuple]], p: int) -> list[list[int]]:
+    """a.b mod p, row k of the square b given by its (column, value) pairs."""
+    out = []
+    for row in a:
+        acc = [0] * len(b)
+        for c, b_row in zip(row, b):
+            if c:
+                for i, v in b_row:
+                    acc[i] += c * v
+        out.append([s % p for s in acc])
+    return out
+
+
 def gram(
     x: list[list[int]], w: list[int], sizes: tuple[int, ...], inv: tuple[int, ...], p: int
 ) -> list[list[int]]:

@@ -2,6 +2,7 @@
 tables of diagonal groups read off their coordinate characters."""
 
 import sys
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from math import lcm
@@ -292,15 +293,20 @@ def test_lift_pins_each_column_to_its_modular_character(monkeypatch):
         dixon_table(build_group(parse_spec("Hmn:3,1")))
 
 
+def _sparse(mat):
+    """A dense matrix in the (column, value) row form of `class_constants`."""
+    return [[(i, a) for i, a in enumerate(row) if a] for row in mat]
+
+
 def test_split_rejects_a_class_matrix_that_moves_the_subspace():
     # the swap of the two coordinates sends the line through (1, 0) off itself
     with pytest.raises(OrthogonalityFailure, match="does not preserve subspace"):
-        chartab._split_subspace([[1, 0]], [[0, 1], [1, 0]], 7)
+        chartab._split_subspace([[1, 0]], _sparse([[0, 1], [1, 0]]), 7)
 
 
 def test_split_takes_the_kernel_when_the_krylov_vector_vanishes():
     # e_0 is already the eigenvector for 1, so (A - 1) e_0 = 0 is no line for 2
-    lines = chartab._split_subspace([[1, 0], [0, 1]], [[1, 0], [0, 2]], 7)
+    lines = chartab._split_subspace([[1, 0], [0, 1]], _sparse([[1, 0], [0, 2]]), 7)
     assert lines == [[[1, 0]], [[0, 1]]]
 
 
@@ -317,7 +323,7 @@ def test_split_matches_the_kernels_at_a_repeated_root():
         ]
         expected.append(rref(kernel_basis(shifted, p), p)[0])
     identity = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    assert chartab._split_subspace(identity, mj, p) == expected
+    assert chartab._split_subspace(identity, _sparse(mj), p) == expected
     assert [len(chunk) for chunk in expected] == [2, 1]
 
 
@@ -333,6 +339,66 @@ def test_split_takes_simple_roots_from_the_krylov_basis(monkeypatch, spec, kerne
     monkeypatch.setattr(chartab, "kernel_basis", counted)
     dixon_table(build_group(parse_spec(spec)))
     assert len(calls) == kernels
+
+
+@pytest.mark.parametrize("spec", ["G7", "Gm3:3", "SL2:binD:2"])
+def test_class_constants_count_the_products_on_each_representative(spec):
+    # brute force over C_i x C_j with the word product, one entry per nonzero
+    group = build_group(parse_spec(spec))
+    classes = conjugacy_classes(group)
+    target = {rep: k for k, rep in enumerate(classes.reps)}
+    counts = Counter()
+    for x in range(group.order):
+        for y in range(group.order):
+            k = target.get(group.mul(x, y))
+            if k is not None:
+                counts[classes.class_of[x], classes.class_of[y], k] += 1
+    m = chartab.class_constants(group, classes)
+    listed = [
+        (i, j, k, a) for j, cols in enumerate(m) for k, col in enumerate(cols) for i, a in col
+    ]
+    assert sorted(listed) == sorted((*key, a) for key, a in counts.items())
+
+
+def test_split_receives_every_subspace_in_rref(monkeypatch):
+    # `_split_subspace` reads the pivots off the first nonzero of each row
+    split = chartab._split_subspace
+    bases = []
+
+    def recorded(basis, mj, p):
+        bases.append((basis, p))
+        return split(basis, mj, p)
+
+    monkeypatch.setattr(chartab, "_split_subspace", recorded)
+    groups = [build_group(spec) for spec in all_specs()]
+    dixon = [g for g in groups if not is_diagonal(g)]
+    assert len(dixon) == 29
+    for g in dixon:
+        dixon_table(g)
+    assert bases
+    assert all(basis == rref(basis, p)[0] for basis, p in bases)
+
+
+def test_split_takes_the_charpoly_only_where_it_splits(monkeypatch):
+    # a restricted class matrix lambda*I returns before its charpoly
+    split, charpoly = chartab._split_subspace, chartab.charpoly
+    polys, runs = [], []
+
+    def counted_charpoly(mat, p):
+        polys.append(len(mat))
+        return charpoly(mat, p)
+
+    def counted_split(basis, mj, p):
+        before = len(polys)
+        chunks = split(basis, mj, p)
+        runs.append((len(polys) - before, len(chunks)))
+        return chunks
+
+    monkeypatch.setattr(chartab, "charpoly", counted_charpoly)
+    monkeypatch.setattr(chartab, "_split_subspace", counted_split)
+    dixon_table(build_group(parse_spec("Gm3:12")))
+    assert all(n == (chunks >= 2) for n, chunks in runs)
+    assert (len(runs), len(polys)) == (157, 10)
 
 
 def test_orthogonality_catches_tampering(s3_table):

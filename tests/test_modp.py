@@ -118,13 +118,13 @@ def _with_zero_row(draw, rows, width, entry):
 
 
 @st.composite
-def _products(draw):
+def _products(draw, square=False):
     p = draw(_PRIMES)
     n, m, k = draw(st.integers(0, 5)), draw(st.integers(1, 5)), draw(st.integers(1, 6))
     entry = st.one_of(st.just(0), st.integers(-3 * p, 3 * p))
     a = _with_zero_row(draw, n, m - 1, entry)
     a = [row + [draw(entry)] for row in a]  # a is (n+1) x m
-    b = _with_zero_row(draw, m - 1, k, entry)  # b is m x k
+    b = _with_zero_row(draw, m - 1, m if square else k, entry)  # b is m x k, or m x m
     return a, b, p
 
 
@@ -137,6 +137,14 @@ def test_matmul_matches_the_triple_loop(case):
         for i in range(len(a))
     ]
     assert modp.matmul(a, b, p) == naive
+
+
+@given(_products(square=True))
+@settings(max_examples=80, deadline=None)
+def test_sparse_matmul_matches_the_dense_product(case):
+    a, b, p = case
+    rows = [[(j, v) for j, v in enumerate(row) if v] for row in b]
+    assert modp.sparse_matmul(a, rows, p) == modp.matmul(a, b, p)
 
 
 @given(
