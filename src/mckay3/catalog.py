@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .chartab import CharacterTable, with_galois_action
+from .chartab import CharacterTable
 from .exactnum import Cyclotomic, common_conductor, root, sqrt_constant
 from .matgroup import (
     FiniteMatrixGroup,
@@ -757,11 +757,11 @@ def abelian_table(m: int, n: int) -> CharacterTable:
         lcm(m // gcd(i, m), n // gcd(j, n)) for (i, j) in labels
     )
     inverse = tuple(pos[((-i) % m, (-j) % n)] for (i, j) in labels)
-    powers = (
-        [pos[(s * i % m, s * j % n)] for s in range(o)]
+    powers = tuple(
+        tuple(pos[(s * i % m, s * j % n)] for s in range(o))
         for (i, j), o in zip(labels, orders)
     )
-    return with_galois_action(CharacterTable(
+    return CharacterTable(
         conductor=cond,
         order=m * n,
         dims=(1,) * (m * n),
@@ -769,5 +769,6 @@ def abelian_table(m: int, n: int) -> CharacterTable:
         class_sizes=(1,) * (m * n),
         class_orders=orders,
         inverse_class=inverse,
+        power_classes=powers,
         class_reps=reps,
-    ), powers)
+    )

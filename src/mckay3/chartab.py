@@ -14,7 +14,6 @@ size, and `dixon_table` decides them exactly modulo one prime before it
 returns; a table that comes back is correct, not heuristically likely.  The
 same integer Gram matrix, weighted by a character, is |G| times the quiver
 that `mckay.adjacency` reads off it (`_integer_gram`).
-`verify_orthogonality` is the exact check for a table built any other way.
 
 A group whose generators are all diagonal (`is_diagonal`) has a shorter
 route, which `pipeline.Analysis` takes: `_diagonal_table` reads every
@@ -30,7 +29,7 @@ same order on every run.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd, isqrt, lcm
 from operator import add, mul
 
@@ -139,32 +138,22 @@ class CharacterTable:
     class_sizes: tuple[int, ...]
     class_orders: tuple[int, ...]
     inverse_class: tuple[int, ...]
-    class_reps: tuple[SquareMatrix, ...] | None = None
     # the Galois action: power_classes[k][s] is the class of rep_k^s for
-    # s < o_k, so pi_a k = power_classes[k][a mod o_k].  Only a constructor
-    # that proves X[i][pi_a k] = sigma_a X[i][k], with every value in
-    # Z[zeta_e] and |X[i][k]| <= d_i, sets it (`with_galois_action`); a
-    # `dataclasses.replace` copy comes back without it.
-    power_classes: tuple[tuple[int, ...], ...] | None = field(
-        default=None, init=False, compare=False, repr=False
-    )
+    # s < o_k, so pi_a k = power_classes[k][a mod o_k].  Each constructor
+    # proves X[i][pi_a k] = sigma_a X[i][k], with every value in Z[zeta_e]
+    # and |X[i][k]| <= d_i; a `dataclasses.replace` copy keeps the field, so
+    # a copy with altered values asserts an action it may not have.
+    power_classes: tuple[tuple[int, ...], ...]
+    class_reps: tuple[SquareMatrix, ...] | None = None
 
     @property
     def count(self) -> int:
         return len(self.dims)
 
 
-def with_galois_action(table: CharacterTable, power_classes) -> CharacterTable:
-    """The table, with its proven Galois action stored; see `power_classes`."""
-    object.__setattr__(table, "power_classes", tuple(map(tuple, power_classes)))
-    return table
-
-
-def galois_orbits(table: CharacterTable) -> list[list[int]] | None:
+def galois_orbits(table: CharacterTable) -> list[list[int]]:
     """The orbits {pi_a k : a a unit mod o_k} of the classes, each listed
-    once, ascending; None for a table without the Galois action."""
-    if table.power_classes is None:
-        return None
+    once, ascending."""
     orbits: list[list[int]] = []
     placed: set[int] = set()
     for k, walk in enumerate(table.power_classes):
@@ -343,7 +332,7 @@ def dixon_table(
     rest.sort(key=lambda row: (row[0], tuple([codes[id(v)] for v in row[1]])))
     ordered = trivial + rest
 
-    table = with_galois_action(CharacterTable(
+    table = CharacterTable(
         conductor=e,
         order=n,
         dims=tuple(d for d, _ in ordered),
@@ -351,8 +340,9 @@ def dixon_table(
         class_sizes=classes.sizes,
         class_orders=classes.orders,
         inverse_class=classes.inverse_class,
+        power_classes=tuple(map(tuple, power_classes)),
         class_reps=tuple(group.elements[g] for g in classes.reps),
-    ), power_classes)
+    )
     if not _orthogonal_mod_prime(table):
         raise OrthogonalityFailure("orthogonality relations fail mod p'")
     return table
@@ -363,8 +353,7 @@ def _orthogonal_mod_prime(table: CharacterTable) -> bool:
     action: the shared `_exact_table_checks` (inv an involution preserving
     class sizes, each size dividing n = |G|, sum d^2 = n, X[i][0] = d_i),
     then R = X.D.Y^T = n*I by `_integer_gram` with chi = 1, so c = 1; as
-    n < p/2, R and n*I agree exactly when their residues do.  Other tables
-    take `verify_orthogonality`."""
+    n < p/2, R and n*I agree exactly when their residues do."""
     n, r, e = table.order, table.count, table.conductor
     identity = [[n if i == j else 0 for j in range(r)] for i in range(r)]
     ones = [Cyclotomic.rational(1, e)] * r
@@ -479,11 +468,7 @@ def _diagonal_table(
     walk[1:] = sorted(walk[1:], key=lambda row: [keys[t] for t in row])
 
     class_of = {coords: k for k, coords in enumerate(zip(*x))}
-    power_classes = [
-        [class_of[tuple([s * c % e for c in coords])] for s in range(o)]
-        for coords, o in zip(zip(*x), classes.orders)
-    ]
-    table = with_galois_action(CharacterTable(
+    table = CharacterTable(
         conductor=e,
         order=n,
         dims=(1,) * r,
@@ -491,8 +476,12 @@ def _diagonal_table(
         class_sizes=classes.sizes,
         class_orders=classes.orders,
         inverse_class=classes.inverse_class,
+        power_classes=tuple(
+            tuple(class_of[tuple([s * c % e for c in coords])] for s in range(o))
+            for coords, o in zip(zip(*x), classes.orders)
+        ),
         class_reps=tuple(reps),
-    ), power_classes)
+    )
     if not _exact_table_checks(table):
         raise OrthogonalityFailure("the diagonal table fails its exact checks")
     return table
@@ -531,15 +520,22 @@ def _split_subspace(
     # column convention: restricted[u][t] = coord u of the image of basis t
     restricted = list(zip(*coords))
     poly = charpoly(restricted, p)
+    # f(lam) by value alone, and `horner` divides out only the roots;
     # ascending, so the refinement order is reproducible
-    divided = (horner(poly, lam, p) for lam in range(p))
-    roots = [(lam, q) for lam, (value, q) in enumerate(divided) if value == 0]
+    descending, roots = poly[::-1], []
+    for lam in range(p):
+        value = 0
+        for coef in descending:
+            value = (value * lam + coef) % p
+        if value == 0:
+            roots.append(lam)
     # as rows: A^(i+1) v = A^i v . coords
     krylov = [[1] + [0] * (len(basis) - 1)]
     while len(krylov) < len(basis):
         krylov += matmul(krylov[-1:], coords, p)
     grouped: list[list[list[int]]] = []
-    for lam, q in roots:
+    for lam in roots:
+        q = horner(poly, lam, p)[1]
         line = matmul([q], krylov, p)
         if not horner(q, lam, p)[0] or not any(line[0]):  # q(lam) = f'(lam)
             shifted = [

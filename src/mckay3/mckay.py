@@ -20,9 +20,9 @@ from math import lcm
 
 from .chartab import (
     CharacterTable, NonIntegralMultiplicity, _check_class_function, _integer_gram,
-    decompose_product, galois_orbits,
+    galois_orbits,
 )
-from .exactnum import Cyclotomic, dot, residues
+from .exactnum import Cyclotomic, residues
 from .modp import integer_charpoly, matmul, prime_one_mod
 
 
@@ -49,16 +49,16 @@ def adjacency(table: CharacterTable, chi=None) -> Quiver:
     chi defaults to the trace of the stored class representatives, i.e. the
     natural (defining) representation.  A chi without one value per class
     raises ValueError; a chi(1) that is not a degree, or a value that is not
-    an algebraic integer, raises NonIntegralMultiplicity.  On a table with
-    its Galois action, M = `chartab._integer_gram` / |G|: the first m_ij
-    that is not a nonnegative integer raises, as in `decompose_product`,
-    and so does a row 0 that does not give chi back (`_trivial_row`).
-    Proof: a character is Galois-equivariant, so R = |G| M is exact and,
-    gamma_0 being trivial, row 0 gives chi back; an equivariant chi that is
-    no character has an exact m_ij that is not a nonnegative integer (else
-    chi = sum_j m_0j gamma_j would be one).  Conversely, nonnegative
-    integers m_0j with chi = sum_j m_0j gamma_j make chi a character, so M
-    is exact.  A table without the action takes `decompose_product`.
+    an algebraic integer, raises NonIntegralMultiplicity.  M is
+    `chartab._integer_gram` / |G|, read with the table's Galois action: the
+    first m_ij that is not a nonnegative integer raises, as in
+    `chartab.decompose_product`, and so does a row 0 that does not give chi
+    back (`_trivial_row`).  Proof: a character is Galois-equivariant, so
+    R = |G| M is exact and, gamma_0 being trivial, row 0 gives chi back; an
+    equivariant chi that is no character has an exact m_ij that is not a
+    nonnegative integer (else chi = sum_j m_0j gamma_j would be one).
+    Conversely, nonnegative integers m_0j with chi = sum_j m_0j gamma_j make
+    chi a character, so M is exact.
     """
     if chi is None:
         if table.class_reps is None:
@@ -71,8 +71,6 @@ def adjacency(table: CharacterTable, chi=None) -> Quiver:
     for v in chi:
         if any(type(c) is not int for _, c in v.terms()):
             raise NonIntegralMultiplicity(f"chi value {v} is not an algebraic integer")
-    if table.power_classes is None:
-        return Quiver(table.dims, tuple(map(tuple, decompose_product(table, chi))), int(n))
     t = lcm(table.conductor, *(v.conductor for v in chi))
     chi_t = [v.promote(t) for v in chi]
     order = table.order
@@ -89,9 +87,9 @@ def adjacency(table: CharacterTable, chi=None) -> Quiver:
 
 def _trivial_row(table: CharacterTable, row) -> list[Cyclotomic]:
     """mu_k = sum_j row[j] X[j][k] at the table's conductor, over the nonzero
-    row[j] only.  Every constructor that sets the Galois action puts the
-    trivial character at row 0, so for row = M[0], mu is the class function
-    that row 0 of the quiver decomposes: m_0j = <chi gamma_0, gamma_j>."""
+    row[j] only.  Every table constructor puts the trivial character at
+    row 0, so for row = M[0], mu is the class function that row 0 of the
+    quiver decomposes: m_0j = <chi gamma_0, gamma_j>."""
     zero = Cyclotomic.rational(0, table.conductor)
     terms = [(m, table.values[j]) for j, m in enumerate(row) if m]
     return [sum((m * x[k] for m, x in terms), zero) for k in range(table.count)]
@@ -186,13 +184,13 @@ def eigenvector_check(table: CharacterTable, quiver: Quiver, chi) -> tuple[bool,
     """Per-class test that each table column p_k = (gamma_i(C_k))_i satisfies
     M p_k = chi(C_k) p_k exactly, the same as B p_k = (n - chi(C_k)) p_k.
 
-    chi and M need one value and one vertex per class, else ValueError.  On
-    a table with its Galois action, every constructor of which puts the
-    trivial character at row 0, row 0 of M X is mu = `_trivial_row` of M[0],
-    so class k passes when mu_k = chi(C_k), compared exactly at the lcm of
-    the conductors, and M p_k = mu_k p_k, decided modulo one prime:
-    chi is never reduced, so neither its integrality nor its equivariance
-    is a premise.  Let alpha_ik = (M X)_ik - mu_k X[i][k] in Z[zeta_e], e the
+    chi and M need one value and one vertex per class, else ValueError.
+    Every table constructor puts the trivial character at row 0, so row 0
+    of M X is mu = `_trivial_row` of M[0], and class k passes when
+    mu_k = chi(C_k), compared exactly at the lcm of the conductors, and
+    M p_k = mu_k p_k, decided modulo one prime with the table's Galois
+    action: chi is never reduced, so neither its integrality nor its
+    equivariance is a premise.  Let alpha_ik = (M X)_ik - mu_k X[i][k] in Z[zeta_e], e the
     table's conductor, s_i = sum_j |m_ij| d_j, B = max_i (s_i + s_0 d_i),
     and map zeta_e -> z modulo the least prime p = 1 (mod e) above B
     (`exactnum.residues`).  M p_k = mu_k p_k is taken to hold when
@@ -209,46 +207,27 @@ def eigenvector_check(table: CharacterTable, quiver: Quiver, chi) -> tuple[bool,
     absolute value.  So |N(alpha_ik)| <= B^phi(e) < p^phi(e), hence
     alpha_ik = 0.  Conversely alpha_ik = 0 gives alpha = 0 on the whole
     orbit.  So each verdict is the exact one.
-
-    A table without the action takes the exact loop against chi, each row
-    sum over the nonzero m_ij only; a row with none sums to 0.
     """
     _check_class_function(table, chi)
     if quiver.count != table.count:
         raise ValueError(f"the quiver has {quiver.count} vertices, the table {table.count}")
     target = lcm(table.conductor, *(v.conductor for v in chi))
-    chi_p = [v.promote(target) for v in chi]
-    orbits = galois_orbits(table)
-    if orbits is not None:
-        e, dims = table.conductor, table.dims
-        s = [sum(abs(m) * d for m, d in zip(row, dims)) for row in quiver.matrix]
-        p = prime_one_mod(e, max(s_i + s[0] * d_i for s_i, d_i in zip(s, dims)))
-        x = [residues(row, e, p) for row in table.values]
-        mx = matmul(quiver.matrix, x, p)
-        holds = [
-            all((mx_i[k] - mx[0][k] * x_i[k]) % p == 0 for mx_i, x_i in zip(mx, x))
-            for k in range(len(chi))
-        ]
-        mu = _trivial_row(table, quiver.matrix[0])
-        verdicts = [False] * len(chi)
-        for orbit in orbits:
-            ok = all(holds[k] for k in orbit)
-            for k in orbit:
-                verdicts[k] = ok and mu[k].promote(target) == chi_p[k]
-        return tuple(verdicts)
-    cols = list(zip(*([v.promote(target) for v in row] for row in table.values)))
-    support = [[j for j, m in enumerate(row) if m] for row in quiver.matrix]
-    m = [
-        [Cyclotomic.rational(row[j], target) for j in js]
-        for row, js in zip(quiver.matrix, support)
+    e, dims = table.conductor, table.dims
+    s = [sum(abs(m) * d for m, d in zip(row, dims)) for row in quiver.matrix]
+    p = prime_one_mod(e, max(s_i + s[0] * d_i for s_i, d_i in zip(s, dims)))
+    x = [residues(row, e, p) for row in table.values]
+    mx = matmul(quiver.matrix, x, p)
+    holds = [
+        all((mx_i[k] - mx[0][k] * x_i[k]) % p == 0 for mx_i, x_i in zip(mx, x))
+        for k in range(len(chi))
     ]
-    return tuple(
-        all(
-            (dot(m_i, [p_k[j] for j in js]) if js else 0) == lam * p_k[i]
-            for i, (m_i, js) in enumerate(zip(m, support))
-        )
-        for p_k, lam in zip(cols, chi_p)
-    )
+    mu = _trivial_row(table, quiver.matrix[0])
+    verdicts = [False] * len(chi)
+    for orbit in galois_orbits(table):
+        ok = all(holds[k] for k in orbit)
+        for k in orbit:
+            verdicts[k] = ok and mu[k].promote(target) == chi[k].promote(target)
+    return tuple(verdicts)
 
 
 # ---------------------------------------------------------------------------

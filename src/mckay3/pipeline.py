@@ -73,11 +73,11 @@ class Analysis:
         closed under the Galois group.  Otherwise the polynomial is
         computed from A alone.
         """
-        orbits = chartab.galois_orbits(self.table) if all(self.eigen) else None
-        if orbits is None:
+        if not all(self.eigen):
             return mckay.psd_check(self.a)
         chi, inv = self.chi, self.table.inverse_class
         lam = [2 * self.quiver.rep_dim - chi[k] - chi[inv[k]] for k in range(len(chi))]
+        orbits = chartab.galois_orbits(self.table)
         return mckay.psd_check(self.a, [[lam[k] for k in orbit] for orbit in orbits])
 
     @cached_property

@@ -216,16 +216,15 @@ def test_adjacency_rejects_a_chi_whose_gram_is_integral():
 def test_class_functions_need_one_value_per_class(small_tables):
     t, chi = small_tables["G7"]
     q = adjacency(t, chi)
-    for table in (t, replace(t, order=t.order)):
-        for bad in (chi[:1], chi[:-1], chi + chi[:1]):
-            for call in (adjacency, decompose_product):
-                with pytest.raises(ValueError, match="values, the table"):
-                    call(table, bad)
+    for bad in (chi[:1], chi[:-1], chi + chi[:1]):
+        for call in (adjacency, decompose_product):
             with pytest.raises(ValueError, match="values, the table"):
-                eigenvector_check(table, q, bad)
-        short = Quiver(q.dims[:-1], tuple(row[:-1] for row in q.matrix[:-1]), q.rep_dim)
-        with pytest.raises(ValueError, match="vertices, the table"):
-            eigenvector_check(table, short, chi)
+                call(t, bad)
+        with pytest.raises(ValueError, match="values, the table"):
+            eigenvector_check(t, q, bad)
+    short = Quiver(q.dims[:-1], tuple(row[:-1] for row in q.matrix[:-1]), q.rep_dim)
+    with pytest.raises(ValueError, match="vertices, the table"):
+        eigenvector_check(t, short, chi)
 
 
 def test_integer_gram_equals_the_exact_gram(small_tables):
@@ -413,6 +412,7 @@ def test_orthogonality_catches_tampering(s3_table):
         class_sizes=t.class_sizes,
         class_orders=t.class_orders,
         inverse_class=t.inverse_class,
+        power_classes=t.power_classes,
         class_reps=t.class_reps,
     )
     assert not verify_orthogonality(broken)
@@ -427,6 +427,7 @@ def _fake_table(dims, rows, sizes, inverse_class):
         class_sizes=sizes,
         class_orders=(1, 2),
         inverse_class=inverse_class,
+        power_classes=((0,), (0, 1)),
     )
 
 
@@ -532,8 +533,7 @@ def test_dixon_agrees_with_the_diagonal_table():
     for g in diagonal:
         classes = conjugacy_classes(g)
         table, reference = _diagonal_table(g, classes), dixon_table(g, classes)
-        assert table == reference
-        assert table.power_classes == reference.power_classes
+        assert table == reference  # Galois action included
 
 
 def _refuse_everywhere(monkeypatch, fn):

@@ -6,7 +6,6 @@ import json
 import re
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -417,25 +416,24 @@ def test_tampered_quiver_fails_every_derived_check(monkeypatch, capsys, fresh_an
 
 
 def test_verify_certifies_the_quiver_without_exact_dot(monkeypatch, fresh_analysis):
-    # the table carries its Galois action, so adjacency reads the quiver
-    # off the integer Gram matrix, the one eigenvector pass (for
-    # eigenvectorProp) runs modulo one prime and dualTranspose is read off
-    # it; the same check on a copy of the table without the action is one
-    # exact dot per (class, row)
+    # adjacency reads the quiver off the integer Gram matrix, the one
+    # eigenvector pass (for eigenvectorProp) runs modulo one prime and
+    # dualTranspose is read off it; the exact decomposition, whose `_gram`
+    # is the one certificate code that binds `dot`, gives the same quiver
+    # at one exact dot per pair of rows
     calls = []
-    real = mckay.dot
+    real = chartab.dot
 
     def counted(xs, ys):
         calls.append(1)
         return real(xs, ys)
 
-    monkeypatch.setattr(mckay, "dot", counted)
+    monkeypatch.setattr(chartab, "dot", counted)
     report = pipeline.verify(catalog.parse_spec("Hmn:2,2"), 20000)
     assert report["checks"]["eigenvectorProp"] == "pass"
     assert calls == []
     an = pipeline.analyze(catalog.parse_spec("Hmn:2,2"), 20000)
-    bare = replace(an.table, order=an.table.order)
-    assert mckay.eigenvector_check(bare, an.quiver, an.chi) == an.eigen
+    assert [list(row) for row in an.quiver.matrix] == chartab.decompose_product(an.table, an.chi)
     assert len(calls) == report["classCount"] ** 2
 
 
