@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from math import gcd, isqrt, lcm
 from operator import add, mul
 
@@ -317,8 +318,8 @@ def dixon_table(
                     v = lifts[terms] = shared.setdefault((v._num, v._den), v)
                 vals[k2] = v
         lifted.append((d, tuple(vals)))
-    flat = [v for _, vals in lifted for v in vals]
-    if residues(flat, e, p) != [c for _, chi in rows_mod for c in chi]:
+    flat = chain.from_iterable(vals for _, vals in lifted)
+    if residues(flat, e, p) != list(chain.from_iterable(chi for _, chi in rows_mod)):
         raise OrthogonalityFailure(
             "lifted values do not reduce to their modular characters"
         )
@@ -329,7 +330,7 @@ def dixon_table(
         raise OrthogonalityFailure("trivial character missing or duplicated")
     rest = [row for row in lifted if row is not trivial[0]]
     codes = {id(v): v.encode() for v in shared.values()}  # shared keeps ids valid
-    rest.sort(key=lambda row: (row[0], tuple([codes[id(v)] for v in row[1]])))
+    rest.sort(key=lambda row: (row[0], tuple(map(codes.__getitem__, map(id, row[1])))))
     ordered = trivial + rest
 
     table = CharacterTable(
@@ -380,9 +381,17 @@ def _integer_gram(table: CharacterTable, chi, t: int) -> list[list[int]]:
     """
     c = max(sum(abs(a) for _, a in v.terms()) for v in chi)
     p = prime_one_mod(t, 2 * table.order * c * max(table.dims) ** 2)
-    x = [residues(row, t, p) for row in table.values]
+    x = _residue_rows(table, t, p)
     g = gram(x, residues(chi, t, p), table.class_sizes, table.inverse_class, p)
     return [[v - p if 2 * v > p else v for v in row] for row in g]
+
+
+def _residue_rows(table: CharacterTable, t: int, p: int) -> list[list[int]]:
+    """The rows of the table mapped to F_p by `exactnum.residues`, zeta_t ->
+    z, all in one call, so each distinct value object is mapped once."""
+    flat = residues(chain.from_iterable(table.values), t, p)
+    r = table.count
+    return [flat[i : i + r] for i in range(0, len(flat), r)]
 
 
 # ---------------------------------------------------------------------------
@@ -465,14 +474,14 @@ def _diagonal_table(
 
     roots = [root(t, e) for t in range(e)]
     keys = [v.encode() for v in roots]
-    walk[1:] = sorted(walk[1:], key=lambda row: [keys[t] for t in row])
+    walk[1:] = sorted(walk[1:], key=lambda row: list(map(keys.__getitem__, row)))
 
     class_of = {coords: k for k, coords in enumerate(zip(*x))}
     table = CharacterTable(
         conductor=e,
         order=n,
         dims=(1,) * r,
-        values=tuple(tuple([roots[t] for t in row]) for row in walk),
+        values=tuple(tuple(map(roots.__getitem__, row)) for row in walk),
         class_sizes=classes.sizes,
         class_orders=classes.orders,
         inverse_class=classes.inverse_class,

@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import sys
 import types
+from collections import defaultdict
 
 from . import catalog, mckay, pipeline
 from .catalog import CatalogError, SpecError
@@ -56,11 +57,16 @@ def _short(v) -> str:
 
 def _dump_json(payload) -> str:
     """`json.dumps(payload, indent=2) + "\n"` byte for byte, rendering each
-    dict, list or tuple object once per depth however often it recurs."""
+    object of the payload once per depth however often it recurs.
+
+    memos[d] maps id(o) to the text of o at depth d, and a container looks
+    its items up there before it recurses into them.  Keyed on id(): sound
+    only because `payload` keeps every object in it alive until this call
+    returns, so no id can pass to another object meanwhile.  A text is
+    never empty, so a miss is the only falsy lookup.
+    """
     enc = json.encoder.encode_basestring_ascii
-    # Keyed on id(): sound only because `payload` keeps every container alive
-    # until this call returns, so no id can pass to another object meanwhile.
-    memo: dict[tuple[int, int], str] = {}
+    memos: defaultdict[int, dict[int, str]] = defaultdict(dict)
 
     def key(k) -> str:
         # json's own text for a non-str key ("1", "true", "null") and its TypeError
@@ -68,18 +74,21 @@ def _dump_json(payload) -> str:
 
     def render(o, depth: int) -> str:
         if isinstance(o, str):
-            return enc(o)
-        if not isinstance(o, (dict, list, tuple)):
-            return json.dumps(o)
-        text = memo.get((id(o), depth))
-        if text is None:
+            text = enc(o)
+        elif not isinstance(o, (dict, list, tuple)):
+            text = json.dumps(o)
+        else:
+            down = depth + 1
+            sub = memos[down]
             if isinstance(o, dict):
-                ends, items = "{}", [f"{key(k)}: {render(v, depth + 1)}" for k, v in o.items()]
+                ends = "{}"
+                items = [f"{key(k)}: {sub.get(id(v)) or render(v, down)}" for k, v in o.items()]
             else:
-                ends, items = "[]", [render(v, depth + 1) for v in o]
-            pad = "\n" + "  " * (depth + 1)
+                ends, items = "[]", [sub.get(id(v)) or render(v, down) for v in o]
+            pad = "\n" + "  " * down
             body = pad + ("," + pad).join(items) + "\n" + "  " * depth if items else ""
-            text = memo[(id(o), depth)] = ends[0] + body + ends[1]
+            text = ends[0] + body + ends[1]
+        memos[depth][id(o)] = text
         return text
 
     return render(payload, 0) + "\n"
@@ -158,14 +167,18 @@ def _cmd_info(args) -> tuple[int, str]:
 
 
 def _cmd_chartab(args) -> tuple[int, str]:
+    """The table as JSON or text.  Each distinct value object is encoded or
+    printed once, collected by id(), so no value is hashed; t.values holds
+    every value until this call returns, so no id is reused.  A table whose
+    equal values are distinct objects renders each of them, to equal text."""
     spec = catalog.parse_spec(args.group)
     an = pipeline.analyze(spec, args.max_order)
     t = an.table
-    # Each distinct value is rendered once.  Keying on the value is sound since
-    # every value sits at t.conductor (== across two conductors raises).
-    distinct = {v for row in t.values for v in row}
+    distinct = {}
+    for row in t.values:
+        distinct.update(zip(map(id, row), row))
     if args.format == "json":
-        encoded = {v: _enc_cyc(v) for v in distinct}
+        encoded = {k: _enc_cyc(v) for k, v in distinct.items()}
         payload = {
             "group": {"spec": spec.name, "order": t.order, "conductor": t.conductor},
             "classes": [
@@ -177,12 +190,12 @@ def _cmd_chartab(args) -> tuple[int, str]:
                 for k in range(t.count)
             ],
             "irreps": [{"dim": d} for d in t.dims],
-            "values": [[encoded[v] for v in row] for row in t.values],
+            "values": [list(map(encoded.__getitem__, map(id, row))) for row in t.values],
         }
         return 0, _dump_json(payload)
-    short = {v: _short(v) for v in distinct}
-    cells = [[short[v] for v in row] for row in t.values]
+    short = {k: _short(v) for k, v in distinct.items()}
     width = max(4, max(map(len, short.values())))
+    cells = {k: s.rjust(width) for k, s in short.items()}
     head = [
         f"# {spec.name}: order {t.order}, {t.count} classes, "
         f"entries in Q(zeta_{t.conductor})",
@@ -190,9 +203,8 @@ def _cmd_chartab(args) -> tuple[int, str]:
         "# elem order   " + " ".join(str(o).rjust(width) for o in t.class_orders),
     ]
     body = [
-        f"chi{i} (dim {t.dims[i]}): ".ljust(15)
-        + " ".join(c.rjust(width) for c in cells[i])
-        for i in range(t.count)
+        f"chi{i} (dim {d}): ".ljust(15) + " ".join(map(cells.__getitem__, map(id, row)))
+        for i, (d, row) in enumerate(zip(t.dims, t.values))
     ]
     return 0, "\n".join(head + body) + "\n"
 

@@ -145,20 +145,28 @@ def residues(values, n: int, p: int) -> list[int]:
     algebraic integer, which in canonical form means denominator 1 (the
     power basis is an integral basis of Z[zeta_c]); any other value raises
     ValueError.
+
+    Each distinct value object is mapped once per call, so a table whose
+    equal values share one object (every table constructor's) costs its
+    distinct values plus C-level lookups.  The memo is keyed by id(v), and
+    `values` is first copied into a list that holds every v until the call
+    returns, so no id can pass to another object meanwhile, even when the
+    iterable creates its values as temporaries.
     """
     z_pows = [1] * n
     z = root_of_unity(p, n)
     for k in range(1, n):
         z_pows[k] = z_pows[k - 1] * z % p
-    out = []
-    for v in values:
+    values = list(values)
+    image = dict(zip(map(id, values), values))
+    for key, v in image.items():
         if v._den != 1:
             raise ValueError(f"{v} is not an algebraic integer")
         if n % v.conductor:
             raise NotAMultiple(f"{n} is not a multiple of {v.conductor}")
         step = n // v.conductor
-        out.append(sum(c * z_pows[k * step] for k, c in enumerate(v._num) if c) % p)
-    return out
+        image[key] = sum(c * z_pows[k * step] for k, c in enumerate(v._num) if c) % p
+    return list(map(image.__getitem__, map(id, values)))
 
 
 class Cyclotomic:

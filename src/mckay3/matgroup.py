@@ -121,20 +121,24 @@ class SquareMatrix:
         return t
 
     def det(self) -> Cyclotomic:
-        n = self.dim
-        if n == 1:
-            return self.rows[0][0]
-        if n == 2:
-            (a, b), (c, d) = self.rows
-            return a * d - b * c
-        total = Cyclotomic.rational(0, self.conductor)
-        for j in range(n):
-            minor = SquareMatrix(
-                [r[:j] + r[j + 1 :] for r in self.rows[1:]]
-            )
-            term = self.rows[0][j] * minor.det()
-            total = total + term if j % 2 == 0 else total - term
-        return total
+        """Laplace expansion along the first row, read off the row tuples
+        through the list of columns still in play, so no minor is built."""
+
+        def expand(i: int, cols: tuple[int, ...]) -> Cyclotomic:
+            row = self.rows[i]
+            if len(cols) == 1:
+                return row[cols[0]]
+            if len(cols) == 2:
+                j, k = cols
+                below = self.rows[i + 1]
+                return row[j] * below[k] - row[k] * below[j]
+            total = Cyclotomic.rational(0, self.conductor)
+            for pos, j in enumerate(cols):
+                term = row[j] * expand(i + 1, cols[:pos] + cols[pos + 1 :])
+                total = total + term if pos % 2 == 0 else total - term
+            return total
+
+        return expand(0, tuple(range(self.dim)))
 
     def __str__(self) -> str:
         return "[" + "; ".join(

@@ -20,9 +20,9 @@ from math import lcm
 
 from .chartab import (
     CharacterTable, NonIntegralMultiplicity, _check_class_function, _integer_gram,
-    galois_orbits,
+    _residue_rows, galois_orbits,
 )
-from .exactnum import Cyclotomic, residues
+from .exactnum import Cyclotomic
 from .modp import integer_charpoly, matmul, prime_one_mod
 
 
@@ -193,7 +193,7 @@ def eigenvector_check(table: CharacterTable, quiver: Quiver, chi) -> tuple[bool,
     equivariance is a premise.  Let alpha_ik = (M X)_ik - mu_k X[i][k] in Z[zeta_e], e the
     table's conductor, s_i = sum_j |m_ij| d_j, B = max_i (s_i + s_0 d_i),
     and map zeta_e -> z modulo the least prime p = 1 (mod e) above B
-    (`exactnum.residues`).  M p_k = mu_k p_k is taken to hold when
+    (`chartab._residue_rows`).  M p_k = mu_k p_k is taken to hold when
     alpha_ic = 0 mod p for every i at every class c of k's Galois orbit.
 
     Proof.  m_ij is an integer and X[j][pi_a k] = sigma_a X[j][k], so
@@ -215,7 +215,7 @@ def eigenvector_check(table: CharacterTable, quiver: Quiver, chi) -> tuple[bool,
     e, dims = table.conductor, table.dims
     s = [sum(abs(m) * d for m, d in zip(row, dims)) for row in quiver.matrix]
     p = prime_one_mod(e, max(s_i + s[0] * d_i for s_i, d_i in zip(s, dims)))
-    x = [residues(row, e, p) for row in table.values]
+    x = _residue_rows(table, e, p)
     mx = matmul(quiver.matrix, x, p)
     holds = [
         all((mx_i[k] - mx[0][k] * x_i[k]) % p == 0 for mx_i, x_i in zip(mx, x))

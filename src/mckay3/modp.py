@@ -141,10 +141,31 @@ def gram(
 
     With w = 1 this is |G| times the inner products of the rows; with w the
     residues of a character chi, it is |G| <chi x_i, x_j>.
+
+    Packed columns.  With u_i = w o x_i and f_j[k] = |C_k| x_j[inv k], both
+    reduced to [0, p), column k of the f_j is packed into one integer
+    F_k = sum_j f_j[k] 2^(bj), b the least multiple of 8 with
+    2^b > r (p - 1)^2, and row i of the sums is S_i = sum_k u_i[k] F_k:
+    r big-int multiply-adds in one C-level `sum`.  No slot carries:
+    S_i = sum_j s_ij 2^(bj) with s_ij = sum_k u_i[k] f_j[k], and
+    0 <= s_ij <= r (p - 1)^2 < 2^b, so the s_ij are the base-2^b digits of
+    S_i, read off its bytes, and G[i][j] = s_ij mod p.
     """
-    weighted = [[c * v % p for c, v in zip(w, row)] for row in x]
+    width = ((len(inv) * (p - 1) ** 2).bit_length() + 7) // 8  # bytes per slot
     flipped = [[s * row[k] % p for s, k in zip(sizes, inv)] for row in x]
-    return [[sum(map(mul, u, f)) % p for f in flipped] for u in weighted]
+    columns = [
+        int.from_bytes(b"".join([f.to_bytes(width, "little") for f in col]), "little")
+        for col in zip(*flipped)
+    ]
+    size = width * len(x)
+    out = []
+    for row in x:
+        u = [c * v % p for c, v in zip(w, row)]
+        raw = sum(map(mul, u, columns)).to_bytes(size, "little")
+        out.append(
+            [int.from_bytes(raw[o : o + width], "little") % p for o in range(0, size, width)]
+        )
+    return out
 
 
 def horner(poly: list[int], x: int, p: int) -> tuple[int, list[int]]:

@@ -6,7 +6,10 @@ import json
 import re
 import subprocess
 import sys
+from dataclasses import replace
+from math import lcm
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +17,8 @@ from hypothesis import strategies as st
 
 from mckay3 import catalog, chartab, cli, mckay, pipeline
 from mckay3.cli import main
+from mckay3.exactnum import residues
+from mckay3.modp import prime_one_mod
 
 
 def _run(capsys, *argv):
@@ -325,6 +330,36 @@ def test_dump_json_rejects_a_set_as_json_dumps_does():
         json.dumps({"s": [{1}]}, indent=2)
     with pytest.raises(TypeError):
         cli._dump_json({"s": [{1}]})
+
+
+# one Dixon table, one diagonal table, and SL2:2T, whose natural character
+# lives at a larger conductor than its table
+@pytest.mark.parametrize("name", ["G7", "Gm3:6", "Hmn:4,5", "SL2:2T"])
+def test_unshared_equal_values_give_the_shared_tables_results(monkeypatch, capsys, name):
+    # every pass keyed by value object must not depend on the sharing
+    an = pipeline.analyze(catalog.parse_spec(name), 20000)
+    shared = an.table
+    copy = replace(shared, values=tuple(tuple(-(-v) for v in row) for row in shared.values))
+    assert copy == shared
+    cells = [v for row in copy.values for v in row]
+    shared_cells = [v for row in shared.values for v in row]
+    assert len({id(v) for v in cells}) == len(cells) > len({id(v) for v in shared_cells})
+
+    e = shared.conductor
+    p = prime_one_mod(e, 1000)
+    assert residues(cells, e, p) == residues(shared_cells, e, p)
+    t = lcm(e, *(v.conductor for v in an.chi))
+    chi_t = [v.promote(t) for v in an.chi]
+    assert chartab._integer_gram(copy, chi_t, t) == chartab._integer_gram(shared, chi_t, t)
+    assert mckay.eigenvector_check(copy, an.quiver, an.chi) == an.eigen
+
+    payloads = {}
+    for table in (shared, copy):
+        monkeypatch.setattr(pipeline, "analyze", lambda spec, bound: SimpleNamespace(table=table))
+        for fmt in ("json", "text"):
+            argv = ("chartab", "--group", name, "--format", fmt)
+            payloads.setdefault(fmt, []).append(_run(capsys, *argv))
+    assert all(a == b for a, b in payloads.values())
 
 
 def test_unwritable_out_exits_2(tmp_path):

@@ -282,6 +282,14 @@ def test_residues_is_a_ring_map():
     ]
 
 
+def test_residues_of_temporaries_match_the_value_by_value_map():
+    # each root is dropped by the generator once read, so its id can recur
+    # for a later value unless residues holds it until the call returns
+    p = prime_one_mod(12, 1)
+    one_by_one = [residues([root(k % 12, 12)], 12, p)[0] for k in range(200)]
+    assert residues((root(k % 12, 12) for k in range(200)), 12, p) == one_by_one
+
+
 def test_residues_rejects_what_has_no_image():
     p = prime_one_mod(12, 1)
     with pytest.raises(ValueError, match="not an algebraic integer"):
