@@ -52,7 +52,10 @@ class NonIntegralMultiplicity(RuntimeError):
 
 @dataclass(frozen=True)
 class ConjugacyClassSet:
-    """Conjugacy classes of a group, ordered by (size, smallest element)."""
+    """Conjugacy classes of a group, ordered by (size, smallest element).
+
+    power_classes[k][s] is the class of rep_k^s for s < o_k (`powers`);
+    orders and inverse_class are the walks' lengths and last entries."""
 
     members: tuple[tuple[int, ...], ...]
     reps: tuple[int, ...]
@@ -60,6 +63,7 @@ class ConjugacyClassSet:
     sizes: tuple[int, ...]
     orders: tuple[int, ...]
     inverse_class: tuple[int, ...]
+    power_classes: tuple[tuple[int, ...], ...]
 
     @property
     def count(self) -> int:
@@ -70,7 +74,7 @@ def conjugacy_classes(group: FiniteMatrixGroup) -> ConjugacyClassSet:
     n = group.order
     # x -> g^-1 x g for each generator g; its orbits are the classes
     conjugations = [
-        [group.mul(y, g) for y in group.left(group.inverse(g))]
+        [group.mul(y, g) for y in group.left(group.powers(g)[-1])]
         for g in group.generator_indices
     ]
     class_id = [-1] * n
@@ -99,10 +103,12 @@ def conjugacy_classes(group: FiniteMatrixGroup) -> ConjugacyClassSet:
     class_of = tuple(relabel[c] for c in class_id)
     reps = tuple(m[0] for m in members)
     sizes = tuple(len(m) for m in members)
-    orders = tuple(group.element_order(r) for r in reps)
-    inverse_class = tuple(class_of[group.inverse(r)] for r in reps)
-
-    return ConjugacyClassSet(members, reps, class_of, sizes, orders, inverse_class)
+    power_classes = tuple(tuple(map(class_of.__getitem__, group.powers(z))) for z in reps)
+    orders = tuple(map(len, power_classes))
+    inverse_class = tuple(walk[-1] for walk in power_classes)
+    return ConjugacyClassSet(
+        members, reps, class_of, sizes, orders, inverse_class, power_classes
+    )
 
 
 def class_constants(
@@ -261,17 +267,6 @@ def dixon_table(
         chi = [d * u[k] % p * inv_sizes[k] % p for k in range(r)]
         rows_mod.append((d, chi))
 
-    # powers of each representative, as class indices, shared by all rows
-    power_classes: list[list[int]] = []
-    for k, g in enumerate(classes.reps):
-        o = classes.orders[k]
-        cur = 0
-        walk = []
-        for _ in range(o):
-            walk.append(classes.class_of[cur])
-            cur = group.mul(cur, g)
-        power_classes.append(walk)
-
     # one DFT matrix F[t][s] = z_o^(-st) per Galois orbit of classes, and
     # the members pi_a k of the orbit, each with the first a that reaches it
     z_e = root_of_unity(p, e)
@@ -287,7 +282,7 @@ def dixon_table(
         members: dict[int, int] = {}
         for a in range(o):
             if gcd(a, o) == 1:
-                members.setdefault(power_classes[k][a], a)
+                members.setdefault(classes.power_classes[k][a], a)
         for k2 in members:
             placed[k2] = True
         orbits.append((k, dft, members))
@@ -302,7 +297,7 @@ def dixon_table(
         for k, dft, members in orbits:
             o = len(dft)
             inv_o = pow(o, -1, p)
-            column = [chi[c] for c in power_classes[k]]
+            column = [chi[c] for c in classes.power_classes[k]]
             mu = [sum(map(mul, column, f_t)) * inv_o % p for f_t in dft]
             # mu_t >= 0 as least residues, so this also gives mu_t <= d
             if sum(mu) != d:
@@ -341,7 +336,7 @@ def dixon_table(
         class_sizes=classes.sizes,
         class_orders=classes.orders,
         inverse_class=classes.inverse_class,
-        power_classes=tuple(map(tuple, power_classes)),
+        power_classes=classes.power_classes,
         class_reps=tuple(group.elements[g] for g in classes.reps),
     )
     if not _orthogonal_mod_prime(table):
@@ -436,9 +431,8 @@ def _diagonal_table(
     Gram matrix is formed and `class_constants` is not called.
     `_exact_table_checks` still runs.
 
-    Galois action.  rep_k^s has the exponents s*x[.][k] mod e, which name
-    its class, as the natural representation is faithful; that class is
-    power_classes[k][s].  For a coprime to e,
+    Galois action.  power_classes[k][s] is the class of rep_k^s, the one
+    element with the exponents s*x[.][k] mod e.  For a coprime to e,
     X[i][pi_a k] = zeta_e^(a row[k]) = sigma_a X[i][k], and every value is
     a root of unity in Z[zeta_e] with |X[i][k]| = 1 = d_i.
 
@@ -476,7 +470,6 @@ def _diagonal_table(
     keys = [v.encode() for v in roots]
     walk[1:] = sorted(walk[1:], key=lambda row: list(map(keys.__getitem__, row)))
 
-    class_of = {coords: k for k, coords in enumerate(zip(*x))}
     table = CharacterTable(
         conductor=e,
         order=n,
@@ -485,10 +478,7 @@ def _diagonal_table(
         class_sizes=classes.sizes,
         class_orders=classes.orders,
         inverse_class=classes.inverse_class,
-        power_classes=tuple(
-            tuple(class_of[tuple([s * c % e for c in coords])] for s in range(o))
-            for coords, o in zip(zip(*x), classes.orders)
-        ),
+        power_classes=classes.power_classes,
         class_reps=tuple(reps),
     )
     if not _exact_table_checks(table):

@@ -28,6 +28,7 @@ import json
 import sys
 import types
 from collections import defaultdict
+from math import lcm
 
 from . import catalog, mckay, pipeline
 from .catalog import CatalogError, SpecError
@@ -145,7 +146,7 @@ def _cmd_info(args) -> tuple[int, str]:
         payload = {
             "group": spec.name,
             "order": an.group.order,
-            "exponent": an.group.exponent(),
+            "exponent": lcm(*an.table.class_orders),
             "conductor": an.table.conductor,
             "classCount": an.table.count,
             "dimMultiset": dims,
@@ -156,7 +157,7 @@ def _cmd_info(args) -> tuple[int, str]:
     lines = [
         f"group      {spec.name}",
         f"order      {an.group.order}",
-        f"exponent   {an.group.exponent()}",
+        f"exponent   {lcm(*an.table.class_orders)}",
         f"conductor  {an.table.conductor}",
         f"classes    {an.table.count}",
         f"dims       {','.join(map(str, dims))}",
@@ -241,8 +242,8 @@ def _cmd_cartan(args) -> tuple[int, str]:
     chosen = {"M": an.quiver.matrix, "B": an.b, "A": an.a}[args.print]
     eig = an.eigen
     report = {
-        "charPolyA": list(an.psd.char_poly),
-        "psd": an.psd.is_psd,
+        "charPolyA": list(an.char_poly),
+        "psd": an.psd,
         "deltaInKernelOfA": an.kernel[0],
         "deltaInKernelOfB": an.kernel[1],
         "eigenChecks": list(eig),

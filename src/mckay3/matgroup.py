@@ -22,7 +22,6 @@ in one pass along the tree.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
 
 from .exactnum import Cyclotomic, ConductorMismatch, dot
@@ -37,7 +36,7 @@ class OrderBoundExceeded(RuntimeError):
 
 
 class SquareMatrix:
-    __slots__ = ("dim", "conductor", "rows", "_key")
+    __slots__ = ("dim", "conductor", "rows", "_key", "_det")
 
     dim: int
     conductor: int
@@ -65,7 +64,7 @@ class SquareMatrix:
         self.dim = n
         self.conductor = conductor
         self.rows = tuple(fixed)
-        self._key = None
+        self._key = self._det = None
 
     @staticmethod
     def identity(dim: int, conductor: int = 1) -> "SquareMatrix":
@@ -122,7 +121,8 @@ class SquareMatrix:
 
     def det(self) -> Cyclotomic:
         """Laplace expansion along the first row, read off the row tuples
-        through the list of columns still in play, so no minor is built."""
+        through the list of columns still in play, so no minor is built;
+        taken once per matrix, like the key."""
 
         def expand(i: int, cols: tuple[int, ...]) -> Cyclotomic:
             row = self.rows[i]
@@ -138,7 +138,9 @@ class SquareMatrix:
                 total = total + term if pos % 2 == 0 else total - term
             return total
 
-        return expand(0, tuple(range(self.dim)))
+        if self._det is None:
+            self._det = expand(0, tuple(range(self.dim)))
+        return self._det
 
     def __str__(self) -> str:
         return "[" + "; ".join(
@@ -279,7 +281,7 @@ def closure(generators, max_order: int = 20000) -> "FiniteMatrixGroup":
             # the rows are canonical at the conductor and the key is known,
             # so the element skips the constructor's promotion pass
             m = object.__new__(SquareMatrix)
-            m.dim, m.conductor, m._key = dim, conductor, k
+            m.dim, m.conductor, m._key, m._det = dim, conductor, k, None
             m.rows = tuple([row_values[r] for r in y])
             index[k] = found[y] = len(elements)
             frontier.append((len(elements), y))
@@ -346,31 +348,16 @@ class FiniteMatrixGroup:
             row.append(right[pos][row[parent]])
         return row
 
-    @cached_property
-    def _orders_inverses(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(order, inverse index) of every element, by repeated products."""
-        orders = [1] * self.order
-        inverses = [0] * self.order
-        for i in range(1, self.order):
-            word = self._word(i)
-            o = 1
-            cur = i
-            while True:
-                nxt = cur
-                for perm in word:
-                    nxt = perm[nxt]
-                o += 1
-                if nxt == 0:
-                    orders[i], inverses[i] = o, cur
-                    break
-                cur = nxt
-        return tuple(orders), tuple(inverses)
-
-    def element_order(self, i: int) -> int:
-        return self._orders_inverses[0][i]
-
-    def inverse(self, i: int) -> int:
-        return self._orders_inverses[1][i]
+    def powers(self, z: int) -> list[int]:
+        """Indices of z^0, z^1, ..., z^(o-1), o the order of z: z's tree word
+        is built once and applied to each power in turn, so the walk's
+        length is the order and its last entry is the inverse."""
+        word, walk, cur = self._word(z), [0], z
+        while cur:
+            walk.append(cur)
+            for perm in word:
+                cur = perm[cur]
+        return walk
 
     def exponent(self) -> int:
-        return lcm(*self._orders_inverses[0])
+        return lcm(*(len(self.powers(z)) for z in range(self.order)))

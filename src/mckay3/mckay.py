@@ -6,11 +6,12 @@ multiplicity of gamma_j in pi tensor gamma_i, read off the integer Gram
 matrix |G| M that also certifies the table (`chartab._integer_gram`) and
 checked by its row 0, the decomposition of chi_pi itself.  From it we form
 B = n*I - M (n the dimension of pi) and the generalized Cartan matrix
-A = B + B^T, and check the structural facts exactly: A is positive
-semi-definite, the dimension vector spans the kernel, and every table
-column is an eigenvector of M (`eigenvector_check`, one pass per quiver),
-which on an orthogonal table also proves that conjugating pi transposes
-the quiver (`pipeline.Analysis.dual_transpose`).
+A = B + B^T, and check the structural facts exactly: the dimension vector
+spans the kernel, and every table column is an eigenvector of M
+(`eigenvector_check`, one pass per quiver), which on an orthogonal table
+also proves that conjugating pi transposes the quiver and that A is
+positive semidefinite, with a spectrum that `spectrum_product` multiplies
+out (`pipeline.Analysis`).  `psd_check` decides from A alone.
 """
 
 from __future__ import annotations
@@ -110,40 +111,34 @@ def gen_cartan(b) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(b[i][j] + b[j][i] for j in range(r)) for i in range(r))
 
 
-def char_poly(mat, eigenvalues=None) -> tuple[int, ...]:
+def char_poly(mat) -> tuple[int, ...]:
     """Characteristic polynomial det(xI - mat), coefficients descending.
 
     Exact: Hessenberg form mod p, combined by CRT under a Hadamard bound
-    (see `modp.integer_charpoly`).  A caller that has proved the spectrum
-    of mat may pass it as `eigenvalues`: groups of Cyclotomic values that
-    together are the eigenvalues with multiplicity, each group closed under
-    the Galois group.  Each group's product of the x - lambda is then
-    multiplied out exactly; if every one lies in Z[x], their product is the
-    answer, and otherwise the Hessenberg path runs.
+    (see `modp.integer_charpoly`).
     """
-    poly = None if eigenvalues is None else _integer_product(eigenvalues)
-    if poly is None:
-        poly = integer_charpoly(mat)
-    return tuple(reversed(poly))
+    return tuple(reversed(integer_charpoly(mat)))
 
 
-def _integer_product(groups) -> list[int] | None:
-    """prod (x - lambda) over every lambda of every group, ascending, when
-    each group's product lies in Z[x]; None when one does not."""
+def spectrum_product(orbits) -> tuple[int, ...]:
+    """prod (x - lambda) over every lambda of every orbit, coefficients
+    descending.  Each orbit is a list of Cyclotomic values closed under the
+    Galois group, so its product lies in Z[x] and is multiplied out
+    exactly; an orbit whose product does not raises ValueError."""
     poly = [1]
-    for group in groups:
-        factor = [Cyclotomic.rational(1, group[0].conductor)]
-        for lam in group:  # factor * (x - lam)
+    for orbit in orbits:
+        factor = [Cyclotomic.rational(1, orbit[0].conductor)]
+        for lam in orbit:  # factor * (x - lam)
             factor = [a - lam * b for a, b in zip([0] + factor, factor + [0])]
         coeffs = [c.try_rational() for c in factor]
         if any(q is None or q.denominator != 1 for q in coeffs):
-            return None
+            raise ValueError(f"an orbit of {len(orbit)} values is not Galois-closed")
         product = [0] * (len(poly) + len(coeffs) - 1)
         for i, a in enumerate(poly):
             for j, q in enumerate(coeffs):
                 product[i + j] += a * int(q)
         poly = product
-    return poly
+    return tuple(reversed(poly))
 
 
 @dataclass(frozen=True)
@@ -153,20 +148,19 @@ class PsdReport:
     failing_index: int | None
 
 
-def psd_check(mat, eigenvalues=None) -> PsdReport:
+def psd_check(mat) -> PsdReport:
     """Exact positive semidefiniteness for a symmetric integer matrix.
 
     A symmetric matrix has real spectrum, and det(xI - A) = sum_k (-1)^k
     e_k x^(r-k) with e_k the elementary symmetric functions of the
     eigenvalues; all eigenvalues are >= 0 exactly when every e_k >= 0.
-    `eigenvalues`, a proven spectrum, is passed on to `char_poly`.
     """
     r = len(mat)
     for i in range(r):
         for j in range(i + 1, r):
             if mat[i][j] != mat[j][i]:
                 raise NotSymmetric(f"entry ({i},{j}) != ({j},{i})")
-    poly = char_poly(mat, eigenvalues)
+    poly = char_poly(mat)
     for k in range(1, r + 1):
         e_k = poly[k] if k % 2 == 0 else -poly[k]
         if e_k < 0:

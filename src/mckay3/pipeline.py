@@ -18,6 +18,9 @@ table X, and `Analysis.eigen` is its only pass: `adjacency` reads M off an
 integer Gram matrix without it.  `dualTranspose` follows from it: on an
 orthogonal table it is the same identity as M^T X = X diag(conj chi), so no
 second tensor product is decomposed and no second identity is tested.
+So does `psd`: A X = X diag(lambda) with every lambda_k >= 0, so `verify`
+builds no polynomial; `charPolyA`, printed by `cartan` alone, is the
+product of the x - lambda_k.
 """
 
 from __future__ import annotations
@@ -59,26 +62,46 @@ class Analysis:
         return mckay.gen_cartan(self.b)
 
     @cached_property
-    def psd(self) -> mckay.PsdReport:
-        """Characteristic polynomial of A and its semidefiniteness verdict.
+    def psd(self) -> bool:
+        """Is A positive semidefinite?
 
         When every class passes `eigen`, M X = X diag(chi), and
         M^T X = X diag(chi o inv) by the proof at `dual_transpose`, so
         A X = X diag(lambda) with lambda_k = 2n - chi(C_k) - chi(C_(inv k)).
-        X is invertible, so det(xI - A) = prod_k (x - lambda_k), and
-        `char_poly` multiplies it out one Galois orbit of classes at a
-        time.  M is rational and X[i][pi_c k] = sigma_c X[i][k], so
-        chi(C_(pi_c k)) = sigma_c chi(C_k); pi_c commutes with inv, so
-        sigma_c lambda_k = lambda_(pi_c k), and each orbit's lambdas are
-        closed under the Galois group.  Otherwise the polynomial is
-        computed from A alone.
+        X is invertible, so the lambda_k are A's eigenvalues with
+        multiplicity.  rep_k has finite order, so chi(C_k) is a sum of n
+        roots of unity and chi(C_(inv k)) the sum of their inverses, which
+        are their conjugates: lambda_k = 2n - 2 Re chi(C_k) >= 0, as
+        |chi(C_k)| <= n.  A is real symmetric, so it is positive
+        semidefinite, and no polynomial is built.  Otherwise the verdict is
+        the Hessenberg sign scan of A alone (`mckay.psd_check`).
+        """
+        return all(self.eigen) or self._hessenberg.is_psd
+
+    @cached_property
+    def char_poly(self) -> tuple[int, ...]:
+        """det(xI - A), coefficients descending; only `cartan` prints it.
+
+        When every class passes `eigen`, det(xI - A) = prod_k (x - lambda_k)
+        with the lambda_k of `psd`, and `mckay.spectrum_product` multiplies
+        it out one Galois orbit of classes at a time.  M is rational and
+        X[i][pi_c k] = sigma_c X[i][k], so chi(C_(pi_c k)) = sigma_c chi(C_k);
+        pi_c commutes with inv, so sigma_c lambda_k = lambda_(pi_c k), and
+        each orbit's lambdas are closed under the Galois group.  Otherwise
+        the polynomial is the Hessenberg one of A alone.
         """
         if not all(self.eigen):
-            return mckay.psd_check(self.a)
+            return self._hessenberg.char_poly
         chi, inv = self.chi, self.table.inverse_class
         lam = [2 * self.quiver.rep_dim - chi[k] - chi[inv[k]] for k in range(len(chi))]
         orbits = chartab.galois_orbits(self.table)
-        return mckay.psd_check(self.a, [[lam[k] for k in orbit] for orbit in orbits])
+        return mckay.spectrum_product([[lam[k] for k in orbit] for orbit in orbits])
+
+    @cached_property
+    def _hessenberg(self) -> mckay.PsdReport:
+        """`mckay.psd_check` of A, shared by `psd` and `char_poly` when a
+        class fails `eigen`."""
+        return mckay.psd_check(self.a)
 
     @cached_property
     def kernel(self) -> tuple[bool, bool, bool]:
@@ -92,7 +115,7 @@ class Analysis:
 
         The one pass of M X = X diag(chi) per group, on the quiver as
         held, decided modulo one prime on the table; the `dualTranspose`
-        verdict and the PSD spectrum are read off it.
+        and PSD verdicts and A's spectrum are read off it.
         """
         return mckay.eigenvector_check(self.table, self.quiver, self.chi)
 
@@ -147,7 +170,7 @@ def verify(spec: catalog.GroupSpec, max_order: int) -> dict:
 
     checks["dimensionBalance"] = _verdict(an.kernel[1] and an.kernel[2])
 
-    checks["psd"] = _verdict(an.psd.is_psd)
+    checks["psd"] = _verdict(an.psd)
     checks["kernelDelta"] = _verdict(all(an.kernel))
     checks["eigenvectorProp"] = _verdict(all(an.eigen))
     checks["dualTranspose"] = _verdict(an.dual_transpose)

@@ -450,6 +450,27 @@ def test_tampered_quiver_fails_every_derived_check(monkeypatch, capsys, fresh_an
         assert checks[name] == "fail", name
 
 
+def test_verify_builds_no_polynomial_and_cartan_one_product(monkeypatch, capsys, fresh_analysis):
+    # verify reads the PSD verdict off the eigen certificate; cartan prints
+    # charPolyA, the product of A's certified spectrum, built once
+    calls = {"char_poly": 0, "spectrum_product": 0}
+    for name in calls:
+        real = getattr(mckay, name)
+
+        def counted(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(mckay, name, counted)
+    for spec in catalog.all_specs():
+        assert pipeline.verify(spec, 20000)["checks"]["psd"] == "pass", spec.name
+    assert calls == {"char_poly": 0, "spectrum_product": 0}
+    code, out, _ = _run(capsys, "cartan", "--group", "G7", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["report"]["psd"] is True
+    assert calls == {"char_poly": 0, "spectrum_product": 1}
+
+
 def test_verify_certifies_the_quiver_without_exact_dot(monkeypatch, fresh_analysis):
     # adjacency reads the quiver off the integer Gram matrix, the one
     # eigenvector pass (for eigenvectorProp) runs modulo one prime and

@@ -83,7 +83,7 @@ def test_closure_of_cycle_is_order_three():
 def test_closure_tetrahedral_order_and_exponent(tetra):
     assert tetra.order == 12
     assert tetra.exponent() == 6
-    assert sorted(tetra.element_order(i) for i in range(12)).count(3) == 8
+    assert sorted(len(tetra.powers(i)) for i in range(12)).count(3) == 8
 
 
 def test_closure_is_deterministic(tetra):
@@ -128,17 +128,20 @@ def test_group_multiplication_table_matches_matrices(tetra):
 
 
 def test_group_inverses(tetra):
+    # the last power of every element is its inverse
     e = SquareMatrix.identity(3)
     for i in range(tetra.order):
-        assert tetra.elements[i] * tetra.elements[tetra.inverse(i)] == e
+        assert tetra.elements[i] * tetra.elements[tetra.powers(i)[-1]] == e
 
 
 def test_element_orders_divide_group_order(tetra):
+    # powers(i) lists i^0 .. i^(o-1), each the matrix power, and i^o = 1
     for i in range(tetra.order):
-        o = tetra.element_order(i)
-        assert tetra.order % o == 0
+        walk = tetra.powers(i)
+        assert tetra.order % len(walk) == 0
         power = SquareMatrix.identity(3)
-        for _ in range(o):
+        for s in walk:
+            assert tetra.index_of(power) == s
             power = power * tetra.elements[i]
         assert power == SquareMatrix.identity(3)
 
@@ -181,8 +184,8 @@ def test_exact_products_reproduce_classes_table_and_quiver(name, monkeypatch):
     spec = parse_spec(name)
     expected = analysis(build_group(spec))
     # every index product of a freshly built group from exact matrices:
-    # single products, the powers behind orders and inverses, and whole
-    # left-multiplication rows alike
+    # single products, the power walks (`powers` reads `_word`) behind
+    # orders, inverses and power maps, and whole left-multiplication rows
     monkeypatch.setattr(FiniteMatrixGroup, "mul", exact_mul)
     monkeypatch.setattr(
         FiniteMatrixGroup, "_word", lambda self, j: [ExactRight(self, j)]
@@ -203,7 +206,7 @@ def test_products_keep_no_per_element_words():
     tracemalloc.start()
     try:
         assert group.mul(5, 499) == 4
-        assert group.element_order(7) == 500
+        assert len(group.powers(7)) == 500
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

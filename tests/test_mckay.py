@@ -376,9 +376,11 @@ def test_verify_runs_one_eigenvector_check_per_group(small_tables, monkeypatch, 
 
 
 def _fresh_psd(an):
-    """The analysis with its PSD report dropped, so that it is rebuilt."""
+    """The analysis with its PSD verdict and polynomial dropped, so that
+    they are rebuilt."""
     an = copy.copy(an)
-    vars(an).pop("psd", None)
+    for name in ("psd", "char_poly", "_hessenberg"):
+        vars(an).pop(name, None)
     return an
 
 
@@ -394,13 +396,26 @@ def _hessenberg_calls(monkeypatch):
     return calls
 
 
+_PSD_SPECS = list(all_specs(max_m=6)) + [parse_spec("Gm3:12"), parse_spec("Hmn:8,8")]
+
+
 def test_orbit_product_equals_the_hessenberg_charpoly(monkeypatch):
     calls = _hessenberg_calls(monkeypatch)
-    specs = list(all_specs(max_m=6)) + [parse_spec("Gm3:12"), parse_spec("Hmn:8,8")]
-    for spec in specs:
+    for spec in _PSD_SPECS:
         an = _fresh_psd(pipeline.analyze(spec, 20000))
-        assert an.psd.char_poly == tuple(reversed(integer_charpoly(an.a))), spec.name
+        assert an.char_poly == tuple(reversed(integer_charpoly(an.a))), spec.name
     assert calls == []
+
+
+def test_psd_verdict_equals_the_hessenberg_sign_scan(monkeypatch):
+    # the verdict read off the eigen certificate builds no polynomial
+    calls = _hessenberg_calls(monkeypatch)
+    for spec in _PSD_SPECS:
+        an = _fresh_psd(pipeline.analyze(spec, 20000))
+        verdict = an.psd
+        assert calls == []
+        assert verdict == psd_check(an.a).is_psd, spec.name
+        calls.clear()
 
 
 def test_tampered_quiver_takes_the_hessenberg_path(monkeypatch):
@@ -412,17 +427,21 @@ def test_tampered_quiver_takes_the_hessenberg_path(monkeypatch):
     an.quiver = Quiver(an.quiver.dims, tuple(map(tuple, rows)), an.quiver.rep_dim)
     calls = _hessenberg_calls(monkeypatch)
     assert not all(an.eigen)
-    assert an.psd.char_poly == tuple(reversed(integer_charpoly(an.a)))
-    assert calls == [1]
+    poly, verdict = an.char_poly, an.psd
+    assert calls == [1]  # the polynomial and the verdict share one Hessenberg pass
+    report = psd_check(an.a)
+    assert (poly, verdict) == (report.char_poly, report.is_psd)
 
 
-def test_char_poly_falls_back_when_an_orbit_is_not_integral():
-    # zeta_3 and zeta_3^2 are the eigenvalues of [[-1, -1], [1, 0]], but
-    # apart neither factor x - zeta is in Z[x]; together they give x^2 + x + 1
-    mat = [[-1, -1], [1, 0]]
+def test_spectrum_product_raises_when_an_orbit_is_not_galois_closed():
+    # zeta_3 and zeta_3^2 are the eigenvalues of [[-1, -1], [1, 0]]: together
+    # they give x^2 + x + 1, but apart neither factor x - zeta is in Z[x]
     conj = [root(1, 3), root(2, 3)]
-    assert char_poly(mat, [conj]) == (1, 1, 1)
-    assert char_poly(mat, [conj[:1], conj[1:]]) == (1, 1, 1)
+    assert mckay.spectrum_product([conj]) == char_poly([[-1, -1], [1, 0]]) == (1, 1, 1)
+    with pytest.raises(ValueError, match="not Galois-closed"):
+        mckay.spectrum_product([conj[:1], conj[1:]])
+    with pytest.raises(ValueError, match="not Galois-closed"):
+        mckay.spectrum_product([conj[:1]])
 
 
 # ---------------------------------------------------------------------------
