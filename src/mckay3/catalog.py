@@ -20,9 +20,9 @@ recorded fusion data for G5/G6/G8/G9/G10).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .chartab import CharacterTable
 from .exactnum import Cyclotomic, common_conductor, root, sqrt_constant
@@ -48,8 +48,7 @@ _EXCEPTIONAL = ("G5", "G6", "G7", "G8", "G9", "G10", "G11", "G12")
 _SL2_SUBTYPES = ("cyclic", "binD", "2T", "2O", "2I")
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(NamedTuple):
     kind: str
     m: int = 0
     n: int = 0
@@ -350,8 +349,7 @@ def build_group(spec: GroupSpec, max_order: int = 20000) -> FiniteMatrixGroup:
 # expected invariants
 
 
-@dataclass(frozen=True)
-class Profile:
+class Profile(NamedTuple):
     """What the character table of a catalog group must look like."""
 
     order: int

@@ -29,10 +29,10 @@ same order on every run.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain
 from math import gcd, isqrt, lcm
 from operator import add, mul
+from typing import NamedTuple
 
 from .exactnum import Cyclotomic, dot, residues, root, root_sum
 from .matgroup import FiniteMatrixGroup, SquareMatrix
@@ -50,8 +50,7 @@ class NonIntegralMultiplicity(RuntimeError):
     """A tensor product decomposition produced a non-integer coefficient."""
 
 
-@dataclass(frozen=True)
-class ConjugacyClassSet:
+class ConjugacyClassSet(NamedTuple):
     """Conjugacy classes of a group, ordered by (size, smallest element).
 
     power_classes[k][s] is the class of rep_k^s for s < o_k (`powers`);
@@ -129,8 +128,7 @@ def class_constants(
     return m
 
 
-@dataclass(frozen=True)
-class CharacterTable:
+class CharacterTable(NamedTuple):
     """Rows are irreducible characters, columns are conjugacy classes.
 
     Row 0 is the trivial character; the rest are sorted by (dimension,
@@ -148,7 +146,7 @@ class CharacterTable:
     # the Galois action: power_classes[k][s] is the class of rep_k^s for
     # s < o_k, so pi_a k = power_classes[k][a mod o_k].  Each constructor
     # proves X[i][pi_a k] = sigma_a X[i][k], with every value in Z[zeta_e]
-    # and |X[i][k]| <= d_i; a `dataclasses.replace` copy keeps the field, so
+    # and |X[i][k]| <= d_i; an `_replace` copy keeps the field, so
     # a copy with altered values asserts an action it may not have.
     power_classes: tuple[tuple[int, ...], ...]
     class_reps: tuple[SquareMatrix, ...] | None = None

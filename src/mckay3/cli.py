@@ -140,8 +140,8 @@ def _cmd_info(args) -> tuple[int, str]:
     an = pipeline.analyze(spec, args.max_order)
     dims = sorted(an.table.dims)
     profile = catalog.expected_profile(spec)
-    degenerate = bool(profile and profile.degenerate)
-    notes = list(profile.notes) if profile else []
+    degenerate = profile is not None and profile.degenerate
+    notes = list(profile.notes) if profile is not None else []
     if args.format == "json":
         payload = {
             "group": spec.name,

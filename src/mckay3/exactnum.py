@@ -107,10 +107,7 @@ def _normalize(conductor: int, num: list[int], den: int) -> "Cyclotomic":
     if den < 0:
         den = -den
         num = [-c for c in num]
-    g = den
-    for c in num:
-        if c:
-            g = gcd(g, c)
+    g = gcd(den, *num)
     if g > 1:
         den //= g
         num = [c // g for c in num]

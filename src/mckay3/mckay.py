@@ -16,8 +16,8 @@ out (`pipeline.Analysis`).  `psd_check` decides from A alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
+from typing import NamedTuple
 
 from .chartab import (
     CharacterTable, NonIntegralMultiplicity, _check_class_function, _integer_gram,
@@ -31,8 +31,7 @@ class NotSymmetric(ValueError):
     """Positive semidefiniteness is only tested for symmetric matrices."""
 
 
-@dataclass(frozen=True)
-class Quiver:
+class Quiver(NamedTuple):
     """Weighted digraph on the irreducible characters of a group."""
 
     dims: tuple[int, ...]
@@ -141,8 +140,7 @@ def spectrum_product(orbits) -> tuple[int, ...]:
     return tuple(reversed(poly))
 
 
-@dataclass(frozen=True)
-class PsdReport:
+class PsdReport(NamedTuple):
     is_psd: bool
     char_poly: tuple[int, ...]
     failing_index: int | None

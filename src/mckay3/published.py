@@ -29,9 +29,9 @@ Recorded defects, kept as data on purpose:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations, product
 from math import lcm
+from typing import NamedTuple
 
 from .exactnum import Cyclotomic, root
 from .mckay import Quiver, gen_cartan, pre_cartan, quiver_iso
@@ -41,8 +41,7 @@ from .mckay import Quiver, gen_cartan, pre_cartan, quiver_iso
 # recorded Cartan matrices
 
 
-@dataclass(frozen=True)
-class PrintedCartan:
+class PrintedCartan(NamedTuple):
     name: str
     literal: tuple[tuple[int, ...], ...]
     # dimensions of the irreducibles in the recorded basis order; the records
@@ -248,8 +247,7 @@ PRINTED_CARTAN: dict[str, PrintedCartan] = {
 }
 
 
-@dataclass(frozen=True)
-class CartanAudit:
+class CartanAudit(NamedTuple):
     name: str
     status: str
     expected_status: str
@@ -308,8 +306,7 @@ def audit_cartan(name: str, quiver: Quiver) -> CartanAudit | None:
 # recorded character tables
 
 
-@dataclass(frozen=True)
-class PrintedTable:
+class PrintedTable(NamedTuple):
     name: str
     class_orders: tuple[int, ...]
     class_sizes: tuple[int, ...]

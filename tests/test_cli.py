@@ -6,7 +6,6 @@ import json
 import re
 import subprocess
 import sys
-from dataclasses import replace
 from math import lcm
 from pathlib import Path
 from types import SimpleNamespace
@@ -339,7 +338,7 @@ def test_unshared_equal_values_give_the_shared_tables_results(monkeypatch, capsy
     # every pass keyed by value object must not depend on the sharing
     an = pipeline.analyze(catalog.parse_spec(name), 20000)
     shared = an.table
-    copy = replace(shared, values=tuple(tuple(-(-v) for v in row) for row in shared.values))
+    copy = shared._replace(values=tuple(tuple(-(-v) for v in row) for row in shared.values))
     assert copy == shared
     cells = [v for row in copy.values for v in row]
     shared_cells = [v for row in shared.values for v in row]

@@ -1,6 +1,8 @@
 """Exact cyclotomic arithmetic: frozen identities plus algebraic laws."""
 
 from fractions import Fraction
+from functools import reduce
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from mckay3.exactnum import (
     Cyclotomic,
     NotAMultiple,
     UnsupportedRadicand,
+    _normalize,
     common_conductor,
     cyclotomic_polynomial,
     dot,
@@ -71,6 +74,20 @@ def test_fraction_coefficients_are_normalized():
     # zero terms are dropped, and a denominator of 1 gives plain ints
     assert [(k, type(c)) for k, c in (2 * b).terms()] == [(0, int), (1, int)]
     assert Cyclotomic(4, [0, 5]).terms() == [(1, 5)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(-60, 60) | st.just(0), min_size=6, max_size=6),
+    st.integers(-90, 90).filter(bool),
+)
+def test_normalize_divides_out_the_gcd_of_denominator_and_coefficients(num, den):
+    sign = -1 if den < 0 else 1
+    signed = [sign * c for c in num]
+    g = reduce(gcd, signed, abs(den))
+    v = _normalize(7, num, den)
+    assert v._num == tuple(c // g for c in signed)
+    assert v._den == abs(den) // g > 0
 
 
 def test_constructor_reduces_long_vectors():
