@@ -71,11 +71,12 @@ class ConjugacyClassSet(NamedTuple):
 
 def conjugacy_classes(group: FiniteMatrixGroup) -> ConjugacyClassSet:
     n = group.order
-    # x -> g^-1 x g for each generator g; its orbits are the classes
-    conjugations = [
-        [group.mul(y, g) for y in group.left(group.powers(g)[-1])]
-        for g in group.generator_indices
-    ]
+    # x -> g^-1 (x g) for each generator g, x g off its right permutation;
+    # the orbits are the classes
+    conjugations = []
+    for g, times_g in zip(group.generator_indices, group.right):
+        by_inverse = group.left(group.powers(g)[-1])
+        conjugations.append([by_inverse[y] for y in times_g])
     class_id = [-1] * n
     raw: list[list[int]] = []
     for start in range(n):
@@ -156,16 +157,21 @@ class CharacterTable(NamedTuple):
         return len(self.dims)
 
 
-def galois_orbits(table: CharacterTable) -> list[list[int]]:
-    """The orbits {pi_a k : a a unit mod o_k} of the classes, each listed
-    once, ascending."""
-    orbits: list[list[int]] = []
+def galois_orbits(x: ConjugacyClassSet | CharacterTable) -> list[dict[int, int]]:
+    """The orbits {pi_a k : a a unit mod o_k} of the classes, read off
+    `x.power_classes`, in order of their least class k.  Each maps its
+    members pi_a k to the least such a, so k itself comes first."""
+    orbits: list[dict[int, int]] = []
     placed: set[int] = set()
-    for k, walk in enumerate(table.power_classes):
+    for k, walk in enumerate(x.power_classes):
         if k not in placed:
             o = len(walk)
-            orbits.append(sorted({walk[a] for a in range(o) if gcd(a, o) == 1}))
-            placed.update(orbits[-1])
+            orbit: dict[int, int] = {}
+            for a in range(o):
+                if gcd(a, o) == 1:
+                    orbit.setdefault(walk[a], a)
+            orbits.append(orbit)
+            placed.update(orbit)
     return orbits
 
 
@@ -195,7 +201,7 @@ def dixon_table(
     of rep_k^a (`power_classes[k][a]`).  rep_k^a has the eigenvalues
     zeta_o^(at) with the same multiplicities, so the lift sets
     X[i][pi_a k] = sum_t mu_t zeta_o^(at) = sigma_a X[i][k], with sigma_a
-    the Galois map zeta -> zeta^a, for the first a that reaches pi_a k.
+    the Galois map zeta -> zeta^a, for the least a that reaches pi_a k.
     Another b with pi_b k = pi_a k gives the same value: then c = b/a fixes
     k, the powers rep_k^(cs) and rep_k^s fall in one class, so chi mod p
     takes equal values on them, and the DFT gives mu_(ct) = mu_t as least
@@ -265,24 +271,16 @@ def dixon_table(
         chi = [d * u[k] % p * inv_sizes[k] % p for k in range(r)]
         rows_mod.append((d, chi))
 
-    # one DFT matrix F[t][s] = z_o^(-st) per Galois orbit of classes, and
-    # the members pi_a k of the orbit, each with the first a that reaches it
+    # one DFT matrix F[t][s] = z_o^(-st) per Galois orbit of classes, at
+    # its least class k; the orbit maps each pi_a k to the least such a
     z_e = root_of_unity(p, e)
     orbits: list[tuple[int, list[list[int]], dict[int, int]]] = []
-    placed = [False] * r
-    for k in range(r):
-        if placed[k]:
-            continue
+    for members in galois_orbits(classes):
+        k = min(members)
         o = classes.orders[k]
         z_o = pow(z_e, e // o, p)
         z_pows = [pow(z_o, s, p) for s in range(o)]
         dft = [[z_pows[(-s * t) % o] for s in range(o)] for t in range(o)]
-        members: dict[int, int] = {}
-        for a in range(o):
-            if gcd(a, o) == 1:
-                members.setdefault(classes.power_classes[k][a], a)
-        for k2 in members:
-            placed[k2] = True
         orbits.append((k, dft, members))
 
     # a term tuple is lifted once, and equal values from different term

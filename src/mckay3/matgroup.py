@@ -12,11 +12,11 @@ tuple of its row ids; each product or sum of two entry values is computed
 once (see `closure`).
 
 The walk records the Cayley graph it computes anyway: for each generator g
-the permutation x -> x*g of element indices, and the breadth-first tree.
-Index-level products (needed in bulk by conjugacy classes and class
-constants) read that graph and never touch a matrix: a single product walks
-the tree word of its right factor, and a whole row z*y over all y is filled
-in one pass along the tree.
+the permutation x -> x*g of element indices (`right`), and the breadth-first
+tree.  Index-level products (needed in bulk by conjugacy classes and class
+constants) read that graph and never touch a matrix: a whole row z*y over all
+y is filled in one pass along the tree (`left`), and the powers of z are read
+off z's own row.
 """
 
 from __future__ import annotations
@@ -306,7 +306,7 @@ class FiniteMatrixGroup:
     def __init__(self, elements, index, right, tree):
         self.elements: tuple[SquareMatrix, ...] = elements
         self.index: dict[bytes, int] = index
-        self._right: list[list[int]] = right
+        self.right: list[list[int]] = right
         self._tree: list[tuple[int, int] | None] = tree
         self.generator_indices: tuple[int, ...] = tuple(r[0] for r in right)
         self.dim = elements[0].dim
@@ -322,41 +322,23 @@ class FiniteMatrixGroup:
         except KeyError:
             raise KeyError("matrix is not an element of this group") from None
 
-    def _word(self, j: int) -> list[list[int]]:
-        """j's tree word as right-multiplication permutations, in the order
-        they are applied: elements[j] = gens[w0] * gens[w1] * ..."""
-        tree, right = self._tree, self._right
-        word = []
-        while j:
-            j, pos = tree[j]
-            word.append(right[pos])
-        word.reverse()
-        return word
-
-    def mul(self, i: int, j: int) -> int:
-        """Index of elements[i] * elements[j]: j's tree word applied to i."""
-        for perm in self._word(j):
-            i = perm[i]
-        return i
-
     def left(self, z: int) -> list[int]:
         """Indices of elements[z] * elements[y] for every y, filled along the
         tree in one pass: z * (parent * g) = (z * parent) * g."""
-        right = self._right
+        right = self.right
         row = [z]
         for parent, pos in self._tree[1:]:
             row.append(right[pos][row[parent]])
         return row
 
     def powers(self, z: int) -> list[int]:
-        """Indices of z^0, z^1, ..., z^(o-1), o the order of z: z's tree word
-        is built once and applied to each power in turn, so the walk's
-        length is the order and its last entry is the inverse."""
-        word, walk, cur = self._word(z), [0], z
+        """Indices of z^0, z^1, ..., z^(o-1), o the order of z, read off z's
+        left row as z^(s+1) = z * z^s, so the walk's length is the order and
+        its last entry is the inverse."""
+        row, walk, cur = self.left(z), [0], z
         while cur:
             walk.append(cur)
-            for perm in word:
-                cur = perm[cur]
+            cur = row[cur]
         return walk
 
     def exponent(self) -> int:

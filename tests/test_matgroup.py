@@ -124,7 +124,7 @@ def test_group_multiplication_table_matches_matrices(tetra):
             row = group.left(i)
             for j in range(group.order):
                 product = group.elements[i] * group.elements[j]
-                assert group.mul(i, j) == row[j] == group.index_of(product)
+                assert row[j] == group.index_of(product)
 
 
 def test_group_inverses(tetra):
@@ -159,7 +159,7 @@ def test_words_in_generators_stay_inside(tetra, word):
     idx = 0
     for letter in word:
         acc = acc * gens[letter]
-        idx = tetra.mul(idx, tetra.generator_indices[letter])
+        idx = tetra.right[letter][idx]
     assert tetra.index_of(acc) == idx
 
 
@@ -174,7 +174,8 @@ def test_exact_products_reproduce_classes_table_and_quiver(name, monkeypatch):
         return self.index[(self.elements[i] * self.elements[j]).key()]
 
     class ExactRight:
-        # right multiplication by elements[j], one exact product per lookup
+        # right multiplication by elements[j], one exact product per lookup;
+        # iteration ends at the IndexError one past the last element
         def __init__(self, group, j):
             self.group, self.j = group, j
 
@@ -183,19 +184,18 @@ def test_exact_products_reproduce_classes_table_and_quiver(name, monkeypatch):
 
     spec = parse_spec(name)
     expected = analysis(build_group(spec))
-    # every index product of a freshly built group from exact matrices:
-    # single products, the power walks (`powers` reads `_word`) behind
-    # orders, inverses and power maps, and whole left-multiplication rows
-    monkeypatch.setattr(FiniteMatrixGroup, "mul", exact_mul)
-    monkeypatch.setattr(
-        FiniteMatrixGroup, "_word", lambda self, j: [ExactRight(self, j)]
-    )
+    # every index product of a freshly built group from exact matrices: the
+    # right permutations behind the conjugations, and the whole
+    # left-multiplication rows behind the power walks (orders, inverses and
+    # power maps) and the class constants
     monkeypatch.setattr(
         FiniteMatrixGroup,
         "left",
         lambda self, z: [exact_mul(self, z, y) for y in range(self.order)],
     )
-    assert analysis(build_group(spec)) == expected
+    group = build_group(spec)
+    group.right = [ExactRight(group, g) for g in group.generator_indices]
+    assert analysis(group) == expected
 
 
 def test_products_keep_no_per_element_words():
@@ -205,12 +205,43 @@ def test_products_keep_no_per_element_words():
     group = closure([SquareMatrix([[z, 0, 0], [0, z.inv(), 0], [0, 0, 1]])])
     tracemalloc.start()
     try:
-        assert group.mul(5, 499) == 4
+        assert group.left(5)[499] == 4
         assert len(group.powers(7)) == 500
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 256 * 1024
+
+
+def test_classes_read_one_left_row_per_class():
+    # one generator of order 200, so r = |G|: a left row per class for the
+    # power walks, and per generator the rows of g and g^-1 and one pass of
+    # its right permutation, each row |G| - 1 reads of `right`
+    base = closure([SquareMatrix([[root(1, 200)]])])
+    reads = [0]
+
+    class Counting(list):
+        def __getitem__(self, i):
+            reads[0] += 1
+            return list.__getitem__(self, i)
+
+        def __iter__(self):
+            return (self[i] for i in range(len(self)))
+
+    right = [Counting(perm) for perm in base.right]
+    group = FiniteMatrixGroup(base.elements, base.index, right, base._tree)
+    reads[0] = 0
+    classes = conjugacy_classes(group)
+    n, r = group.order, classes.count
+    assert 0 < reads[0] <= n * (r + 2 * len(right) + 1)
+    # every power walk is the run of exact matrix powers up to the inverse
+    one = SquareMatrix.identity(1, group.conductor)
+    for rep in classes.reps:
+        walk, power = group.powers(rep), one
+        for s in walk:
+            assert group.elements[s] == power
+            power = power * group.elements[rep]
+        assert power == one
 
 
 def _exact_closure(gens):
@@ -244,7 +275,7 @@ def _assert_exact_walk(group, gens):
     elements, index, right, tree = _exact_closure(gens)
     assert list(group.elements) == elements
     assert group.index == index
-    assert group._right == right
+    assert group.right == right
     assert group._tree == tree
 
 

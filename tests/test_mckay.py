@@ -263,7 +263,7 @@ def test_chi_swapped_at_conjugate_classes_fails_modulo_one_prime(small_tables):
     for t, chi in small_tables.values():
         q = adjacency(t, chi)
         for orbit in chartab.galois_orbits(t):
-            k1 = orbit[0]
+            k1 = min(orbit)
             k2 = next((k for k in orbit if chi[k] != chi[k1]), None)
             if k2 is None:
                 continue
@@ -294,7 +294,7 @@ def test_modular_eigenvector_check_on_hand_built_quivers():
     # alpha_2 = 1 - 3 zeta_3 has norm 13, so it lies in one prime above 13,
     # vanishing mod p at one class of the orbit {1, 2} and not at the other
     t = dixon_table(build_group(parse_spec("Hmn:3,1")))
-    assert chartab.galois_orbits(t) == [[0], [1, 2]]
+    assert chartab.galois_orbits(t) == [{0: 0}, {1: 1, 2: 2}]
     for mat in (((-3, 0, 1), (1, 3, 1), (1, 0, -3)), ((2, -1, -1), (-2, 1, -2), (-1, -2, -2))):
         q = Quiver(t.dims, mat, 3)
         mu = mckay._trivial_row(t, mat[0])
@@ -341,11 +341,12 @@ def test_adjacency_matches_the_exact_decomposition_and_rejects_a_swapped_chi(sma
     swapped = 0
     for t, chi in small_tables.values():
         for orbit in chartab.galois_orbits(t):
-            k2 = next((k for k in orbit if chi[k] != chi[orbit[0]]), None)
+            k1 = min(orbit)
+            k2 = next((k for k in orbit if chi[k] != chi[k1]), None)
             if len(orbit) < 3 or k2 is None:
                 continue
             bad = list(chi)
-            bad[orbit[0]], bad[k2] = bad[k2], bad[orbit[0]]
+            bad[k1], bad[k2] = bad[k2], bad[k1]
             with pytest.raises(chartab.NonIntegralMultiplicity):
                 adjacency(t, bad)
             with pytest.raises(chartab.NonIntegralMultiplicity):
