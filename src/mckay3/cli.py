@@ -58,11 +58,13 @@ def _short(v) -> str:
 
 def _dump_json(payload) -> str:
     """`json.dumps(payload, indent=2) + "\n"` byte for byte, rendering each
-    object of the payload once per depth however often it recurs.
+    dict of the payload once per depth however often it recurs.
 
-    memos[d] maps id(o) to the text of o at depth d, and a container looks
-    its items up there before it recurses into them.  Keyed on id(): sound
-    only because `payload` keeps every object in it alive until this call
+    memos[d] maps id(o) to the text of a dict o at depth d, and a container
+    looks its items up there before it recurses into them.  Only dicts are
+    kept, since only they recur (the chartab value cells); a list's text
+    would be held again inside its parent's.  Keyed on id(): sound only
+    because `payload` keeps every object in it alive until this call
     returns, so no id can pass to another object meanwhile.  A text is
     never empty, so a miss is the only falsy lookup.
     """
@@ -89,7 +91,8 @@ def _dump_json(payload) -> str:
             pad = "\n" + "  " * down
             body = pad + ("," + pad).join(items) + "\n" + "  " * depth if items else ""
             text = ends[0] + body + ends[1]
-        memos[depth][id(o)] = text
+            if ends == "{}":
+                memos[depth][id(o)] = text
         return text
 
     return render(payload, 0) + "\n"

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .modp import root_of_unity
 
@@ -178,19 +178,13 @@ class Cyclotomic:
     def __init__(self, conductor: int, coeffs, den: int = 1):
         if conductor < 1:
             raise ValueError("conductor must be positive")
-        scaled: list[int] = []
-        common = den
-        for c in coeffs:
-            f = Fraction(c)
-            scaled.append(f)
-        lcm_den = 1
-        for f in scaled:
-            lcm_den = lcm_den * f.denominator // gcd(lcm_den, f.denominator)
-        ints = [int(f * lcm_den) for f in scaled]
-        if len(ints) > max(conductor, 2 * totient(conductor) - 1):
+        fracs = [Fraction(c) for c in coeffs]
+        if len(fracs) > max(conductor, 2 * totient(conductor) - 1):
             raise ValueError("coefficient vector too long")
-        value = root_sum(conductor, enumerate(ints), common * lcm_den)
-        self.conductor = value.conductor
+        scale = lcm(*(f.denominator for f in fracs))
+        terms = ((k, int(f * scale)) for k, f in enumerate(fracs))
+        value = root_sum(conductor, terms, den * scale)
+        self.conductor = conductor
         self._num = value._num
         self._den = value._den
 
@@ -376,10 +370,6 @@ class Cyclotomic:
     # -- identity ------------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, Cyclotomic) and other.conductor != self.conductor:
-            raise ConductorMismatch(
-                f"conductor {other.conductor} vs {self.conductor}; promote first"
-            )
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -445,9 +435,7 @@ def sqrt_constant(d: int) -> Cyclotomic:
 
 def common_conductor(*values: Cyclotomic) -> tuple[Cyclotomic, ...]:
     """Promote all values to the lcm of their conductors."""
-    target = 1
-    for v in values:
-        target = target * v.conductor // gcd(target, v.conductor)
+    target = lcm(*(v.conductor for v in values))
     return tuple(v.promote(target) for v in values)
 
 

@@ -42,13 +42,14 @@ def prime_factors(n: int) -> list[int]:
 
 def root_of_unity(q: int, n: int) -> int:
     """The first g^((q-1)/n), g = 2, 3, ..., of exact multiplicative order n
-    in F_q, q prime; n must divide q - 1."""
+    in F_q, q prime; n must divide q - 1.  A unit is required (z^n = 1), so
+    a g sharing a factor with a composite q is never returned."""
     if (q - 1) % n != 0:
         raise ValueError(f"F_{q} has no element of order {n}")
     factors = prime_factors(n)
     for g in range(2, q):
         z = pow(g, (q - 1) // n, q)
-        if all(pow(z, n // f, q) != 1 for f in factors):
+        if pow(z, n, q) == 1 and all(pow(z, n // f, q) != 1 for f in factors):
             return z
     raise ValueError(f"F_{q} has no element of order {n} (q not prime?)")
 

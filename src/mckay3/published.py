@@ -29,7 +29,7 @@ Recorded defects, kept as data on purpose:
 
 from __future__ import annotations
 
-from itertools import permutations, product
+from itertools import chain, permutations, product
 from math import lcm
 from typing import NamedTuple
 
@@ -392,42 +392,25 @@ def match_printed_table(table, printed: PrintedTable) -> bool:
     """Is the computed table a column/row permutation of the recorded one?
 
     Columns may only be matched when their (element order, class size)
-    metadata agrees; rows are compared as multisets.
+    metadata agrees, so the search tries the product over the metadata
+    kinds of (kind size)! bijections, never all r! of them.  Rows are
+    compared as multisets.
     """
-    r = table.count
-    if len(printed.class_orders) != r:
+    meta = list(zip(table.class_orders, table.class_sizes))
+    pmeta = list(zip(printed.class_orders, printed.class_sizes))
+    if sorted(meta) != sorted(pmeta):
         return False
-    target = table.conductor
-    for row in printed.rows:
-        for v in row:
-            target = lcm(target, v.conductor)
+    target = lcm(table.conductor, *(v.conductor for row in printed.rows for v in row))
+    # computed columns grouped by kind; each combination lists, in the same
+    # order, the printed column that each of them is matched with
+    order = sorted(range(len(meta)), key=meta.__getitem__)
     computed = sorted(
-        tuple(v.promote(target).encode() for v in row) for row in table.values
+        tuple(row[k].promote(target).encode() for k in order) for row in table.values
     )
-    groups: dict[tuple[int, int], list[int]] = {}
-    for k in range(r):
-        groups.setdefault((table.class_orders[k], table.class_sizes[k]), []).append(k)
-    pgroups: dict[tuple[int, int], list[int]] = {}
-    for c in range(r):
-        key = (printed.class_orders[c], printed.class_sizes[c])
-        pgroups.setdefault(key, []).append(c)
-    if set(groups) != set(pgroups):
-        return False
-    if any(len(groups[key]) != len(pgroups[key]) for key in groups):
-        return False
-    keys = sorted(groups)
-    prows = [[v.promote(target) for v in row] for row in printed.rows]
-    for combo in product(*(permutations(groups[key]) for key in keys)):
-        sigma: dict[int, int] = {}
-        for key, chosen in zip(keys, combo):
-            for pc, ck in zip(pgroups[key], chosen):
-                sigma[pc] = ck
-        transformed = []
-        for row in prows:
-            placed = [b""] * r
-            for c in range(r):
-                placed[sigma[c]] = row[c].encode()
-            transformed.append(tuple(placed))
-        if sorted(transformed) == computed:
+    prows = [[v.promote(target).encode() for v in row] for row in printed.rows]
+    kinds = [[c for c, m in enumerate(pmeta) if m == kind] for kind in sorted(set(meta))]
+    for combo in product(*map(permutations, kinds)):
+        cols = list(chain.from_iterable(combo))
+        if sorted(tuple(row[c] for c in cols) for row in prows) == computed:
             return True
     return False

@@ -140,6 +140,21 @@ def test_generators_are_unimodular_everywhere():
             assert g.det() == 1
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: generators(GroupSpec(kind="SL2", subtype="3T", k=3)), "unknown SL2 subtype '3T'"),
+        (lambda: generators(GroupSpec(kind="G4")), "unknown group kind 'G4'"),
+        # generators passes only the eight recorded names on
+        (lambda: catalog._gens_exceptional("G4"), "unknown exceptional group 'G4'"),
+    ],
+    ids=["sl2-subtype", "group-kind", "exceptional-name"],
+)
+def test_generators_reject_unknown_specs(call, message):
+    with pytest.raises(SpecError, match=f"^{message}$"):
+        call()
+
+
 # SHA-256 of the concatenated generator keys; the roster has no alpha= spec,
 # so these are the only pins on the twisted embedding
 _TWISTED_GENERATOR_DIGESTS = {

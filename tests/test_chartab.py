@@ -510,6 +510,15 @@ def test_tables_match_rejects_different_groups():
     assert tables_match_by_reps(g24, g24)
 
 
+@pytest.mark.parametrize("side", [0, 1], ids=["first", "second"])
+def test_tables_match_by_reps_needs_representatives(small_tables, side):
+    table = small_tables["G7"][0]
+    pair = [table, table]
+    pair[side] = table._replace(class_reps=None)
+    with pytest.raises(ValueError, match="^both tables need class representatives$"):
+        tables_match_by_reps(*pair)
+
+
 @given(st.integers(1, 4), st.integers(1, 4))
 @settings(max_examples=16, deadline=None)
 def test_abelian_tables_are_orthogonal(m, n):

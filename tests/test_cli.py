@@ -6,6 +6,7 @@ import json
 import re
 import subprocess
 import sys
+import tracemalloc
 from math import lcm
 from pathlib import Path
 from types import SimpleNamespace
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from mckay3 import catalog, chartab, cli, mckay, pipeline
 from mckay3.cli import main
 from mckay3.exactnum import residues
+from mckay3.matgroup import SquareMatrix
 from mckay3.modp import prime_one_mod
 
 
@@ -331,6 +333,22 @@ def test_dump_json_rejects_a_set_as_json_dumps_does():
         cli._dump_json({"s": [{1}]})
 
 
+def test_dump_json_holds_no_text_twice_over():
+    # a chartab-shaped payload: a 64x64 table of value cells that shares 8
+    # cell dicts.  Keeping the text of every row as well as the table's,
+    # which already holds it, peaks above 5x the payload
+    cells = [{"N": 8, "coeffs": [[k, str(k + 1)], [k + 1, "-1/2"]]} for k in range(8)]
+    payload = {"values": [[cells[(i * j) % 8] for j in range(64)] for i in range(64)]}
+    tracemalloc.start()
+    try:
+        text = cli._dump_json(payload)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == json.dumps(payload, indent=2) + "\n"
+    assert peak < 4.5 * len(text)
+
+
 # one Dixon table, one diagonal table, and SL2:2T, whose natural character
 # lives at a larger conductor than its table
 @pytest.mark.parametrize("name", ["G7", "Gm3:6", "Hmn:4,5", "SL2:2T"])
@@ -381,31 +399,81 @@ def _failing_gram(table, chi, t):
     return [[1] * table.count for _ in range(table.count)]
 
 
+_real_split = chartab._split_subspace
+_real_classes = chartab.conjugacy_classes
+
+
+def _split_twice(w, mj, p):
+    """Every line of the real split, twice over: each character, the
+    trivial one too, comes out of the Dixon lift twice."""
+    return _real_split(w, mj, p) * 2
+
+
+def _classes_each_self_inverse(group):
+    """The real classes with every class recorded as its own inverse.  The
+    class matrices come out permuted, so the split finds the same lines, but
+    a non-real character's norm sum sum_k |C_k| chi(k)^2 / d^2 is then 0."""
+    classes = _real_classes(group)
+    return classes._replace(inverse_class=tuple(range(classes.count)))
+
+
+def _det_minus_one(spec):
+    return [SquareMatrix([[-1, 0, 0], [0, 1, 0], [0, 0, 1]])]
+
+
 # the orthogonality certificate of dixon_table (SL2:binD:2 is not
 # diagonal, so it takes Dixon), the exact checks of the diagonal table and
 # the integer Gram matrix that adjacency reads the quiver off; the first
 # two ids are the names of the exact checks these certificates took over
-# from, kept so the test ids stay stable
+# from, kept so the test ids stay stable.  Then each fail-fast exit of the
+# Dixon split and of build_group.  Gm3:2 (A_4, order 12) takes Dixon with
+# p = 7, has two non-real characters, and 12 = 5 (mod 7) is no square mod 7.
 @pytest.mark.parametrize(
-    "module, name, stub, group",
+    "module, name, stub, group, message",
     [
-        (chartab, "_orthogonal_mod_prime", lambda table: False, "SL2:binD:2"),
-        (mckay, "_integer_gram", _failing_gram, "Hmn:2,2"),
-        (chartab, "_exact_table_checks", lambda table: False, "Hmn:2,2"),
+        (chartab, "_orthogonal_mod_prime", lambda table: False, "SL2:binD:2",
+         "orthogonality relations fail mod p'"),
+        (mckay, "_integer_gram", _failing_gram, "Hmn:2,2", "<chi*gamma_0, gamma_0> = 1 / 4"),
+        (chartab, "_exact_table_checks", lambda table: False, "Hmn:2,2",
+         "the diagonal table fails its exact checks"),
+        (chartab, "_split_subspace", lambda w, mj, p: [w], "Gm3:2",
+         "class matrices failed to separate characters"),
+        (chartab, "_split_subspace", lambda w, mj, p: [[v] for v in w], "Gm3:2",
+         "eigenvector vanishes at the identity class"),
+        (chartab, "conjugacy_classes", _classes_each_self_inverse, "Gm3:2",
+         "degenerate norm sum for a character"),
+        # every line the identity-class coordinate: each norm sum is 1 and
+        # each degree^2 reads as |G| mod p
+        (chartab, "_split_subspace", lambda w, mj, p: [[w[0]] for _ in w], "Gm3:2",
+         "character degree is not a square mod p"),
+        (chartab, "_split_subspace", _split_twice, "Gm3:2",
+         "trivial character missing or duplicated"),
+        (catalog, "generators", _det_minus_one, "Hmn:2,2",
+         "Hmn:2,2: generator determinant is not 1"),
+        (catalog, "expected_order", lambda spec: 5, "Hmn:2,2",
+         "Hmn:2,2: closure has 4 elements, expected 5"),
     ],
     ids=[
         "mckay3.chartab-verify_orthogonality-<lambda>",
         "mckay3.mckay-decompose_product-_raise_non_integral",
         "mckay3.chartab-_exact_table_checks-diagonal",
+        "dixon-split-never-splits",
+        "dixon-split-unit-lines",
+        "dixon-classes-each-self-inverse",
+        "dixon-split-identity-lines",
+        "dixon-split-twice",
+        "build_group-determinant",
+        "build_group-order",
     ],
 )
-def test_failed_certificate_exits_1(monkeypatch, capsys, module, name, stub, group):
+def test_failed_certificate_exits_1(
+    monkeypatch, capsys, fresh_analysis, module, name, stub, group, message
+):
     monkeypatch.setattr(module, name, stub)
-    pipeline.analyze.cache_clear()  # the group must be computed afresh
     code, out, err = _run(capsys, "verify", "--group", group)
     assert code == 1
     assert out == ""
-    assert err.startswith("error:")
+    assert err == f"error: {message}\n"
 
 
 def test_chartab_and_info_never_build_the_quiver(monkeypatch, capsys):

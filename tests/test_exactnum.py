@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from mckay3.exactnum import (
     ConductorMismatch,
     Cyclotomic,
+    DivisionByZero,
     NotAMultiple,
     UnsupportedRadicand,
     _normalize,
@@ -103,6 +104,22 @@ def test_conductor_mismatch_raises():
         root(1, 3) + root(1, 4)
     with pytest.raises(ConductorMismatch):
         root(1, 3) == root(1, 4)  # noqa: B015 - the comparison is the test
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: Cyclotomic(3, [1], 0), DivisionByZero, "zero denominator"),
+        (lambda: Cyclotomic(0, [1]), ValueError, "conductor must be positive"),
+        (lambda: root(1, 0), ValueError, "conductor must be positive"),
+        (lambda: root(1, 4).galois(2), ValueError,
+         "galois exponent must be coprime to the conductor"),
+    ],
+    ids=["zero-denominator", "constructor-conductor-0", "root-conductor-0", "galois-exponent"],
+)
+def test_malformed_arguments_raise(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
 
 
 def test_eq_against_foreign_types():

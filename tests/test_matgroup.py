@@ -103,6 +103,23 @@ def test_closure_rejects_singular_generator():
         closure([SquareMatrix([[1, 0], [0, 0]])])
 
 
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: _cycle() * SquareMatrix([[1, 0], [0, 1]]), ValueError, "dimension mismatch"),
+        (lambda: SquareMatrix([[root(1, 3)]]) * SquareMatrix([[root(1, 4)]]), ConductorMismatch,
+         "matrix conductors differ; promote first"),
+        (lambda: closure([]), ValueError, "need at least one generator"),
+        (lambda: closure([_cycle(), SquareMatrix([[0, 1], [1, 0]])]), ValueError,
+         "generators must share one dimension"),
+    ],
+    ids=["mul-dimension", "mul-conductor", "closure-no-generators", "closure-mixed-dimensions"],
+)
+def test_malformed_operands_raise(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
+
+
 def test_closure_order_bound():
     z = root(1, 7)
     gen = SquareMatrix([[z, 0, 0], [0, z.inv(), 0], [0, 0, 1]])

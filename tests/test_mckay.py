@@ -355,6 +355,12 @@ def test_adjacency_matches_the_exact_decomposition_and_rejects_a_swapped_chi(sma
     assert swapped
 
 
+def test_adjacency_without_chi_needs_representatives(small_tables):
+    table = small_tables["G7"][0]._replace(class_reps=None)
+    with pytest.raises(ValueError, match="^table has no class representatives; pass chi$"):
+        adjacency(table)
+
+
 def test_verify_runs_one_eigenvector_check_per_group(small_tables, monkeypatch, fresh_analysis):
     calls = []
     real = mckay.eigenvector_check

@@ -107,6 +107,15 @@ def test_root_of_unity_has_exact_order(q):
         assert all(pow(z, n // f, q) != 1 for f in modp.prime_factors(n))
 
 
+# n | q - 1 but q is composite.  g = 2 shares the factor 3 with 9, and
+# z = 2^2 = 4 has z^2 != 1 but z^4 = 4 mod 9, so only the test z^n = 1
+# refuses it; 561 is a Carmichael number, whose every unit g has g^280 = 1
+@pytest.mark.parametrize("q, n", [(9, 4), (25, 4), (561, 560)])
+def test_root_of_unity_rejects_a_composite_modulus(q, n):
+    with pytest.raises(ValueError, match=r"\(q not prime\?\)$"):
+        modp.root_of_unity(q, n)
+
+
 _PRIMES = st.sampled_from([2, 7, 61, 10009])
 
 
