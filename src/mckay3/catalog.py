@@ -284,18 +284,6 @@ def generators(spec: GroupSpec) -> list[SquareMatrix]:
     return list(to_common_conductor(gens))
 
 
-_EXCEPTIONAL_ORDERS = {
-    "G5": 108,
-    "G6": 216,
-    "G7": 60,
-    "G8": 168,
-    "G9": 180,
-    "G10": 504,
-    "G11": 648,
-    "G12": 1080,
-}
-
-
 def expected_order(spec: GroupSpec) -> int | None:
     """Known group order, or None when the spec leaves it open (alpha != 1)."""
     if spec.kind == "Hmn":
@@ -314,7 +302,7 @@ def expected_order(spec: GroupSpec) -> int | None:
             "2O": 48,
             "2I": 120,
         }[spec.subtype]
-    return _EXCEPTIONAL_ORDERS[spec.kind]
+    return sum(d * d for d in _EXCEPTIONAL_DIMS[spec.kind])  # |G| = sum of d^2
 
 
 def build_group(spec: GroupSpec, max_order: int = 20000) -> FiniteMatrixGroup:

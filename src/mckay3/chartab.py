@@ -56,7 +56,6 @@ class ConjugacyClassSet(NamedTuple):
     power_classes[k][s] is the class of rep_k^s for s < o_k (`powers`);
     orders and inverse_class are the walks' lengths and last entries."""
 
-    members: tuple[tuple[int, ...], ...]
     reps: tuple[int, ...]
     class_of: tuple[int, ...]
     sizes: tuple[int, ...]
@@ -66,7 +65,7 @@ class ConjugacyClassSet(NamedTuple):
 
     @property
     def count(self) -> int:
-        return len(self.members)
+        return len(self.reps)
 
 
 def conjugacy_classes(group: FiniteMatrixGroup) -> ConjugacyClassSet:
@@ -78,13 +77,11 @@ def conjugacy_classes(group: FiniteMatrixGroup) -> ConjugacyClassSet:
         by_inverse = group.left(group.powers(g)[-1])
         conjugations.append([by_inverse[y] for y in times_g])
     class_id = [-1] * n
-    raw: list[list[int]] = []
+    starts: list[int] = []  # each class's least element: all below it are placed
     for start in range(n):
         if class_id[start] >= 0:
             continue
-        cid = len(raw)
-        orbit = [start]
-        class_id[start] = cid
+        class_id[start] = cid = len(starts)
         queue = [start]
         while queue:
             x = queue.pop()
@@ -92,23 +89,20 @@ def conjugacy_classes(group: FiniteMatrixGroup) -> ConjugacyClassSet:
                 y = conj[x]
                 if class_id[y] < 0:
                     class_id[y] = cid
-                    orbit.append(y)
                     queue.append(y)
-        raw.append(sorted(orbit))
+        starts.append(start)
+    size = Counter(class_id)
 
     # identity sits in class 0 after sorting by (size, least element)
-    order_key = sorted(range(len(raw)), key=lambda c: (len(raw[c]), raw[c][0]))
-    members = tuple(tuple(raw[c]) for c in order_key)
+    order_key = sorted(range(len(starts)), key=lambda c: (size[c], starts[c]))
     relabel = {old: new for new, old in enumerate(order_key)}
     class_of = tuple(relabel[c] for c in class_id)
-    reps = tuple(m[0] for m in members)
-    sizes = tuple(len(m) for m in members)
+    reps = tuple(starts[c] for c in order_key)
     power_classes = tuple(tuple(map(class_of.__getitem__, group.powers(z))) for z in reps)
     orders = tuple(map(len, power_classes))
     inverse_class = tuple(walk[-1] for walk in power_classes)
-    return ConjugacyClassSet(
-        members, reps, class_of, sizes, orders, inverse_class, power_classes
-    )
+    sizes = tuple(size[c] for c in order_key)
+    return ConjugacyClassSet(reps, class_of, sizes, orders, inverse_class, power_classes)
 
 
 def class_constants(

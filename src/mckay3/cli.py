@@ -307,7 +307,11 @@ def _cmd_verify(args) -> tuple[int, str]:
         specs = list(catalog.all_specs(max_m=args.max_m))
     else:
         specs = [catalog.parse_spec(args.group)]
-    reports = [pipeline.verify(spec, args.max_order) for spec in specs]
+    reports = []
+    for spec in specs:
+        reports.append(pipeline.verify(spec, args.max_order))
+        if args.all:  # no spec recurs, so no group's analysis is read again
+            pipeline.analyze.cache_clear()
     failures = sum(
         1 for rep in reports if any(v == "fail" for v in rep["checks"].values())
     )

@@ -22,6 +22,7 @@ off z's own row.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 from .exactnum import Cyclotomic, ConductorMismatch, dot
@@ -253,7 +254,6 @@ def closure(generators, max_order: int = 20000) -> "FiniteMatrixGroup":
     identity = SquareMatrix.identity(dim, conductor)
     one = tuple(row_id(tuple(map(value_id, r))) for r in identity.rows)
     elements: list[SquareMatrix] = [identity]
-    index: dict[bytes, int] = {identity.key(): 0}
     found: dict[tuple[int, ...], int] = {one: 0}
     right: list[list[int]] = [[] for _ in gens]
     tree: list[tuple[int, int] | None] = [None]
@@ -283,7 +283,7 @@ def closure(generators, max_order: int = 20000) -> "FiniteMatrixGroup":
             m = object.__new__(SquareMatrix)
             m.dim, m.conductor, m._key, m._det = dim, conductor, k, None
             m.rows = tuple([row_values[r] for r in y])
-            index[k] = found[y] = len(elements)
+            found[y] = len(elements)
             frontier.append((len(elements), y))
             elements.append(m)
             tree.append((x, pos))
@@ -292,7 +292,7 @@ def closure(generators, max_order: int = 20000) -> "FiniteMatrixGroup":
         for row, level_hits in zip(right, hits):
             row.extend(found[y] if type(y) is tuple else y for y in level_hits)
 
-    return FiniteMatrixGroup(tuple(elements), index, right, tree)
+    return FiniteMatrixGroup(tuple(elements), right, tree)
 
 
 class FiniteMatrixGroup:
@@ -303,9 +303,8 @@ class FiniteMatrixGroup:
     first reached as elements[parent] * gens[g] (tree[0] is None).
     """
 
-    def __init__(self, elements, index, right, tree):
+    def __init__(self, elements, right, tree):
         self.elements: tuple[SquareMatrix, ...] = elements
-        self.index: dict[bytes, int] = index
         self.right: list[list[int]] = right
         self._tree: list[tuple[int, int] | None] = tree
         self.generator_indices: tuple[int, ...] = tuple(r[0] for r in right)
@@ -315,6 +314,11 @@ class FiniteMatrixGroup:
     @property
     def order(self) -> int:
         return len(self.elements)
+
+    @cached_property
+    def index(self) -> dict[bytes, int]:
+        """Canonical key -> element index, built on first read (`index_of`)."""
+        return {m.key(): i for i, m in enumerate(self.elements)}
 
     def index_of(self, m: SquareMatrix) -> int:
         try:

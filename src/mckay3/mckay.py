@@ -23,7 +23,7 @@ from .chartab import (
     CharacterTable, NonIntegralMultiplicity, _check_class_function, _integer_gram,
     _residue_rows, galois_orbits,
 )
-from .exactnum import Cyclotomic
+from .exactnum import ConductorMismatch, Cyclotomic, root_sum
 from .modp import integer_charpoly, matmul, prime_one_mod
 
 
@@ -86,13 +86,18 @@ def adjacency(table: CharacterTable, chi=None) -> Quiver:
 
 
 def _trivial_row(table: CharacterTable, row) -> list[Cyclotomic]:
-    """mu_k = sum_j row[j] X[j][k] at the table's conductor, over the nonzero
-    row[j] only.  Every table constructor puts the trivial character at
-    row 0, so for row = M[0], mu is the class function that row 0 of the
-    quiver decomposes: m_0j = <chi gamma_0, gamma_j>."""
-    zero = Cyclotomic.rational(0, table.conductor)
-    terms = [(m, table.values[j]) for j, m in enumerate(row) if m]
-    return [sum((m * x[k] for m, x in terms), zero) for k in range(table.count)]
+    """mu_k = sum_j row[j] X[j][k] over the nonzero row[j], one `root_sum` of
+    integer terms (the callers reduce X by `residues` first) at the table's
+    conductor; a value at another raises as `+` does.  As row 0 of every
+    table is trivial, mu of M[0] is the chi that row 0 decomposes: m_0j = <chi, gamma_j>."""
+    e = table.conductor
+    rows = [(m, table.values[j]) for j, m in enumerate(row) if m]
+    if any(v.conductor != e for _, x in rows for v in x):
+        raise ConductorMismatch(f"a table value is not at conductor {e}")
+    return [
+        root_sum(e, [(i, m * c) for m, x in rows for i, c in x[k].terms()])
+        for k in range(table.count)
+    ]
 
 
 def pre_cartan(quiver: Quiver) -> tuple[tuple[int, ...], ...]:

@@ -5,14 +5,16 @@ B, A, then the certificates.  The table of a group whose generators are all
 diagonal is read off its coordinate characters (`chartab._diagonal_table`);
 any other group's comes from `chartab.dixon_table`.  The route is decided
 by the generators, not by the catalog kind.  `analyze` builds the table
-once per (spec, max_order); the quiver, B, A and each certificate are
-computed on first use and kept, so `chartab` and `info` never build the
+once per (spec, max_order) and keeps it for the process, but `verify --all`
+drops each group's after its report; the quiver, B, A and each certificate
+are computed on first use and kept, so `chartab` and `info` never build the
 quiver, and the `cartan` and `verify` commands read the same verdicts.
 `verify` turns one analysis into the report that `mckay verify` prints.
 
 `dimensionBalance` is the kernel verdict B.delta = 0 and B^T.delta = 0
 (with B = n*I - M these are, term for term, the row and column balances
-sum_j m_ij d_j = n d_i and sum_i d_i m_ij = n d_j).  `eigenvectorProp` is
+sum_j m_ij d_j = n d_i and sum_i d_i m_ij = n d_j, and A.delta is their
+sum; `Analysis.kernel` reads all three off M).  `eigenvectorProp` is
 the one exact certificate on the quiver, M X = X diag(chi) on the verified
 table X, and `Analysis.eigen` is its only pass: `adjacency` reads M off an
 integer Gram matrix without it.  `dualTranspose` follows from it: on an
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import time
 from functools import cache, cached_property
+from operator import add, mul
 
 from . import catalog, chartab, mckay, published
 
@@ -106,8 +109,10 @@ class Analysis:
     @cached_property
     def kernel(self) -> tuple[bool, bool, bool]:
         """Does the dimension vector lie in the kernel of A, of B, of B^T?"""
-        bt = tuple(zip(*self.b))
-        return tuple(mckay.kernel_delta(m, self.quiver.dims) for m in (self.a, self.b, bt))
+        n, dims, m = self.quiver.rep_dim, self.quiver.dims, self.quiver.matrix
+        rows = [n * d - sum(map(mul, row, dims)) for d, row in zip(dims, m)]
+        cols = [n * d - sum(map(mul, col, dims)) for d, col in zip(dims, zip(*m))]
+        return (not any(map(add, rows, cols)), not any(rows), not any(cols))
 
     @cached_property
     def eigen(self) -> tuple[bool, ...]:

@@ -489,6 +489,19 @@ def test_chartab_and_info_never_build_the_quiver(monkeypatch, capsys):
     assert err.startswith("error:")
 
 
+def test_roster_pass_keeps_no_analysis(capsys, fresh_analysis):
+    # verify --all visits each spec once, so it drops each group's analysis
+    # after the report, and the ones memoised before it as well
+    pipeline.analyze(catalog.parse_spec("G7"), 20000)
+    code, out, _ = _run(capsys, "verify", "--all", "--format", "json")
+    assert code == 0
+    assert len(json.loads(out)["reports"]) == 73
+    assert pipeline.analyze.cache_info().currsize == 0
+    code, _, _ = _run(capsys, "verify", "--group", "G7", "--format", "json")
+    assert code == 0
+    assert pipeline.analyze.cache_info().currsize == 1
+
+
 def _tamper_first_row(moves):
     """An adjacency that adds delta to m[0][j] for each (j, delta) in moves."""
     real = mckay.adjacency

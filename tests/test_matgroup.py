@@ -246,7 +246,7 @@ def test_classes_read_one_left_row_per_class():
             return (self[i] for i in range(len(self)))
 
     right = [Counting(perm) for perm in base.right]
-    group = FiniteMatrixGroup(base.elements, base.index, right, base._tree)
+    group = FiniteMatrixGroup(base.elements, right, base._tree)
     reads[0] = 0
     classes = conjugacy_classes(group)
     n, r = group.order, classes.count

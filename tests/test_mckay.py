@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from mckay3 import chartab, mckay, pipeline
 from mckay3.catalog import abelian_table, all_specs, build_group, parse_spec
 from mckay3.chartab import dixon_table
-from mckay3.exactnum import Cyclotomic, root
+from mckay3.exactnum import ConductorMismatch, Cyclotomic, root
 from mckay3.mckay import (
     NotSymmetric,
     Quiver,
@@ -95,6 +95,47 @@ def test_psd_check_edges():
 
 def test_kernel_delta_negative():
     assert not kernel_delta([[1]], (1,))
+
+
+def _balance_quivers():
+    """Every roster quiver, then Hmn:2,2's with (i, j, delta) moves: one
+    extra arrow, a row-balanced and a column-balanced imbalance, and an
+    antisymmetric one that A's kernel keeps while B's and B^T's lose it."""
+    for spec in all_specs():
+        yield spec.name, pipeline.Analysis(spec, 20000)
+    for moves in (
+        ((0, 1, 1),),
+        ((0, 1, -1), (0, 2, 1)),
+        ((1, 0, -1), (2, 0, 1)),
+        ((0, 1, 1), (1, 0, -1)),
+    ):
+        an = pipeline.Analysis(parse_spec("Hmn:2,2"), 20000)
+        rows = [list(row) for row in an.quiver.matrix]
+        for i, j, delta in moves:
+            rows[i][j] += delta
+        an.quiver = Quiver(an.quiver.dims, tuple(map(tuple, rows)), an.quiver.rep_dim)
+        yield moves, an
+
+
+def test_kernel_reads_the_balances_of_m():
+    # Analysis.kernel reads B.delta and B^T.delta off M's row and column
+    # balances, and A.delta as their sum: the verdicts of kernel_delta on
+    # A, B and B^T, with neither B nor A built
+    seen = set()
+    for name, an in _balance_quivers():
+        got = an.kernel
+        assert "b" not in vars(an) and "a" not in vars(an), name
+        b = pre_cartan(an.quiver)
+        mats = (gen_cartan(b), b, tuple(zip(*b)))
+        assert got == tuple(kernel_delta(m, an.quiver.dims) for m in mats), name
+        seen.add(got)
+    assert seen == {
+        (True, True, True),
+        (False, False, False),
+        (False, True, False),
+        (False, False, True),
+        (True, False, False),
+    }
 
 
 def test_eigenvector_check_per_class(h22):
@@ -300,6 +341,36 @@ def test_modular_eigenvector_check_on_hand_built_quivers():
         mu = mckay._trivial_row(t, mat[0])
         assert eigenvector_check(t, q, mu) == (False,) * 3
         assert _termwise_eigenvector_check(t, q, mu) == (False,) * 3
+
+
+def _summed_row(table, row):
+    """mu_k as the former exact sum of products, kept as the reference."""
+    zero = Cyclotomic.rational(0, table.conductor)
+    terms = [(m, table.values[j]) for j, m in enumerate(row) if m]
+    return [sum((m * x[k] for m, x in terms), zero) for k in range(table.count)]
+
+
+def test_trivial_row_is_the_exact_sum(small_tables):
+    # one root_sum per class gives the sum of products on every
+    # constructor's table, on quiver rows and on rows with negative and
+    # zero entries; a value at another conductor raises as + does
+    tables = [t for t, _ in small_tables.values()]
+    tables += [abelian_table(3, 4), dixon_table(build_group(parse_spec("Hmn:3,1")))]
+    tables += [pipeline.analyze(spec, 20000).table for spec in all_specs()]
+    for t in tables:
+        q = adjacency(t)
+        for row in (q.matrix[0], q.matrix[-1], tuple(range(-1, t.count - 1)), (0,) * t.count):
+            got = mckay._trivial_row(t, row)
+            want = _summed_row(t, row)
+            assert [v.encode() for v in got] == [v.encode() for v in want]
+    t = tables[0]
+    shifted = list(t.values)
+    shifted[1] = (shifted[1][0].promote(2 * t.conductor),) + shifted[1][1:]
+    shifted = t._replace(values=tuple(shifted))
+    for trivial_row in (mckay._trivial_row, _summed_row):
+        with pytest.raises(ConductorMismatch):
+            trivial_row(shifted, (0, 1) + (0,) * (t.count - 2))
+        assert len(trivial_row(shifted, (1,) + (0,) * (t.count - 1))) == t.count
 
 
 def test_certificates_never_apply_galois_to_chi(small_tables, monkeypatch):
