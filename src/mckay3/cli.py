@@ -140,7 +140,7 @@ def _cmd_list(args) -> tuple[int, str]:
 
 def _cmd_info(args) -> tuple[int, str]:
     spec = catalog.parse_spec(args.group)
-    an = pipeline.analyze(spec, args.max_order)
+    an = pipeline.Analysis(spec, args.max_order)
     dims = sorted(an.table.dims)
     profile = catalog.expected_profile(spec)
     degenerate = profile is not None and profile.degenerate
@@ -176,7 +176,7 @@ def _cmd_chartab(args) -> tuple[int, str]:
     every value until this call returns, so no id is reused.  A table whose
     equal values are distinct objects renders each of them, to equal text."""
     spec = catalog.parse_spec(args.group)
-    an = pipeline.analyze(spec, args.max_order)
+    an = pipeline.Analysis(spec, args.max_order)
     t = an.table
     distinct = {}
     for row in t.values:
@@ -215,7 +215,7 @@ def _cmd_chartab(args) -> tuple[int, str]:
 
 def _cmd_quiver(args) -> tuple[int, str]:
     spec = catalog.parse_spec(args.group)
-    an = pipeline.analyze(spec, args.max_order)
+    an = pipeline.Analysis(spec, args.max_order)
     if args.format == "json":
         payload = {"group": spec.name, **mckay.export_json(an.quiver)}
         return 0, _dump_json(payload)
@@ -241,8 +241,9 @@ def _published_match(audit) -> dict | None:
 
 def _cmd_cartan(args) -> tuple[int, str]:
     spec = catalog.parse_spec(args.group)
-    an = pipeline.analyze(spec, args.max_order)
-    chosen = {"M": an.quiver.matrix, "B": an.b, "A": an.a}[args.print]
+    an = pipeline.Analysis(spec, args.max_order)
+    # only the matrix printed is built: B and A are cached on first read
+    chosen = {"M": lambda: an.quiver.matrix, "B": lambda: an.b, "A": lambda: an.a}[args.print]()
     eig = an.eigen
     report = {
         "charPolyA": list(an.char_poly),
@@ -307,11 +308,7 @@ def _cmd_verify(args) -> tuple[int, str]:
         specs = list(catalog.all_specs(max_m=args.max_m))
     else:
         specs = [catalog.parse_spec(args.group)]
-    reports = []
-    for spec in specs:
-        reports.append(pipeline.verify(spec, args.max_order))
-        if args.all:  # no spec recurs, so no group's analysis is read again
-            pipeline.analyze.cache_clear()
+    reports = [pipeline.verify(spec, args.max_order) for spec in specs]
     failures = sum(
         1 for rep in reports if any(v == "fail" for v in rep["checks"].values())
     )

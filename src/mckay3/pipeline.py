@@ -4,12 +4,13 @@ generators -> closure -> conjugacy classes -> character table -> quiver ->
 B, A, then the certificates.  The table of a group whose generators are all
 diagonal is read off its coordinate characters (`chartab._diagonal_table`);
 any other group's comes from `chartab.dixon_table`.  The route is decided
-by the generators, not by the catalog kind.  `analyze` builds the table
-once per (spec, max_order) and keeps it for the process, but `verify --all`
-drops each group's after its report; the quiver, B, A and each certificate
-are computed on first use and kept, so `chartab` and `info` never build the
-quiver, and the `cartan` and `verify` commands read the same verdicts.
-`verify` turns one analysis into the report that `mckay verify` prints.
+by the generators, not by the catalog kind.  Each command builds one
+`Analysis` and drops it after its payload, so a `verify --all` pass holds
+one group at a time.  The natural character, the quiver, B, A and each
+certificate are computed on first use and kept, so `chartab` and `info`
+never build the quiver, `cartan` builds only the matrix it prints, and the
+`cartan` and `verify` commands read the same verdicts.  `verify` turns one
+analysis into the report that `mckay verify` prints.
 
 `dimensionBalance` is the kernel verdict B.delta = 0 and B^T.delta = 0
 (with B = n*I - M these are, term for term, the row and column balances
@@ -28,7 +29,7 @@ product of the x - lambda_k.
 from __future__ import annotations
 
 import time
-from functools import cache, cached_property
+from functools import cached_property
 from operator import add, mul
 
 from . import catalog, chartab, mckay, published
@@ -47,7 +48,11 @@ class Analysis:
             self.table = chartab._diagonal_table(self.group, self.classes)
         else:
             self.table = chartab.dixon_table(self.group, self.classes)
-        self.chi = chartab.natural_character(self.group, self.classes)
+
+    @cached_property
+    def chi(self) -> tuple[chartab.Cyclotomic, ...]:
+        """The natural character; the `chartab` and `info` commands never read it."""
+        return chartab.natural_character(self.group, self.classes)
 
     @cached_property
     def quiver(self) -> mckay.Quiver:
@@ -150,12 +155,6 @@ class Analysis:
         return published.audit_cartan(self.spec.name, self.quiver)
 
 
-@cache
-def analyze(spec: catalog.GroupSpec, max_order: int) -> Analysis:
-    """The analysis of one group, memoised per (spec, max_order)."""
-    return Analysis(spec, max_order)
-
-
 def _verdict(ok: bool) -> str:
     return "pass" if ok else "fail"
 
@@ -163,7 +162,7 @@ def _verdict(ok: bool) -> str:
 def verify(spec: catalog.GroupSpec, max_order: int) -> dict:
     """Every structural check on one group, as the `verify` report."""
     t0 = time.monotonic()
-    an = analyze(spec, max_order)
+    an = Analysis(spec, max_order)
     table, quiver = an.table, an.quiver
     checks: dict[str, str] = {}
     discrepancies: list[dict] = []

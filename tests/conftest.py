@@ -39,14 +39,3 @@ def small_tables():
         classes = conjugacy_classes(g)
         out[name] = (dixon_table(g, classes), natural_character(g, classes))
     return out
-
-
-@pytest.fixture
-def fresh_analysis():
-    """Clear the analysis memo before and after, so no tampered quiver or
-    routed table computed under a patch stays for later tests."""
-    from mckay3 import pipeline
-
-    pipeline.analyze.cache_clear()
-    yield
-    pipeline.analyze.cache_clear()

@@ -12,13 +12,13 @@ import sys
 import pytest
 
 from mckay3 import catalog, chartab, mckay, published
-from mckay3.pipeline import analyze, verify
+from mckay3.pipeline import Analysis, verify
 
 _MAX_ORDER = 20000
 
 
 def _an(name):
-    return analyze(catalog.parse_spec(name), _MAX_ORDER)
+    return Analysis(catalog.parse_spec(name), _MAX_ORDER)
 
 
 # criterion 1 -- exact group orders
@@ -210,7 +210,7 @@ def test_c8_oracle_equivalence():
         expected = catalog.expected_adjacency(spec)
         if expected is None:
             continue
-        an = analyze(spec, _MAX_ORDER)
+        an = Analysis(spec, _MAX_ORDER)
         assert mckay.quiver_iso(an.quiver, expected) is not None, spec.name
 
 

@@ -255,7 +255,7 @@ def test_semidirect_oracle_matches_computed_for_one_case():
 )
 def test_monomial_oracle_matches_the_pipeline_past_the_roster(name):
     spec = parse_spec(name)
-    computed = pipeline.analyze(spec, 20000).quiver
+    computed = pipeline.Analysis(spec, 20000).quiver
     assert quiver_iso(computed, expected_adjacency(spec)) is not None
 
 

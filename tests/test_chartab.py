@@ -162,7 +162,7 @@ def test_one_prime_orthogonality_matches_the_exact_check(small_tables):
 
 def test_adjacency_matches_decompose_product(small_tables):
     promoted = 0
-    roster = [pipeline.analyze(spec, 20000) for spec in all_specs()]
+    roster = [pipeline.Analysis(spec, 20000) for spec in all_specs()]
     for t, chi in (*small_tables.values(), *((an.table, an.chi) for an in roster)):
         promoted += chi[0].conductor != t.conductor
         assert [list(row) for row in adjacency(t, chi).matrix] == decompose_product(t, chi)
@@ -559,22 +559,22 @@ def _refuse_everywhere(monkeypatch, fn):
                     monkeypatch.setattr(module, attr, refuse)
 
 
-def test_diagonal_groups_skip_dixon(monkeypatch, fresh_analysis):
+def test_diagonal_groups_skip_dixon(monkeypatch):
     _refuse_everywhere(monkeypatch, chartab.dixon_table)
     _refuse_everywhere(monkeypatch, chartab.class_constants)
     with pytest.raises(AssertionError, match="dixon_table called"):
-        pipeline.analyze(parse_spec("G7"), 20000)
+        pipeline.Analysis(parse_spec("G7"), 20000)
     for name in ("Hmn:4,5", "SL2:cyclic:12", "SL2:cyclic:4:alpha=3"):
         report = pipeline.verify(parse_spec(name), 20000)
         assert "fail" not in report["checks"].values(), name
 
 
-def test_other_groups_take_dixon(monkeypatch, fresh_analysis):
+def test_other_groups_take_dixon(monkeypatch):
     _refuse_everywhere(monkeypatch, chartab._diagonal_table)
     with pytest.raises(AssertionError, match="_diagonal_table called"):
-        pipeline.analyze(parse_spec("Hmn:2,2"), 20000)
+        pipeline.Analysis(parse_spec("Hmn:2,2"), 20000)
     for name in ("Gm3:3", "G7"):
-        assert not is_diagonal(pipeline.analyze(parse_spec(name), 20000).group)
+        assert not is_diagonal(pipeline.Analysis(parse_spec(name), 20000).group)
         report = pipeline.verify(parse_spec(name), 20000)
         assert "fail" not in report["checks"].values(), name
 

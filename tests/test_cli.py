@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from math import lcm
 from pathlib import Path
 from types import SimpleNamespace
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mckay3 import catalog, chartab, cli, mckay, pipeline
+from mckay3 import catalog, chartab, cli, mckay, pipeline, published
 from mckay3.cli import main
 from mckay3.exactnum import residues
 from mckay3.matgroup import SquareMatrix
@@ -33,6 +34,20 @@ def test_list_mentions_every_kind(capsys):
     assert code == 0
     for token in ("Hmn:<m>,<n>", "Gm3:<m>", "Gm6:<m>", "SL2:cyclic:<k>", "G12"):
         assert token in out
+
+
+def test_list_json_is_the_kind_table(capsys):
+    code, out, _ = _run(capsys, "list", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == [
+        {"grammar": g, "type": t, "description": d} for g, t, d in cli._KINDS
+    ]
+
+
+def test_info_text_flags_a_degenerate_group(capsys):
+    code, out, _ = _run(capsys, "info", "--group", "Hmn:1,1")
+    assert code == 0
+    assert out.splitlines()[-1] == "degenerate yes (trivial group)"
 
 
 def test_info_json(capsys):
@@ -226,6 +241,42 @@ def test_cartan_json_report(capsys):
     assert report["publishedMatch"]["matchedAgainst"] == "B"
 
 
+# one group per published-match line: an erratum, a documented mismatch,
+# a match read as A, and no record
+@pytest.mark.parametrize(
+    "name, match_line",
+    [
+        ("G10", "published match: corrected"),
+        ("Hmn:3,3", "published match: documented mismatch"),
+        ("Hmn:3,2", "published match: A"),
+        ("Hmn:2,3", "published match: nothing recorded"),
+    ],
+)
+def test_cartan_text_agrees_with_the_json_report(capsys, name, match_line):
+    code, text, _ = _run(capsys, "cartan", "--group", name)
+    assert code == 0
+    code, out, _ = _run(capsys, "cartan", "--group", name, "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    matrix, report = payload["matrix"], payload["report"]
+    lines = text.splitlines()
+    assert [[int(v) for v in line.split()] for line in lines[: len(matrix)]] == matrix
+    notes = report["publishedMatch"]["notes"] if report["publishedMatch"] else []
+    eig = report["eigenChecks"]
+    assert lines[len(matrix):] == [
+        "",
+        "charPoly(A) coefficients: " + " ".join(map(str, report["charPolyA"])),
+        f"psd: {report['psd']}",
+        f"A*delta = 0: {report['deltaInKernelOfA']}",
+        f"B*delta = 0: {report['deltaInKernelOfB']}",
+        f"eigenvector property: {sum(eig)}/{len(eig)} classes",
+        f"dual transpose: {report['dualTransposeOk']}",
+        match_line,
+        *(f"  note: {note}" for note in notes),
+    ]
+    assert bool(notes) == (name in ("G10", "Hmn:3,3"))
+
+
 def test_quiver_dot_default(capsys):
     code, out, _ = _run(capsys, "quiver", "--group", "Hmn:2,2")
     assert code == 0
@@ -267,6 +318,27 @@ def test_verify_reports_documented_discrepancies_without_failing(capsys):
     kinds = {d["kind"] for d in payload["discrepancies"]}
     assert "published-cartan" in kinds
     assert "published-table" in kinds
+
+
+def test_verify_fails_a_printed_table_that_should_match_and_does_not(monkeypatch, capsys):
+    # the as-printed G7 table is recorded as a known mismatch; expecting it
+    # to match must fail the check and the command
+    monkeypatch.setitem(
+        published.PRINTED_TABLES, "G7", ((published.TABLE_G7_AS_PRINTED, True),)
+    )
+    code, out, _ = _run(capsys, "verify", "--group", "G7", "--format", "json")
+    assert code == 1
+    checks = json.loads(out)["checks"]
+    assert checks["publishedTableMatch"] == "fail"
+    assert [name for name, verdict in checks.items() if verdict == "fail"] == [
+        "publishedTableMatch"
+    ]
+
+
+def test_verify_all_text_ends_with_the_tally(capsys):
+    code, out, _ = _run(capsys, "verify", "--all")
+    assert code == 0
+    assert out.endswith("\n73 groups verified, 0 with failures\n")
 
 
 def test_verify_degenerate_warning(capsys):
@@ -354,7 +426,7 @@ def test_dump_json_holds_no_text_twice_over():
 @pytest.mark.parametrize("name", ["G7", "Gm3:6", "Hmn:4,5", "SL2:2T"])
 def test_unshared_equal_values_give_the_shared_tables_results(monkeypatch, capsys, name):
     # every pass keyed by value object must not depend on the sharing
-    an = pipeline.analyze(catalog.parse_spec(name), 20000)
+    an = pipeline.Analysis(catalog.parse_spec(name), 20000)
     shared = an.table
     copy = shared._replace(values=tuple(tuple(-(-v) for v in row) for row in shared.values))
     assert copy == shared
@@ -372,7 +444,7 @@ def test_unshared_equal_values_give_the_shared_tables_results(monkeypatch, capsy
 
     payloads = {}
     for table in (shared, copy):
-        monkeypatch.setattr(pipeline, "analyze", lambda spec, bound: SimpleNamespace(table=table))
+        monkeypatch.setattr(pipeline, "Analysis", lambda spec, bound: SimpleNamespace(table=table))
         for fmt in ("json", "text"):
             argv = ("chartab", "--group", name, "--format", fmt)
             payloads.setdefault(fmt, []).append(_run(capsys, *argv))
@@ -467,7 +539,7 @@ def _det_minus_one(spec):
     ],
 )
 def test_failed_certificate_exits_1(
-    monkeypatch, capsys, fresh_analysis, module, name, stub, group, message
+    monkeypatch, capsys, module, name, stub, group, message
 ):
     monkeypatch.setattr(module, name, stub)
     code, out, err = _run(capsys, "verify", "--group", group)
@@ -478,7 +550,6 @@ def test_failed_certificate_exits_1(
 
 def test_chartab_and_info_never_build_the_quiver(monkeypatch, capsys):
     monkeypatch.setattr(mckay, "_integer_gram", _failing_gram)
-    pipeline.analyze.cache_clear()  # the group must be computed afresh
     for command in ("chartab", "info"):
         code, out, _ = _run(capsys, command, "--group", "Hmn:2,2")
         assert code == 0
@@ -489,17 +560,64 @@ def test_chartab_and_info_never_build_the_quiver(monkeypatch, capsys):
     assert err.startswith("error:")
 
 
-def test_roster_pass_keeps_no_analysis(capsys, fresh_analysis):
-    # verify --all visits each spec once, so it drops each group's analysis
-    # after the report, and the ones memoised before it as well
-    pipeline.analyze(catalog.parse_spec("G7"), 20000)
+def _on_each_analysis(monkeypatch, record):
+    """Call record(an) on each `pipeline.Analysis` as soon as it is built."""
+    real = pipeline.Analysis.__init__
+
+    def init(self, spec, max_order):
+        real(self, spec, max_order)
+        record(self)
+
+    monkeypatch.setattr(pipeline.Analysis, "__init__", init)
+
+
+# each command form, and the cached parts of its analysis it never builds:
+# a quiver that passes the eigenvector certificate needs neither B nor A
+# for the PSD verdict or the polynomial
+@pytest.mark.parametrize(
+    "argv, unbuilt",
+    [
+        (("info",), {"chi", "quiver"}),
+        (("info", "--format", "json"), {"chi", "quiver"}),
+        (("chartab",), {"chi", "quiver"}),
+        (("chartab", "--format", "json"), {"chi", "quiver"}),
+        (("quiver",), {"b", "a", "eigen", "kernel", "audit"}),
+        (("cartan", "--print", "M"), {"b", "a", "_hessenberg"}),
+        (("cartan", "--print", "B"), {"a", "_hessenberg"}),
+        (("cartan", "--print", "A", "--format", "json"), {"_hessenberg"}),
+        (("verify",), {"b", "a", "char_poly", "_hessenberg"}),
+    ],
+    ids=" ".join,
+)
+def test_each_command_builds_one_analysis_and_only_what_it_reads(
+    monkeypatch, capsys, argv, unbuilt
+):
+    built = []
+    _on_each_analysis(monkeypatch, built.append)
+    code, out, _ = _run(capsys, argv[0], "--group", "G7", *argv[1:])
+    assert code == 0
+    assert out
+    assert [an.spec.name for an in built] == ["G7"]
+    assert unbuilt.isdisjoint(vars(built[0]))
+
+
+def test_roster_pass_keeps_no_analysis(monkeypatch, capsys):
+    # no memo: verify --all builds one analysis per spec, and nothing keeps
+    # one alive after its report
+    refs, alive = [], []
+
+    def record(an):
+        alive.append(sum(ref() is not None for ref in refs))
+        refs.append(weakref.ref(an))
+
+    _on_each_analysis(monkeypatch, record)
     code, out, _ = _run(capsys, "verify", "--all", "--format", "json")
     assert code == 0
-    assert len(json.loads(out)["reports"]) == 73
-    assert pipeline.analyze.cache_info().currsize == 0
-    code, _, _ = _run(capsys, "verify", "--group", "G7", "--format", "json")
-    assert code == 0
-    assert pipeline.analyze.cache_info().currsize == 1
+    names = [report["groupSpec"] for report in json.loads(out)["reports"]]
+    assert names == [spec.name for spec in catalog.all_specs()]
+    assert len(refs) == len(names) == 73
+    assert alive == [0] * 73
+    assert all(ref() is None for ref in refs)
 
 
 def _tamper_first_row(moves):
@@ -521,7 +639,7 @@ def _tamper_first_row(moves):
     [((1, 1),), ((1, -1), (2, 1))],
     ids=["one-extra-arrow", "row-balanced-column-unbalanced"],
 )
-def test_tampered_quiver_fails_every_derived_check(monkeypatch, capsys, fresh_analysis, moves):
+def test_tampered_quiver_fails_every_derived_check(monkeypatch, capsys, moves):
     monkeypatch.setattr(mckay, "adjacency", _tamper_first_row(moves))
     code, out, _ = _run(capsys, "verify", "--group", "Hmn:2,2", "--format", "json")
     assert code == 1
@@ -530,7 +648,7 @@ def test_tampered_quiver_fails_every_derived_check(monkeypatch, capsys, fresh_an
         assert checks[name] == "fail", name
 
 
-def test_verify_builds_no_polynomial_and_cartan_one_product(monkeypatch, capsys, fresh_analysis):
+def test_verify_builds_no_polynomial_and_cartan_one_product(monkeypatch, capsys):
     # verify reads the PSD verdict off the eigen certificate; cartan prints
     # charPolyA, the product of A's certified spectrum, built once
     calls = {"char_poly": 0, "spectrum_product": 0}
@@ -551,7 +669,7 @@ def test_verify_builds_no_polynomial_and_cartan_one_product(monkeypatch, capsys,
     assert calls == {"char_poly": 0, "spectrum_product": 1}
 
 
-def test_verify_certifies_the_quiver_without_exact_dot(monkeypatch, fresh_analysis):
+def test_verify_certifies_the_quiver_without_exact_dot(monkeypatch):
     # adjacency reads the quiver off the integer Gram matrix, the one
     # eigenvector pass (for eigenvectorProp) runs modulo one prime and
     # dualTranspose is read off it; the exact decomposition, whose `_gram`
@@ -568,7 +686,7 @@ def test_verify_certifies_the_quiver_without_exact_dot(monkeypatch, fresh_analys
     report = pipeline.verify(catalog.parse_spec("Hmn:2,2"), 20000)
     assert report["checks"]["eigenvectorProp"] == "pass"
     assert calls == []
-    an = pipeline.analyze(catalog.parse_spec("Hmn:2,2"), 20000)
+    an = pipeline.Analysis(catalog.parse_spec("Hmn:2,2"), 20000)
     assert [list(row) for row in an.quiver.matrix] == chartab.decompose_product(an.table, an.chi)
     assert len(calls) == report["classCount"] ** 2
 

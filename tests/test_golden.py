@@ -2,9 +2,9 @@
 
 The pins are `verify --all --format json` with `elapsedMs` masked, and for
 each roster group `chartab`, `quiver`, `cartan --print A` and `info`, all in
-JSON.  `cli.main` runs in-process, so the payloads share the
-`pipeline.analyze` memo with the rest of the suite.  Four wider tables have
-their own constants, `WIDE_CHARTAB_DIGESTS`, and two text tables have
+JSON.  `cli.main` runs in-process, and each command builds its own
+`pipeline.Analysis`, as in a fresh process.  Four wider tables have their
+own constants, `WIDE_CHARTAB_DIGESTS`, and two text tables have
 `TEXT_CHARTAB_DIGESTS`.
 
 `python tests/test_golden.py --pin` rewrites `tests/golden_digests.json`.

@@ -1,6 +1,5 @@
 """Adjacency, Cartan matrices, exact PSD, quiver isomorphism, export."""
 
-import copy
 import json
 import re
 import subprocess
@@ -176,7 +175,7 @@ def test_eigenvector_check_recomputes_on_a_certified_quiver(h22, monkeypatch):
 
 
 def test_dual_transpose_on_an_asymmetric_quiver():
-    an = pipeline.analyze(parse_spec("Hmn:2,4"), 20000)
+    an = pipeline.Analysis(parse_spec("Hmn:2,4"), 20000)
     q = an.quiver
     assert q.matrix != tuple(zip(*q.matrix))  # genuinely directed
     assert an.dual_transpose
@@ -266,7 +265,7 @@ def test_tables_carry_a_proven_galois_action(small_tables):
     tables = [t for t, _ in small_tables.values()]
     tables += [abelian_table(m, n) for m, n in ((1, 1), (3, 4), (2, 6))]
     tables.append(chartab._diagonal_table(g, chartab.conjugacy_classes(g)))
-    roster = [pipeline.analyze(spec, 20000).table for spec in all_specs()]
+    roster = [pipeline.Analysis(spec, 20000).table for spec in all_specs()]
     assert len(roster) == 73
     tables += roster
     for t in tables:
@@ -356,7 +355,7 @@ def test_trivial_row_is_the_exact_sum(small_tables):
     # zero entries; a value at another conductor raises as + does
     tables = [t for t, _ in small_tables.values()]
     tables += [abelian_table(3, 4), dixon_table(build_group(parse_spec("Hmn:3,1")))]
-    tables += [pipeline.analyze(spec, 20000).table for spec in all_specs()]
+    tables += [pipeline.Analysis(spec, 20000).table for spec in all_specs()]
     for t in tables:
         q = adjacency(t)
         for row in (q.matrix[0], q.matrix[-1], tuple(range(-1, t.count - 1)), (0,) * t.count):
@@ -374,7 +373,7 @@ def test_trivial_row_is_the_exact_sum(small_tables):
 
 
 def test_certificates_never_apply_galois_to_chi(small_tables, monkeypatch):
-    roster = [pipeline.analyze(spec, 20000) for spec in all_specs()]
+    roster = [pipeline.Analysis(spec, 20000) for spec in all_specs()]
     cases = [(t, chi, adjacency(t, chi)) for t, chi in small_tables.values()]
     cases += [(an.table, an.chi, an.quiver) for an in roster]
 
@@ -432,7 +431,7 @@ def test_adjacency_without_chi_needs_representatives(small_tables):
         adjacency(table)
 
 
-def test_verify_runs_one_eigenvector_check_per_group(small_tables, monkeypatch, fresh_analysis):
+def test_verify_runs_one_eigenvector_check_per_group(small_tables, monkeypatch):
     calls = []
     real = mckay.eigenvector_check
 
@@ -445,21 +444,12 @@ def test_verify_runs_one_eigenvector_check_per_group(small_tables, monkeypatch, 
         calls.clear()
         report = pipeline.verify(parse_spec(name), 20000)
         assert report["checks"]["eigenvectorProp"] == "pass"
-        assert chartab.is_diagonal(pipeline.analyze(parse_spec(name), 20000).group) == diagonal
+        assert chartab.is_diagonal(pipeline.Analysis(parse_spec(name), 20000).group) == diagonal
         assert calls == [1]
     calls.clear()
     for t, chi in small_tables.values():
         adjacency(t, chi)
     assert calls == []
-
-
-def _fresh_psd(an):
-    """The analysis with its PSD verdict and polynomial dropped, so that
-    they are rebuilt."""
-    an = copy.copy(an)
-    for name in ("psd", "char_poly", "_hessenberg"):
-        vars(an).pop(name, None)
-    return an
 
 
 def _hessenberg_calls(monkeypatch):
@@ -480,7 +470,7 @@ _PSD_SPECS = list(all_specs(max_m=6)) + [parse_spec("Gm3:12"), parse_spec("Hmn:8
 def test_orbit_product_equals_the_hessenberg_charpoly(monkeypatch):
     calls = _hessenberg_calls(monkeypatch)
     for spec in _PSD_SPECS:
-        an = _fresh_psd(pipeline.analyze(spec, 20000))
+        an = pipeline.Analysis(spec, 20000)
         assert an.char_poly == tuple(reversed(integer_charpoly(an.a))), spec.name
     assert calls == []
 
@@ -489,7 +479,7 @@ def test_psd_verdict_equals_the_hessenberg_sign_scan(monkeypatch):
     # the verdict read off the eigen certificate builds no polynomial
     calls = _hessenberg_calls(monkeypatch)
     for spec in _PSD_SPECS:
-        an = _fresh_psd(pipeline.analyze(spec, 20000))
+        an = pipeline.Analysis(spec, 20000)
         verdict = an.psd
         assert calls == []
         assert verdict == psd_check(an.a).is_psd, spec.name
@@ -497,11 +487,9 @@ def test_psd_verdict_equals_the_hessenberg_sign_scan(monkeypatch):
 
 
 def test_tampered_quiver_takes_the_hessenberg_path(monkeypatch):
-    an = _fresh_psd(pipeline.analyze(parse_spec("Hmn:3,3"), 20000))
+    an = pipeline.Analysis(parse_spec("Hmn:3,3"), 20000)
     rows = [list(row) for row in an.quiver.matrix]
     rows[0][1] += 1
-    for name in ("quiver", "b", "a", "eigen"):
-        vars(an).pop(name, None)
     an.quiver = Quiver(an.quiver.dims, tuple(map(tuple, rows)), an.quiver.rep_dim)
     calls = _hessenberg_calls(monkeypatch)
     assert not all(an.eigen)
@@ -562,6 +550,19 @@ def test_quiver_iso_enforces_dimensions():
     mat = ((0, 1), (0, 0))
     assert quiver_iso(Quiver((1, 2), mat), Quiver((1, 2), mat)) is not None
     assert quiver_iso(Quiver((1, 2), mat), Quiver((2, 1), mat)) is None
+
+
+def test_quiver_iso_rejects_on_colour_refinement(monkeypatch):
+    # equal dimensions, but a 3-cycle has out-degrees 1,1,1 and a transitive
+    # tournament 2,1,0: the colours differ, so no search is started
+    def refuse(m):
+        raise AssertionError("search reached")
+
+    monkeypatch.setattr(mckay, "_distances", refuse)
+    cycle = Quiver((1, 1, 1), ((0, 1, 0), (0, 0, 1), (1, 0, 0)), 1)
+    tournament = Quiver((1, 1, 1), ((0, 1, 1), (0, 0, 1), (0, 0, 0)), 1)
+    assert quiver_iso(cycle, tournament) is None
+    assert quiver_iso(tournament, cycle) is None
 
 
 @st.composite

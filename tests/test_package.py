@@ -39,7 +39,7 @@ def test_startup_imports_no_code_introspection_modules(command):
 
 def _records():
     """One instance of each record type, all from G7."""
-    an = pipeline.analyze(parse_spec("G7"), 20000)
+    an = pipeline.Analysis(parse_spec("G7"), 20000)
     return [
         an.spec, expected_profile(an.spec), an.classes, an.table, an.quiver,
         psd_check(an.a), PRINTED_CARTAN["G7"], an.audit, TABLE_G7,
@@ -66,12 +66,7 @@ def test_replace_keeps_every_other_field(rec):
 
 def test_count_is_the_number_of_classes_or_vertices():
     # the properties shadow tuple.count, which would take an argument
-    an = pipeline.analyze(parse_spec("G7"), 20000)
+    an = pipeline.Analysis(parse_spec("G7"), 20000)
     assert an.classes.count == len(an.classes.reps) == 5
     assert an.table.count == len(an.table.dims) == 5
     assert an.quiver.count == len(an.quiver.matrix) == 5
-
-
-def test_equal_specs_share_one_analysis():
-    assert parse_spec("G7") is not parse_spec("G7")
-    assert pipeline.analyze(parse_spec("G7"), 20000) is pipeline.analyze(parse_spec("G7"), 20000)

@@ -8,7 +8,7 @@ import pytest
 
 from mckay3 import catalog, published
 from mckay3.exactnum import Cyclotomic
-from mckay3.pipeline import analyze
+from mckay3.pipeline import Analysis
 
 
 def _computed(orders, sizes, rows):
@@ -64,7 +64,7 @@ def test_search_tries_at_most_the_per_kind_bijections(monkeypatch, name, printed
             yield combo
 
     monkeypatch.setattr(published, "product", counted)
-    table = analyze(catalog.parse_spec(name), 20000).table
+    table = Analysis(catalog.parse_spec(name), 20000).table
     assert published.match_printed_table(table, printed) is verdict
     kinds = Counter(zip(table.class_orders, table.class_sizes))
     bound = prod(factorial(size) for size in kinds.values())
