@@ -15,11 +15,16 @@ returns; a table that comes back is correct, not heuristically likely.  The
 same integer Gram matrix, weighted by a character, is |G| times the quiver
 that `mckay.adjacency` reads off it (`_integer_gram`).
 
-A group whose generators are all diagonal (`is_diagonal`) has a shorter
-route, which `pipeline.Analysis` takes: `_diagonal_table` reads every
-irreducible off the coordinate characters eps_i(g) = g_ii as an exponent
-vector mod e, with no class constants, no split and no Gram matrix, and
-returns the same table as `dixon_table`.
+A split monomial group has a shorter route, which `pipeline.Analysis`
+takes: every generator monomial, and the non-diagonal ones generating a
+complement H of the diagonal subgroup A, so G = A x| H.
+`little_group_table` walks the dual of A as exponent vectors of the
+coordinate characters eps_i(g) = g_ii, takes its H-orbits, and induces
+lambda x rho from each stabilizer H_l (Serre, Linear Representations of
+Finite Groups, 8.2, Prop. 25), with Irr(H_l) from `dixon_table` on at most
+six elements.  It returns the same table as `dixon_table` on G; for H = 1
+(every generator diagonal) it forms no class constants, no split and no
+Gram matrix.  It returns None for any other group.
 
 Everything downstream keys off the deterministic element order produced by
 the closure walk, so classes, class constants and table rows come out in the
@@ -35,7 +40,7 @@ from operator import add, mul
 from typing import NamedTuple
 
 from .exactnum import Cyclotomic, dot, residues, root, root_sum
-from .matgroup import FiniteMatrixGroup, SquareMatrix
+from .matgroup import FiniteMatrixGroup, SquareMatrix, closure
 from .modp import (
     charpoly, gram, horner, kernel_basis, matmul, prime_one_mod, root_of_unity, rref,
     sparse_matmul,
@@ -380,99 +385,256 @@ def _residue_rows(table: CharacterTable, t: int, p: int) -> list[list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# diagonal groups
+# split monomial groups: the little-group route
 
 
-def is_diagonal(group: FiniteMatrixGroup) -> bool:
-    """Is every generator zero off its diagonal?  Then so is every element."""
-    return all(
-        group.elements[g].rows[i][j].is_zero()
-        for g in group.generator_indices
-        for i in range(group.dim)
-        for j in range(group.dim)
-        if i != j
-    )
-
-
-def _diagonal_table(
+def little_group_table(
     group: FiniteMatrixGroup, classes: ConjugacyClassSet
-) -> CharacterTable:
-    """The character table of a diagonal group (`is_diagonal`), read off
-    its coordinate characters and certified before it is returned.
+) -> CharacterTable | None:
+    """The character table of a split monomial group, read off its little
+    groups and certified before it is returned; None for any other group.
 
-    Rows.  Diagonal matrices multiply entrywise, so each coordinate
-    eps_i(g) = g_ii is a linear character.  rep_k has order o_k, so
-    eps_i(rep_k) is an e-th root of unity, e = lcm of the class orders, and
-    its exponent x[i][k] mod e is read exactly by matching the canonical
-    entry against the e powers of zeta_e.  A product of the eps_i is then a
-    linear character with value zeta_e^(row[k]) at class k, its row an
-    exponent vector mod e.  The walk starts at the zero row, the trivial
-    character, and adds each x[i] breadth first.
+    Eligibility.  Every generator must be monomial, one nonzero entry per
+    row, each a root of unity of Q(zeta_c) with c the conductor: w^y for w =
+    zeta_N, N = lcm(2, c).  Then so is every element x, and sigma(x), with
+    row i of x nonzero in column sigma_x(i), has sigma_(xy) = sigma_y o
+    sigma_x; its kernel in G is A, the diagonal elements.  Let D be the
+    diagonal generators and H the subgroup the others generate, walked on
+    `right` from the identity and abandoned at the first element whose
+    permutation an earlier one has, so past |sigma(H)| <= 3! elements.
 
-    Completeness.  The natural representation is faithful, so the eps_i
-    generate the dual group: a proper subgroup of the dual of a finite
-    abelian group is killed by some g != 1, and an element killed by every
-    eps_i is the identity matrix.  Both counts are checked, not assumed:
-    r = |G| (one class per element), and the walk reaches exactly |G|
-    distinct rows.  Distinct rows take different values, so they are |G|
-    distinct linear characters.  Distinct linear characters are
-    orthonormal (Serre, Linear Representations of Finite Groups, 2.3), so
-    they are the whole table and satisfy the orthogonality relations: no
-    Gram matrix is formed and `class_constants` is not called.
-    `_exact_table_checks` still runs.
+    Prop. 25's preconditions (Serre, Linear Representations of Finite
+    Groups, 8.2): G = A x| H with A abelian.  A monomial conjugate of a
+    diagonal matrix is diagonal, so the H-conjugates S = {h d h^-1} of D
+    generate a diagonal A_0 that H normalizes and D centralizes: A_0 is
+    normal, G = A_0 H and sigma(G) = sigma(H).  A walk that is not
+    abandoned has sigma one to one on H, so H meets A in 1 and
+    |H| = |sigma(G)|.  Then |G| = |A_0| |H|, and |A| = |G| / |sigma(G)| =
+    |A_0|: A = A_0 = <S> and G = A x| H.  An element g splits as g = a k,
+    with k the element of H with sigma_k = sigma_g and a = g k^-1 in A,
+    whose diagonal has the exponents y(g) - y(k), y the rows' exponents.
+    a^e = 1, e the exponent, so each a_ii = w^y is zeta_e^(y e / N), and
+    N | y e is checked.
 
-    Galois action.  power_classes[k][s] is the class of rep_k^s, the one
-    element with the exponents s*x[.][k] mod e.  For a coprime to e,
-    X[i][pi_a k] = zeta_e^(a row[k]) = sigma_a X[i][k], and every value is
-    a root of unity in Z[zeta_e] with |X[i][k]| = 1 = d_i.
+    Dual.  Diagonal matrices multiply entrywise, so each exponent vector c
+    gives a character lambda_c(a) = prod_i a_ii^(c_i) = w^(c.x(a)) of A, x(a)
+    the exponents of a's diagonal.  lambda_c is keyed by its signature, its
+    exponents on S: S generates A, so equal signatures are equal
+    characters.  The walk starts at c = 0, the trivial character, and adds
+    each unit vector breadth first; each node carries lambda_c(a) at every
+    class, as an exponent at e.
 
-    Order.  The rows are sorted by `dixon_table`'s key: trivial first, then
-    (dim, encoded values), with every dim 1.
+    Completeness.  The walk must reach |A| = |G| / |H| signatures, and this
+    is checked, not assumed: they are |A| distinct characters, so all of
+    the dual.  It does reach them, because the natural representation is
+    faithful: a proper subgroup of the dual of a finite abelian group is
+    killed by some a != 1, and an a killed by every eps_i is the identity.
+
+    Orbits.  t in H acts by (t lambda)(a) = lambda(t^-1 a t), and
+    (t^-1 a t)_jj = a_ii for j = sigma_t(i), so t lambda_c = lambda_(c o
+    sigma_t).  Orbits are taken in walk order: lambda's stabilizer H_l, and
+    one t per image t lambda, the first in H's walk, as the transversal T
+    of H / H_l.
+
+    Rows.  Irr(H_l) is `dixon_table` of the closure of H_l, at most
+    |sigma(G)| <= 3! elements; a trivial H_l has the trivial character
+    alone.  H_l fixes lambda, so lambda(a k) = lambda(a) extends it to
+    G_l = A H_l, and the theta = Ind_(G_l)^G (lambda x rho), one per orbit
+    and rho in Irr(H_l), are the irreducible characters of G, each once
+    (Prop. 25).  G is the disjoint union of the t G_l, t in T, and
+    t^-1 g t = (t^-1 a t)(t^-1 k t) lies in G_l exactly when t^-1 k t lies
+    in H_l, so
+
+        theta(g) = sum over t in T with t^-1 k t in H_l of
+                   (t lambda)(a) rho(t^-1 k t).
+
+    (t lambda)(a) is read off the walk at t lambda, and each value is one
+    `root_sum` at e over the terms of these cosets, memoised by term tuple
+    as in the Dixon lift.
+
+    Galois action.  theta is a character, so theta(g^a) = sigma_a theta(g):
+    the eigenvalues of g^a are the a-th powers of those of g.  rep_k^a lies
+    in class pi_a k, so X[i][pi_a k] = sigma_a X[i][k], and each value is a
+    sum of d_i e-th roots of unity: in Z[zeta_e], with |X[i][k]| <= d_i.
+
+    Certificate.  There must be one row per class.  For H = 1, G = A and
+    each theta is a lambda: |G| distinct linear characters, orthonormal
+    (Serre 2.3), so the whole table; no class constants and no Gram matrix
+    are formed, and `_exact_table_checks` still runs.  Any other table must
+    pass `_orthogonal_mod_prime`, as Dixon's does.
+
+    Order.  The rows are sorted by `dixon_table`'s key: the trivial
+    character (lambda = 1, rho = 1) first, then (dim, encoded values).
     """
-    n = group.order
-    r = classes.count
-    if r != n:
-        raise OrthogonalityFailure("a diagonal group needs one class per element")
+    n, r, dim, c = group.order, classes.count, group.dim, group.conductor
+    big_n = lcm(2, c)
+    exponent_of: dict[bytes, int] = {}  # the roots of unity +-zeta_c^t as powers of w
+    for t in range(c):  # zeta_c = w^(N/c) and -1 = w^(N/2)
+        v = root(t, c)
+        exponent_of.setdefault(v.encode(), t * (big_n // c))
+        exponent_of.setdefault((-v).encode(), (t * (big_n // c) + big_n // 2) % big_n)
+
+    def monomial(x: int) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+        """(sigma_x, y(x)): row i of x is w^(y[i]) in column sigma_x(i)."""
+        sigma, y = [], []
+        for row in group.elements[x].rows[:dim]:
+            cols = [j for j in range(dim) if row[j]]
+            t = exponent_of.get(row[cols[0]].encode()) if len(cols) == 1 else None
+            if t is None:
+                return None
+            sigma.append(cols[0])
+            y.append(t)
+        return tuple(sigma), tuple(y)
+
+    gens = [monomial(g) for g in group.generator_indices]
+    if None in gens:
+        return None
+    ident = tuple(range(dim))
+    moving = [pos for pos, (sigma, _) in enumerate(gens) if sigma != ident]
+    h_walk, k_of = [0], {ident: 0}  # H by walk position; k_of[sigma_k] = k
+    for x in h_walk:  # breadth first: the list grows as it is read
+        for pos in moving:
+            y = group.right[pos][x]
+            if y not in h_walk:
+                sigma = monomial(y)[0]
+                if sigma in k_of:
+                    return None  # y times an earlier element's inverse is in A
+                k_of[sigma] = len(h_walk)
+                h_walk.append(y)
+    sigmas, ys = zip(*map(monomial, h_walk))
+    inverse = [tuple(sorted(ident, key=sigma.__getitem__)) for sigma in sigmas]
+    conj = [  # conj[t][k]: the position of t^-1 k t, whose sigma is sigma_t o sigma_k o sigma_t^-1
+        [k_of[tuple(st[sk[i]] for i in it)] for sk in sigmas]
+        for st, it in zip(sigmas, inverse)
+    ]
     e = lcm(*classes.orders)
-    field_n = lcm(e, group.conductor)
-    exponent_of = {root(t * (field_n // e), field_n).encode(): t for t in range(e)}
-    reps = [group.elements[g] for g in classes.reps]
-    try:
-        x = [
-            [exponent_of[m.rows[i][i].promote(field_n).encode()] for m in reps]
-            for i in range(group.dim)
-        ]
-    except KeyError:
-        raise OrthogonalityFailure("a diagonal entry is no e-th root of unity") from None
+    # each class rep g = a k: k's walk position, and the exponents of a's
+    # diagonal at e, as a^e = 1; one column per coordinate
+    ks, columns = [], [[] for _ in ident]
+    for g in classes.reps:
+        sigma, y = monomial(g)
+        k = k_of[sigma]
+        ks.append(k)
+        for col, yg, yk in zip(columns, y, ys[k]):
+            col.append((yg - yk) % big_n * e)
+    if any(b % big_n for col in columns for b in col):
+        raise OrthogonalityFailure("a diagonal entry is no e-th root of unity")
+    columns = [[b // big_n for b in col] for col in columns]
 
-    seen = {(0,) * r}
-    walk = [(0,) * r]
-    for row in walk:  # breadth first: the list grows as it is read
-        for eps in x:
-            nxt = tuple([(a + b) % e for a, b in zip(row, eps)])
-            if nxt not in seen:
-                seen.add(nxt)
-                walk.append(nxt)
-    if len(walk) != n:
-        raise OrthogonalityFailure("the coordinate characters do not reach |G| rows")
+    # the signature of lambda_c is (c . x(s) for s in S), S = {h d h^-1}
+    # with x(h d h^-1)_i = x(d)_(sigma_h(i))
+    diag = [y for sigma, y in gens if sigma == ident]
+    gens_a = sorted({tuple(y[i] for i in sigma) for sigma in sigmas for y in diag})
 
-    roots = [root(t, e) for t in range(e)]
-    keys = [v.encode() for v in roots]
-    walk[1:] = sorted(walk[1:], key=lambda row: list(map(keys.__getitem__, row)))
+    def signature(cvec) -> tuple[int, ...]:
+        return tuple([sum(map(mul, cvec, s)) % big_n for s in gens_a])
 
+    # each node: (signature, c, lambda_c(a) at each class as an exponent at e)
+    units = [tuple(int(i == j) for j in ident) for i in ident]
+    steps = [signature(u) for u in units]
+    walk = [(signature((0,) * dim), (0,) * dim, (0,) * r)]
+    index = {walk[0][0]: 0}
+    for sig, cvec, row in walk:  # breadth first, as above
+        for u, step, col in zip(units, steps, columns):
+            nxt = tuple([(a + b) % big_n for a, b in zip(sig, step)])
+            if nxt not in index:
+                index[nxt] = len(walk)
+                walk.append((
+                    nxt,
+                    tuple([(a + b) % big_n for a, b in zip(cvec, u)]),
+                    tuple([(a + b) % e for a, b in zip(row, col)]),
+                ))
+    if len(walk) * len(h_walk) != n:
+        raise OrthogonalityFailure("the coordinate characters do not reach |A| signatures")
+
+    little: dict[tuple[int, ...], list[tuple[int, dict[int, tuple]]]] = {}
+
+    def irr(stab: tuple[int, ...]) -> list[tuple[int, dict[int, tuple]]]:
+        """Irr(H_l) as (degree, {t: the terms of rho(t) at e}), trivial first."""
+        if len(stab) == 1:
+            return [(1, {0: ((0, 1),)})]
+        if stab not in little:
+            sub = closure([group.elements[h_walk[t]] for t in stab[1:]])
+            sub_classes = conjugacy_classes(sub)
+            tab = dixon_table(sub, sub_classes)
+            if e % tab.conductor:
+                raise OrthogonalityFailure("a little group's exponent does not divide e")
+            step = e // tab.conductor
+            cls = [sub_classes.class_of[sub.index_of(group.elements[h_walk[t]])] for t in stab]
+            little[stab] = [
+                (d, {t: tuple((step * j, m) for j, m in row[k].terms())
+                     for t, k in zip(stab, cls)})
+                for d, row in zip(tab.dims, tab.values)
+            ]
+        return little[stab]
+
+    lifts: dict[tuple[tuple[int, int], ...], Cyclotomic] = {}
+    shared: dict[tuple[tuple[int, ...], int], Cyclotomic] = {}
+
+    def value(terms: tuple[tuple[int, int], ...]) -> Cyclotomic:
+        v = lifts.get(terms)
+        if v is None:
+            v = root_sum(e, terms)
+            v = lifts[terms] = shared.setdefault((v._num, v._den), v)
+        return v
+
+    rows: list[tuple[int, tuple[Cyclotomic, ...]]] = []
+    if len(h_walk) == 1:  # G = A: each theta is a lambda, read off its node
+        roots = [value(((t, 1),)) for t in range(e)]
+        rows = [(1, tuple(map(roots.__getitem__, row))) for _, _, row in walk]
+    else:
+        placed: set[int] = set()
+        for pos, (_, cvec, _) in enumerate(walk):
+            if pos in placed:
+                continue
+            stab: list[int] = []
+            cosets: dict[int, int] = {}  # t lambda -> t
+            for t, sigma in enumerate(sigmas):
+                image = index[signature([cvec[i] for i in sigma])]
+                if image == pos:
+                    stab.append(t)
+                cosets.setdefault(image, t)
+            placed.update(cosets)
+            moved = [(t, walk[image][2]) for image, t in cosets.items()]
+            for d, rho in irr(tuple(stab)):
+                # by k: (t lambda at each class, rho(t^-1 k t)) for each coset t
+                # with t^-1 k t in H_l, that is in rho
+                meets = [
+                    [(exps, rho[conj[t][k]]) for t, exps in moved if conj[t][k] in rho]
+                    for k in range(len(sigmas))
+                ]
+                vals = [
+                    value(tuple([
+                        ((exps[j] + s) % e, m) for exps, terms in meets[k] for s, m in terms
+                    ]))
+                    for j, k in enumerate(ks)
+                ]
+                rows.append((len(cosets) * d, tuple(vals)))
+    if len(rows) != r:
+        raise OrthogonalityFailure(
+            f"the little groups give {len(rows)} characters for {r} classes"
+        )
+
+    codes = {id(v): v.encode() for v in shared.values()}  # shared keeps ids valid
+    rows[1:] = sorted(
+        rows[1:], key=lambda row: (row[0], tuple(map(codes.__getitem__, map(id, row[1]))))
+    )
     table = CharacterTable(
         conductor=e,
         order=n,
-        dims=(1,) * r,
-        values=tuple(tuple(map(roots.__getitem__, row)) for row in walk),
+        dims=tuple(d for d, _ in rows),
+        values=tuple(vals for _, vals in rows),
         class_sizes=classes.sizes,
         class_orders=classes.orders,
         inverse_class=classes.inverse_class,
         power_classes=classes.power_classes,
-        class_reps=tuple(reps),
+        class_reps=tuple(group.elements[g] for g in classes.reps),
     )
-    if not _exact_table_checks(table):
-        raise OrthogonalityFailure("the diagonal table fails its exact checks")
+    if len(h_walk) == 1:
+        if not _exact_table_checks(table):
+            raise OrthogonalityFailure("the diagonal table fails its exact checks")
+    elif not _orthogonal_mod_prime(table):
+        raise OrthogonalityFailure("orthogonality relations fail mod p'")
     return table
 
 

@@ -1,12 +1,13 @@
 """The analysis pipeline: one catalog group from spec to audited quiver.
 
 generators -> closure -> conjugacy classes -> character table -> quiver ->
-B, A, then the certificates.  The table of a group whose generators are all
-diagonal is read off its coordinate characters (`chartab._diagonal_table`);
-any other group's comes from `chartab.dixon_table`.  The route is decided
-by the generators, not by the catalog kind.  Each command builds one
-`Analysis` and drops it after its payload, so a `verify --all` pass holds
-one group at a time.  The natural character, the quiver, B, A and each
+B, A, then the certificates.  The table of a split monomial group, G = A x| H
+with A diagonal (every Hmn, Gm3, Gm6 and SL2:cyclic, for instance), is read
+off the little groups of H (`chartab.little_group_table`); any other
+group's comes from `chartab.dixon_table`.  The route is decided by the
+generators, not by the catalog kind.  Each command builds one `Analysis`
+and drops it after its payload, so a `verify --all` pass holds one group at
+a time.  The natural character, the quiver, B, A and each
 certificate are computed on first use and kept, so `chartab` and `info`
 never build the quiver, `cartan` builds only the matrix it prints, and the
 `cartan` and `verify` commands read the same verdicts.  `verify` turns one
@@ -44,10 +45,10 @@ class Analysis:
         self.classes = chartab.conjugacy_classes(self.group)
         # either constructor returns only tables whose orthogonality it
         # certified; the route is an exact property of the generators
-        if chartab.is_diagonal(self.group):
-            self.table = chartab._diagonal_table(self.group, self.classes)
-        else:
-            self.table = chartab.dixon_table(self.group, self.classes)
+        table = chartab.little_group_table(self.group, self.classes)
+        if table is None:
+            table = chartab.dixon_table(self.group, self.classes)
+        self.table = table
 
     @cached_property
     def chi(self) -> tuple[chartab.Cyclotomic, ...]:

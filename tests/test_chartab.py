@@ -1,5 +1,5 @@
 """Conjugacy classes, Dixon character tables on small known groups, and the
-tables of diagonal groups read off their coordinate characters."""
+tables of split monomial groups read off their little groups."""
 
 import sys
 from collections import Counter
@@ -16,11 +16,10 @@ from mckay3.chartab import (
     CharacterTable,
     NonIntegralMultiplicity,
     OrthogonalityFailure,
-    _diagonal_table,
     conjugacy_classes,
     decompose_product,
     dixon_table,
-    is_diagonal,
+    little_group_table,
     natural_character,
     tables_match_by_reps,
     verify_orthogonality,
@@ -371,8 +370,8 @@ def test_split_receives_every_subspace_in_rref(monkeypatch):
 
     monkeypatch.setattr(chartab, "_split_subspace", recorded)
     groups = [build_group(spec) for spec in all_specs()]
-    dixon = [g for g in groups if not is_diagonal(g)]
-    assert len(dixon) == 29
+    dixon = [g for g in groups if conjugacy_classes(g).count < g.order]
+    assert len(dixon) == 27
     for g in dixon:
         dixon_table(g)
     assert bases
@@ -526,24 +525,42 @@ def test_abelian_tables_are_orthogonal(m, n):
 
 
 # ---------------------------------------------------------------------------
-# diagonal groups: the table read off the coordinate characters
+# split monomial groups: the table read off the little groups
+
+
+def _tables_agree(g):
+    """Is g's little-group table Dixon's, Galois action included?  False
+    when the route declines g."""
+    classes = conjugacy_classes(g)
+    table = little_group_table(g, classes)
+    return table is not None and table == dixon_table(g, classes)
 
 
 def test_dixon_agrees_with_the_diagonal_table():
-    # the pipeline sends these groups past Dixon, so this keeps Dixon's
-    # coverage on them; the Klein four-group has conductor 1 and exponent 2
-    groups = [build_group(spec) for spec in all_specs()]
-    diagonal = [g for g in groups if is_diagonal(g)]
-    assert len(diagonal) == 44
+    # the H = 1 case: the pipeline sends these groups past Dixon, so this
+    # keeps Dixon's coverage on them; the Klein four-group has conductor 1
+    # and exponent 2
+    specs = [s for s in all_specs() if s.kind == "Hmn" or s.subtype == "cyclic"]
+    assert len(specs) == 44
+    diagonal = [build_group(spec) for spec in specs]
     diagonal += [build_group(parse_spec(name)) for name in ("SL2:cyclic:60", "Hmn:8,8")]
     diagonal.append(closure([
         SquareMatrix([[-1, 0, 0], [0, -1, 0], [0, 0, 1]]),
         SquareMatrix([[-1, 0, 0], [0, 1, 0], [0, 0, -1]]),
     ]))
-    for g in diagonal:
-        classes = conjugacy_classes(g)
-        table, reference = _diagonal_table(g, classes), dixon_table(g, classes)
-        assert table == reference  # Galois action included
+    assert all(map(_tables_agree, diagonal))
+
+
+def test_little_group_table_equals_dixon():
+    # every eligible roster group up to m = 12 (Hmn, Gm3, Gm6, SL2:cyclic),
+    # and SL2:binD:3:alpha=4, whose antidiagonal generator has order 2 at
+    # alpha = 4, so H = C2 is a complement (at alpha = 1 or 2 it meets A)
+    kinds = ("Hmn", "Gm3", "Gm6")
+    specs = [s for s in all_specs(12) if s.kind in kinds or s.subtype == "cyclic"]
+    assert len(specs) == 176
+    extra = ("SL2:cyclic:4:alpha=3", "Gm3:16", "Gm6:16", "SL2:binD:3:alpha=4")
+    for spec in specs + [parse_spec(name) for name in extra]:
+        assert _tables_agree(build_group(spec)), spec.name
 
 
 def _refuse_everywhere(monkeypatch, fn):
@@ -569,12 +586,43 @@ def test_diagonal_groups_skip_dixon(monkeypatch):
         assert "fail" not in report["checks"].values(), name
 
 
+def _recording(monkeypatch, name, size):
+    """Replace chartab.<name> with a wrapper that logs size(*args)."""
+    real, log = getattr(chartab, name), []
+
+    def recorded(*args):
+        log.append(size(*args))
+        return real(*args)
+
+    monkeypatch.setattr(chartab, name, recorded)
+    return log
+
+
+def test_split_groups_skip_the_dixon_split_of_g(monkeypatch):
+    # Dixon runs on the little groups alone, of at most 3! = 6 elements
+    # and 3 classes: G's own class constants and split are never formed
+    orders = _recording(monkeypatch, "dixon_table", lambda g, classes: g.order)
+    constants = _recording(monkeypatch, "class_constants", lambda g, classes: g.order)
+    splits = _recording(monkeypatch, "_split_subspace", lambda basis, mj, p: len(basis))
+    for name in ("Gm3:6", "Gm6:6"):
+        report = pipeline.verify(parse_spec(name), 20000)
+        assert "fail" not in report["checks"].values(), name
+    assert sorted(set(orders)) == sorted(set(constants)) == [2, 3, 6]
+    assert max(splits) <= 3
+
+
 def test_other_groups_take_dixon(monkeypatch):
-    _refuse_everywhere(monkeypatch, chartab._diagonal_table)
-    with pytest.raises(AssertionError, match="_diagonal_table called"):
-        pipeline.Analysis(parse_spec("Hmn:2,2"), 20000)
-    for name in ("Gm3:3", "G7"):
-        assert not is_diagonal(pipeline.Analysis(parse_spec(name), 20000).group)
+    # no monomial generating set (G7, SL2:2T), or an antidiagonal generator
+    # of order 4 whose H meets A (SL2:binD:3, twisted or not), or a
+    # monomial entry that is no root of unity
+    odd = closure([SquareMatrix([[1, 0, 0], [0, 0, 2], [0, Fraction(1, 2), 0]])])
+    assert odd.order == 2 and little_group_table(odd, conjugacy_classes(odd)) is None
+    orders = _recording(monkeypatch, "dixon_table", lambda g, classes: g.order)
+    for name in ("G7", "SL2:2T", "SL2:binD:3", "SL2:binD:3:alpha=2"):
+        orders.clear()
+        an = pipeline.Analysis(parse_spec(name), 20000)
+        assert little_group_table(an.group, an.classes) is None, name
+        assert orders == [an.group.order], name
         report = pipeline.verify(parse_spec(name), 20000)
         assert "fail" not in report["checks"].values(), name
 
@@ -586,13 +634,16 @@ def test_diagonal_walk_short_of_the_order_raises(monkeypatch):
     # to fall short: eps_0 alone reaches 2 of the 4 characters
     monkeypatch.setattr(g, "dim", 1)
     with pytest.raises(OrthogonalityFailure, match="do not reach"):
-        _diagonal_table(g, classes)
+        little_group_table(g, classes)
 
 
 def test_diagonal_table_refuses_a_group_with_fewer_classes():
-    g = build_group(parse_spec("SL2:binD:2"))
-    with pytest.raises(OrthogonalityFailure, match="one class per element"):
-        _diagonal_table(g, conjugacy_classes(g))
+    g = build_group(parse_spec("Hmn:2,2"))
+    classes = conjugacy_classes(g)
+    # four characters, but the last class dropped
+    wrong = classes._replace(reps=classes.reps[:3])
+    with pytest.raises(OrthogonalityFailure, match="4 characters for 3 classes"):
+        little_group_table(g, wrong)
 
 
 def test_diagonal_entries_must_be_roots_of_the_exponent():
@@ -601,7 +652,16 @@ def test_diagonal_entries_must_be_roots_of_the_exponent():
     # orders of 1 give e = 1, and -1 is no power of zeta_1
     wrong = classes._replace(orders=(1,) * classes.count)
     with pytest.raises(OrthogonalityFailure, match="no e-th root"):
-        _diagonal_table(g, wrong)
+        little_group_table(g, wrong)
+
+
+def test_little_group_exponent_must_divide_e():
+    g = build_group(parse_spec("Gm3:2"))
+    classes = conjugacy_classes(g)
+    # e = 2 holds the diagonal entries +-1, but not the little group C_3
+    wrong = classes._replace(orders=(2,) * classes.count)
+    with pytest.raises(OrthogonalityFailure, match="does not divide e"):
+        little_group_table(g, wrong)
 
 
 def test_diagonal_table_failing_its_exact_checks_raises():
@@ -610,4 +670,12 @@ def test_diagonal_table_failing_its_exact_checks_raises():
     # a class size of 3 does not divide |G| = 4
     wrong = classes._replace(sizes=(1, 1, 1, 3))
     with pytest.raises(OrthogonalityFailure, match="exact checks"):
-        _diagonal_table(g, wrong)
+        little_group_table(g, wrong)
+
+
+def test_split_table_failing_its_certificate_raises(monkeypatch):
+    # H != 1: the table is held to Dixon's certificate, not the exact checks
+    monkeypatch.setattr(chartab, "_orthogonal_mod_prime", lambda table: False)
+    g = build_group(parse_spec("Gm3:2"))
+    with pytest.raises(OrthogonalityFailure, match="mod p'"):
+        little_group_table(g, conjugacy_classes(g))

@@ -421,8 +421,9 @@ def test_dump_json_holds_no_text_twice_over():
     assert peak < 4.5 * len(text)
 
 
-# one Dixon table, one diagonal table, and SL2:2T, whose natural character
-# lives at a larger conductor than its table
+# one Dixon table, two little-group tables (Gm3:6, and the diagonal Hmn:4,5),
+# and SL2:2T, whose natural character lives at a larger conductor than its
+# table
 @pytest.mark.parametrize("name", ["G7", "Gm3:6", "Hmn:4,5", "SL2:2T"])
 def test_unshared_equal_values_give_the_shared_tables_results(monkeypatch, capsys, name):
     # every pass keyed by value object must not depend on the sharing
@@ -493,13 +494,15 @@ def _det_minus_one(spec):
     return [SquareMatrix([[-1, 0, 0], [0, 1, 0], [0, 0, 1]])]
 
 
-# the orthogonality certificate of dixon_table (SL2:binD:2 is not
-# diagonal, so it takes Dixon), the exact checks of the diagonal table and
-# the integer Gram matrix that adjacency reads the quiver off; the first
-# two ids are the names of the exact checks these certificates took over
-# from, kept so the test ids stay stable.  Then each fail-fast exit of the
-# Dixon split and of build_group.  Gm3:2 (A_4, order 12) takes Dixon with
-# p = 7, has two non-real characters, and 12 = 5 (mod 7) is no square mod 7.
+# the orthogonality certificate of dixon_table (SL2:binD:2 is no split
+# monomial group, so it takes Dixon), the exact checks of the little-group
+# table of a diagonal group (its H = 1 case) and the integer Gram matrix
+# that adjacency reads the quiver off; the first two ids are the names of
+# the exact checks these certificates took over from, kept so the test ids
+# stay stable.  Then each fail-fast exit of the Dixon split and of
+# build_group.  SL2:2T (order 24) has no monomial generating set here, so
+# it takes Dixon with p = 13, has non-real characters, and 24 = 11
+# (mod 13) is no square mod 13.
 @pytest.mark.parametrize(
     "module, name, stub, group, message",
     [
@@ -508,17 +511,17 @@ def _det_minus_one(spec):
         (mckay, "_integer_gram", _failing_gram, "Hmn:2,2", "<chi*gamma_0, gamma_0> = 1 / 4"),
         (chartab, "_exact_table_checks", lambda table: False, "Hmn:2,2",
          "the diagonal table fails its exact checks"),
-        (chartab, "_split_subspace", lambda w, mj, p: [w], "Gm3:2",
+        (chartab, "_split_subspace", lambda w, mj, p: [w], "SL2:2T",
          "class matrices failed to separate characters"),
-        (chartab, "_split_subspace", lambda w, mj, p: [[v] for v in w], "Gm3:2",
+        (chartab, "_split_subspace", lambda w, mj, p: [[v] for v in w], "SL2:2T",
          "eigenvector vanishes at the identity class"),
-        (chartab, "conjugacy_classes", _classes_each_self_inverse, "Gm3:2",
+        (chartab, "conjugacy_classes", _classes_each_self_inverse, "SL2:2T",
          "degenerate norm sum for a character"),
         # every line the identity-class coordinate: each norm sum is 1 and
         # each degree^2 reads as |G| mod p
-        (chartab, "_split_subspace", lambda w, mj, p: [[w[0]] for _ in w], "Gm3:2",
+        (chartab, "_split_subspace", lambda w, mj, p: [[w[0]] for _ in w], "SL2:2T",
          "character degree is not a square mod p"),
-        (chartab, "_split_subspace", _split_twice, "Gm3:2",
+        (chartab, "_split_subspace", _split_twice, "SL2:2T",
          "trivial character missing or duplicated"),
         (catalog, "generators", _det_minus_one, "Hmn:2,2",
          "Hmn:2,2: generator determinant is not 1"),

@@ -260,11 +260,11 @@ def _action_holds(table) -> bool:
 def test_tables_carry_a_proven_galois_action(small_tables):
     # `adjacency` and `eigenvector_check` trust the stored action, so the
     # constructors' proofs are its only guard: every roster table, Dixon's
-    # and the diagonal route's, is held to it here
+    # and the little-group route's, is held to it here
     g = build_group(parse_spec("Hmn:4,5"))
     tables = [t for t, _ in small_tables.values()]
     tables += [abelian_table(m, n) for m, n in ((1, 1), (3, 4), (2, 6))]
-    tables.append(chartab._diagonal_table(g, chartab.conjugacy_classes(g)))
+    tables.append(chartab.little_group_table(g, chartab.conjugacy_classes(g)))
     roster = [pipeline.Analysis(spec, 20000).table for spec in all_specs()]
     assert len(roster) == 73
     tables += roster
@@ -400,7 +400,7 @@ def test_abelian_table_verdicts_match_the_exact_loop():
 def test_adjacency_matches_the_exact_decomposition_and_rejects_a_swapped_chi(small_tables):
     g = build_group(parse_spec("Hmn:4,5"))
     classes = chartab.conjugacy_classes(g)
-    diagonal = (chartab._diagonal_table(g, classes), chartab.natural_character(g, classes))
+    diagonal = (chartab.little_group_table(g, classes), chartab.natural_character(g, classes))
     for t, chi in (*small_tables.values(), diagonal):
         assert [list(row) for row in adjacency(t, chi).matrix] == (
             chartab.decompose_product(t, chi)
@@ -440,11 +440,12 @@ def test_verify_runs_one_eigenvector_check_per_group(small_tables, monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(mckay, "eigenvector_check", counted)
-    for name, diagonal in (("G7", False), ("Hmn:4,5", True)):
+    for name, split in (("G7", False), ("Hmn:4,5", True)):
         calls.clear()
         report = pipeline.verify(parse_spec(name), 20000)
         assert report["checks"]["eigenvectorProp"] == "pass"
-        assert chartab.is_diagonal(pipeline.Analysis(parse_spec(name), 20000).group) == diagonal
+        an = pipeline.Analysis(parse_spec(name), 20000)
+        assert (chartab.little_group_table(an.group, an.classes) is not None) == split
         assert calls == [1]
     calls.clear()
     for t, chi in small_tables.values():
