@@ -579,7 +579,10 @@ def little_group_table(
         return v
 
     rows: list[tuple[int, tuple[Cyclotomic, ...]]] = []
-    if len(h_walk) == 1:  # G = A: each theta is a lambda, read off its node
+    if len(h_walk) == 1:
+        # G = A: each theta is a lambda, read off its node.  The orbit loop
+        # gives the same rows and objects, but builds a term tuple per entry,
+        # which makes it several times slower here (timings in CHANGES.md)
         roots = [value(((t, 1),)) for t in range(e)]
         rows = [(1, tuple(map(roots.__getitem__, row))) for _, _, row in walk]
     else:
