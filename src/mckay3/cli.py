@@ -15,7 +15,13 @@ payloads are byte deterministic; elapsed-time fields are the only exception
 and are clearly named (elapsedMs).
 
 The analysis itself lives in `pipeline`; this module only parses
-arguments, formats payloads and maps errors to exit codes.  One option table,
+arguments, formats payloads and maps errors to exit codes.  A command returns
+its exit code and its payload as a list of pieces, strings whose concatenation
+is the payload; JSON pieces come from `_dump_json`, one per member of the
+payload and of its top-level containers (a table row, a verify report), so no
+text of a whole table is built.  `main` writes the pieces only once the
+command has returned, so a command that fails writes nothing, neither to
+stdout nor to an --out file.  One option table,
 `_COMMANDS`, declares every command and flag: `_parse` reads a plain command
 line (exact long flags, each once, each value the next token) off it
 directly, and anything else goes to the argparse parser `_build_parser` makes
@@ -56,17 +62,20 @@ def _short(v) -> str:
     return text.rsplit(" (z = zeta_", 1)[0]
 
 
-def _dump_json(payload) -> str:
-    """`json.dumps(payload, indent=2) + "\n"` byte for byte, rendering each
-    dict of the payload once per depth however often it recurs.
+def _dump_json(payload) -> list[str]:
+    """The pieces of `json.dumps(payload, indent=2) + "\n"`, byte for byte:
+    the payload and each of its top-level containers are written one member
+    at a time, each member rendered whole, so no text of a whole table or
+    of the whole payload is ever built.
 
-    memos[d] maps id(o) to the text of a dict o at depth d, and a container
-    looks its items up there before it recurses into them.  Only dicts are
-    kept, since only they recur (the chartab value cells); a list's text
-    would be held again inside its parent's.  Keyed on id(): sound only
-    because `payload` keeps every object in it alive until this call
-    returns, so no id can pass to another object meanwhile.  A text is
-    never empty, so a miss is the only falsy lookup.
+    Each dict is rendered once per depth however often it recurs.  memos[d]
+    maps id(o) to the text of a dict o at depth d, and a container looks its
+    items up there before it recurses into them.  Only dicts are kept, since
+    only they recur (the chartab value cells); a list's text would be held
+    again inside its parent's.  Keyed on id(): sound only because `payload`
+    keeps every object in it alive until this call returns, so no id can
+    pass to another object meanwhile.  A text is never empty, so a miss is
+    the only falsy lookup.
     """
     enc = json.encoder.encode_basestring_ascii
     memos: defaultdict[int, dict[int, str]] = defaultdict(dict)
@@ -78,6 +87,8 @@ def _dump_json(payload) -> str:
     def render(o, depth: int) -> str:
         if isinstance(o, str):
             text = enc(o)
+        elif type(o) is int:
+            text = int.__repr__(o)  # json's text for an int; a bool keeps json's path
         elif not isinstance(o, (dict, list, tuple)):
             text = json.dumps(o)
         else:
@@ -95,7 +106,29 @@ def _dump_json(payload) -> str:
                 memos[depth][id(o)] = text
         return text
 
-    return render(payload, 0) + "\n"
+    pieces: list[str] = []
+
+    def emit(o, depth: int) -> None:
+        # o's text onto pieces, member by member down to the payload's
+        # top-level containers; anything deeper, or empty, in one piece
+        if depth > 1 or not isinstance(o, (dict, list, tuple)) or not o:
+            pieces.append(memos[depth].get(id(o)) or render(o, depth))
+            return
+        pad = "\n" + "  " * (depth + 1)
+        if isinstance(o, dict):
+            heads, values, ends = [f"{key(k)}: " for k in o], o.values(), "{}"
+        else:
+            heads, values, ends = [""] * len(o), o, "[]"
+        sep, comma = ends[0] + pad, "," + pad
+        for head, v in zip(heads, values):
+            pieces.append(sep + head)
+            emit(v, depth + 1)
+            sep = comma
+        pieces.append("\n" + "  " * depth + ends[1])
+
+    emit(payload, 0)
+    pieces.append("\n")
+    return pieces
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +155,7 @@ _KINDS = (
 )
 
 
-def _cmd_list(args) -> tuple[int, str]:
+def _cmd_list(args) -> tuple[int, list[str]]:
     if args.format == "json":
         payload = [
             {"grammar": g, "type": t, "description": d} for g, t, d in _KINDS
@@ -135,10 +168,10 @@ def _cmd_list(args) -> tuple[int, str]:
     lines.append("")
     lines.append("the alpha=<j> suffix multiplies the embedding by a central")
     lines.append("j-th root of unity block chosen to keep determinant 1")
-    return 0, "\n".join(lines) + "\n"
+    return 0, ["\n".join(lines) + "\n"]
 
 
-def _cmd_info(args) -> tuple[int, str]:
+def _cmd_info(args) -> tuple[int, list[str]]:
     spec = catalog.parse_spec(args.group)
     an = pipeline.Analysis(spec, args.max_order)
     dims = sorted(an.table.dims)
@@ -167,10 +200,10 @@ def _cmd_info(args) -> tuple[int, str]:
     ]
     if degenerate:
         lines.append(f"degenerate yes ({'; '.join(notes)})")
-    return 0, "\n".join(lines) + "\n"
+    return 0, ["\n".join(lines) + "\n"]
 
 
-def _cmd_chartab(args) -> tuple[int, str]:
+def _cmd_chartab(args) -> tuple[int, list[str]]:
     """The table as JSON or text.  Each distinct value object is encoded or
     printed once, collected by id(), so no value is hashed; t.values holds
     every value until this call returns, so no id is reused.  A table whose
@@ -206,20 +239,20 @@ def _cmd_chartab(args) -> tuple[int, str]:
         "# class size   " + " ".join(str(s).rjust(width) for s in t.class_sizes),
         "# elem order   " + " ".join(str(o).rjust(width) for o in t.class_orders),
     ]
-    body = [
+    body = (
         f"chi{i} (dim {d}): ".ljust(15) + " ".join(map(cells.__getitem__, map(id, row)))
         for i, (d, row) in enumerate(zip(t.dims, t.values))
-    ]
-    return 0, "\n".join(head + body) + "\n"
+    )
+    return 0, [line + "\n" for line in (*head, *body)]
 
 
-def _cmd_quiver(args) -> tuple[int, str]:
+def _cmd_quiver(args) -> tuple[int, list[str]]:
     spec = catalog.parse_spec(args.group)
     an = pipeline.Analysis(spec, args.max_order)
     if args.format == "json":
         payload = {"group": spec.name, **mckay.export_json(an.quiver)}
         return 0, _dump_json(payload)
-    return 0, mckay.export_dot(an.quiver)
+    return 0, [mckay.export_dot(an.quiver)]
 
 
 def _published_match(audit) -> dict | None:
@@ -239,7 +272,7 @@ def _published_match(audit) -> dict | None:
     }
 
 
-def _cmd_cartan(args) -> tuple[int, str]:
+def _cmd_cartan(args) -> tuple[int, list[str]]:
     spec = catalog.parse_spec(args.group)
     an = pipeline.Analysis(spec, args.max_order)
     # only the matrix printed is built: B and A are cached on first read
@@ -263,7 +296,7 @@ def _cmd_cartan(args) -> tuple[int, str]:
         }
         return 0, _dump_json(payload)
     if args.format == "csv":
-        return 0, "\n".join(",".join(map(str, row)) for row in chosen) + "\n"
+        return 0, ["\n".join(",".join(map(str, row)) for row in chosen) + "\n"]
     width = max(len(str(v)) for row in chosen for v in row)
     lines = [" ".join(str(v).rjust(width) for v in row) for row in chosen]
     lines.append("")
@@ -282,7 +315,7 @@ def _cmd_cartan(args) -> tuple[int, str]:
         lines.append("published match: documented mismatch")
     for note in pm["notes"] if pm else ():
         lines.append(f"  note: {note}")
-    return 0, "\n".join(lines) + "\n"
+    return 0, ["\n".join(lines) + "\n"]
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +336,7 @@ def _format_report_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_verify(args) -> tuple[int, str]:
+def _cmd_verify(args) -> tuple[int, list[str]]:
     if args.all:
         specs = list(catalog.all_specs(max_m=args.max_m))
     else:
@@ -321,7 +354,7 @@ def _cmd_verify(args) -> tuple[int, str]:
     chunks = [_format_report_text(rep) for rep in reports]
     if args.all:
         chunks.append(f"{len(reports)} groups verified, {failures} with failures\n")
-    return (1 if failures else 0), "".join(chunks)
+    return (1 if failures else 0), chunks
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +457,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _parse(argv) or _build_parser().parse_args(argv)
     try:
-        code, payload = args.func(args)
+        code, pieces = args.func(args)
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -438,12 +471,12 @@ def main(argv=None) -> int:
     if out:
         try:
             with open(out, "w", encoding="utf-8") as fh:
-                fh.write(payload)
+                fh.writelines(pieces)
         except OSError as exc:
             print(f"error: cannot write {out}: {exc.strerror}", file=sys.stderr)
             return 2
     else:
-        sys.stdout.write(payload)
+        sys.stdout.writelines(pieces)
     return code
 
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .modp import root_of_unity
+from .modp import prime_factors, root_of_unity
 
 
 class ConductorMismatch(ValueError):
@@ -47,29 +47,28 @@ def totient(n: int) -> int:
     return count
 
 
-def _poly_divide_exact(num: list[int], den: list[int]) -> list[int]:
-    # Exact division of integer polynomials, coefficients ascending.
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    for shift in range(len(out) - 1, -1, -1):
-        q, r = divmod(num[shift + len(den) - 1], den[-1])
-        assert r == 0
-        out[shift] = q
-        for i, c in enumerate(den):
-            num[shift + i] -= q * c
-    assert not any(num)
-    return out
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Coefficients of Phi_n, ascending, monic, length phi(n)+1."""
-    if n == 1:
-        return (-1, 1)
-    poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1
-    for d in range(1, n):
-        if n % d == 0:
-            poly = _poly_divide_exact(poly, list(cyclotomic_polynomial(d)))
+    """Coefficients of Phi_n, ascending, monic, length phi(n)+1.
+
+    Phi_n is the product of (x^(n/d) - 1)^mu(d) over the squarefree d | n:
+    each factor with mu(d) = 1 multiplies in, then each with mu(d) = -1
+    divides out exactly, one O(n) pass per factor.
+    """
+    times, over = [1], []  # the squarefree d | n with mu(d) = 1, and -1
+    for p in prime_factors(n):
+        times, over = times + [d * p for d in over], over + [d * p for d in times]
+    poly = [1]
+    for d in times:  # poly * (x^k - 1)
+        k = n // d
+        poly = [0] * k + poly
+        for i in range(len(poly) - k):
+            poly[i] -= poly[i + k]
+    for d in over:  # poly / (x^k - 1): q_i = q_(i-k) - p_i
+        k = n // d
+        poly = [-c for c in poly[: len(poly) - k]]
+        for i in range(k, len(poly)):
+            poly[i] += poly[i - k]
     return tuple(poly)
 
 

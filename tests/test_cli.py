@@ -360,6 +360,48 @@ def test_out_writes_identical_bytes(tmp_path, capsys):
     assert first.read_bytes() == second.read_bytes()
 
 
+_ELAPSED = re.compile(rb'"elapsedMs": \d+')
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("chartab", "--group", "Hmn:8,8", "--format", "json"),
+        ("chartab", "--group", "Hmn:8,8", "--format", "text"),
+        ("quiver", "--group", "G7", "--format", "dot"),
+        ("verify", "--group", "G7", "--format", "json"),
+    ],
+    ids=" ".join,
+)
+def test_out_gets_the_bytes_stdout_gets(tmp_path, capsysbinary, argv):
+    target = tmp_path / "payload"
+    assert main(list(argv)) == 0
+    stdout = capsysbinary.readouterr().out
+    assert main([*argv, "--out", str(target)]) == 0
+    assert capsysbinary.readouterr().out == b""
+    written = target.read_bytes()
+    assert written.endswith(b"\n") and len(written) > 100
+    assert _ELAPSED.sub(b"", written) == _ELAPSED.sub(b"", stdout)
+
+
+@pytest.mark.parametrize(
+    ("argv", "exit_code"),
+    [
+        (("chartab", "--group", "Hmn:0,3", "--format", "json"), 2),
+        (("chartab", "--group", "G12", "--max-order", "100", "--format", "json"), 3),
+    ],
+    ids=["malformed spec", "order bound"],
+)
+def test_a_failing_command_writes_nothing(tmp_path, capsys, argv, exit_code):
+    target = tmp_path / "payload"
+    for extra in ((), ("--out", str(target))):
+        assert main([*argv, *extra]) == exit_code
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:")
+    assert not target.exists()
+
+
 _SHARED = {"a": [1, 2], "b": {}}
 
 _PAYLOADS = {
@@ -379,7 +421,7 @@ _PAYLOADS = {
 
 @pytest.mark.parametrize("payload", list(_PAYLOADS.values()), ids=list(_PAYLOADS))
 def test_dump_json_is_json_dumps_indent_2(payload):
-    assert cli._dump_json(payload) == json.dumps(payload, indent=2) + "\n"
+    assert "".join(cli._dump_json(payload)) == json.dumps(payload, indent=2) + "\n"
 
 
 _scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
@@ -395,7 +437,7 @@ _json_like = st.recursive(
 @given(_json_like)
 @settings(max_examples=200, deadline=None)
 def test_dump_json_matches_json_dumps_on_random_payloads(payload):
-    assert cli._dump_json(payload) == json.dumps(payload, indent=2) + "\n"
+    assert "".join(cli._dump_json(payload)) == json.dumps(payload, indent=2) + "\n"
 
 
 def test_dump_json_rejects_a_set_as_json_dumps_does():
@@ -405,20 +447,42 @@ def test_dump_json_rejects_a_set_as_json_dumps_does():
         cli._dump_json({"s": [{1}]})
 
 
-def test_dump_json_holds_no_text_twice_over():
-    # a chartab-shaped payload: a 64x64 table of value cells that shares 8
-    # cell dicts.  Keeping the text of every row as well as the table's,
-    # which already holds it, peaks above 5x the payload
+def _chartab_shaped_payload():
+    # a 64x64 table of value cells that shares 8 cell dicts
     cells = [{"N": 8, "coeffs": [[k, str(k + 1)], [k + 1, "-1/2"]]} for k in range(8)]
-    payload = {"values": [[cells[(i * j) % 8] for j in range(64)] for i in range(64)]}
+    return {"values": [[cells[(i * j) % 8] for j in range(64)] for i in range(64)]}
+
+
+def test_dump_json_holds_no_text_twice_over():
+    # keeping the text of every row as well as the table's, which already
+    # holds it, peaks above 5x the payload
+    payload = _chartab_shaped_payload()
     tracemalloc.start()
     try:
-        text = cli._dump_json(payload)
+        text = "".join(cli._dump_json(payload))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert text == json.dumps(payload, indent=2) + "\n"
     assert peak < 4.5 * len(text)
+
+
+def test_dump_json_never_builds_the_whole_text():
+    # the rows are the pieces: nothing longer than a row's text (a row sits
+    # at depth 2, so each of its lines after the first is indented by 4) and
+    # never the table's text or the payload's as well as the rows'
+    payload = _chartab_shaped_payload()
+    tracemalloc.start()
+    try:
+        pieces = cli._dump_json(payload)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    text = json.dumps(payload, indent=2) + "\n"
+    assert "".join(pieces) == text
+    row = max(len(json.dumps(r, indent=2).replace("\n", "\n    ")) for r in payload["values"])
+    assert max(map(len, pieces)) <= row < len(text) // 50
+    assert peak < 1.5 * len(text)
 
 
 # one Dixon table, two little-group tables (Gm3:6, and the diagonal Hmn:4,5),

@@ -212,6 +212,28 @@ def test_cyclotomic_polynomial_values():
     assert acc.is_zero()
 
 
+def test_cyclotomic_polynomial_is_the_quotient_of_x_n_minus_1():
+    # the reference: Phi_n = (x^n - 1) / prod(Phi_d, d | n, d < n), by long
+    # division, against the Moebius product for every n <= 300
+    def divide_exact(num, den):
+        num, out = list(num), [0] * (len(num) - len(den) + 1)
+        for shift in reversed(range(len(out))):
+            out[shift] = q = num[shift + len(den) - 1]  # den is monic
+            for i, c in enumerate(den):
+                num[shift + i] -= q * c
+        assert not any(num)
+        return out
+
+    reference = {}
+    for n in range(1, 301):
+        poly = [-1] + [0] * (n - 1) + [1]
+        for d in range(1, n):
+            if n % d == 0:
+                poly = divide_exact(poly, reference[d])
+        reference[n] = poly
+        assert cyclotomic_polynomial(n) == tuple(poly), n
+
+
 def test_conjugate_and_galois():
     z = root(1, 7)
     assert z.conjugate() == root(6, 7)
