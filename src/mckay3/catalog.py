@@ -74,6 +74,13 @@ class GroupSpec(NamedTuple):
         return self.kind
 
 
+def _parameter(digits: str) -> int:
+    try:  # int() refuses over sys.get_int_max_str_digits() digits, 4300 by default
+        return int(digits)
+    except ValueError:
+        raise SpecError(f"a parameter of {len(digits)} digits is too long") from None
+
+
 def parse_spec(text: str) -> GroupSpec:
     """Parse a spec string; raises SpecError on malformed input."""
     text = text.strip()
@@ -84,14 +91,14 @@ def parse_spec(text: str) -> GroupSpec:
         m = re.fullmatch(r"([0-9]+),([0-9]+)", rest)
         if not m:
             raise SpecError(f"expected Hmn:m,n, got {text!r}")
-        mm, nn = int(m.group(1)), int(m.group(2))
+        mm, nn = _parameter(m.group(1)), _parameter(m.group(2))
         if mm < 1 or nn < 1:
             raise SpecError("Hmn parameters must be >= 1")
         return GroupSpec(kind="Hmn", m=mm, n=nn)
     if head in ("Gm3", "Gm6"):
         if not re.fullmatch(r"[0-9]+", rest):
             raise SpecError(f"expected {head}:m, got {text!r}")
-        mm = int(rest)
+        mm = _parameter(rest)
         if mm < 1:
             raise SpecError(f"{head} parameter must be >= 1")
         return GroupSpec(kind=head, m=mm)
@@ -107,7 +114,7 @@ def parse_spec(text: str) -> GroupSpec:
         if subtype in ("cyclic", "binD"):
             if pos >= len(parts) or not re.fullmatch(r"[0-9]+", parts[pos]):
                 raise SpecError(f"{subtype} needs a parameter: SL2:{subtype}:k")
-            k = int(parts[pos])
+            k = _parameter(parts[pos])
             if k < 1:
                 raise SpecError(f"{subtype} parameter must be >= 1")
             pos += 1
@@ -116,7 +123,7 @@ def parse_spec(text: str) -> GroupSpec:
             m = re.fullmatch(r"alpha=([0-9]+)", parts[pos])
             if not m:
                 raise SpecError(f"unexpected suffix {parts[pos]!r} in {text!r}")
-            alpha = int(m.group(1))
+            alpha = _parameter(m.group(1))
             if alpha < 1:
                 raise SpecError("alpha order must be >= 1")
             pos += 1

@@ -10,8 +10,9 @@ into the eigenlines of one sparse class matrix: not at all where the matrix is
 scalar, else off one shared Krylov basis, with the kernel of A - lambda as the
 fallback (`_split_subspace`).  The lift makes the table Galois-equivariant by
 construction, so its orthogonality relations are rational integers of known
-size, and `dixon_table` decides them exactly modulo one prime before it
-returns; a table that comes back is correct, not heuristically likely.  The
+size.  `_finish`, the last step of this route and the one below, puts the
+trivial row first, sorts the rest and decides the relations exactly modulo
+one prime; a table that comes back is correct, not heuristically likely.  The
 same integer Gram matrix, weighted by a character, is |G| times the quiver
 that `mckay.adjacency` reads off it (`_integer_gram`).
 
@@ -282,59 +283,81 @@ def dixon_table(
         dft = [[z_pows[(-s * t) % o] for s in range(o)] for t in range(o)]
         orbits.append((k, dft, members))
 
-    # a term tuple is lifted once, and equal values from different term
-    # tuples are merged on (num, den), so each value is one shared object
-    lifts: dict[tuple[tuple[int, int], ...], Cyclotomic] = {}
-    shared: dict[tuple[tuple[int, ...], int], Cyclotomic] = {}
-    lifted: list[tuple[int, tuple[Cyclotomic, ...]]] = []
-    for d, chi in rows_mod:
-        vals: list = [None] * r  # every class is in one orbit
-        for k, dft, members in orbits:
-            o = len(dft)
-            inv_o = pow(o, -1, p)
-            column = [chi[c] for c in classes.power_classes[k]]
-            mu = [sum(map(mul, column, f_t)) * inv_o % p for f_t in dft]
-            # mu_t >= 0 as least residues, so this also gives mu_t <= d
-            if sum(mu) != d:
-                raise OrthogonalityFailure(
-                    "lifted eigenvalue multiplicities do not sum to the degree"
-                )
-            step = e // o
-            for k2, a in members.items():
-                terms = tuple((step * a * t, m) for t, m in enumerate(mu) if m)
-                v = lifts.get(terms)
-                if v is None:
-                    v = root_sum(e, terms)
-                    v = lifts[terms] = shared.setdefault((v._num, v._den), v)
-                vals[k2] = v
-        lifted.append((d, tuple(vals)))
-    flat = chain.from_iterable(vals for _, vals in lifted)
-    if residues(flat, e, p) != list(chain.from_iterable(chi for _, chi in rows_mod)):
-        raise OrthogonalityFailure(
-            "lifted values do not reduce to their modular characters"
-        )
+    def lift(value) -> list[tuple[int, tuple[Cyclotomic, ...]]]:
+        lifted = []
+        for d, chi in rows_mod:
+            vals: list = [None] * r  # every class is in one orbit
+            for k, dft, members in orbits:
+                o = len(dft)
+                inv_o = pow(o, -1, p)
+                column = [chi[c] for c in classes.power_classes[k]]
+                mu = [sum(map(mul, column, f_t)) * inv_o % p for f_t in dft]
+                # mu_t >= 0 as least residues, so this also gives mu_t <= d
+                if sum(mu) != d:
+                    raise OrthogonalityFailure(
+                        "lifted eigenvalue multiplicities do not sum to the degree"
+                    )
+                step = e // o
+                for k2, a in members.items():
+                    vals[k2] = value(tuple((step * a * t, m) for t, m in enumerate(mu) if m))
+            lifted.append((d, tuple(vals)))
+        flat = chain.from_iterable(vals for _, vals in lifted)
+        if residues(flat, e, p) != list(chain.from_iterable(chi for _, chi in rows_mod)):
+            raise OrthogonalityFailure("lifted values do not reduce to their modular characters")
+        return lifted
 
+    return _finish(group, classes, e, lift)
+
+
+def _finish(group: FiniteMatrixGroup, classes: ConjugacyClassSet, e: int, lift, exact_only=False):
+    """The table of the rows that lift(value) returns as (degree, values):
+    the last steps of both routes.
+
+    Values.  value(terms) sums m zeta_e^t over the pairs (t, m), one
+    `root_sum` per term tuple, and merges equal values on (num, den): each is
+    one shared object, which `residues`, `_integer_gram` and `cli` map once.
+
+    Order.  The trivial character, the one row equal to 1 at every class,
+    comes first; the rest are sorted by (dim, encoded values), a key on the
+    values alone, so both routes give one table whatever their row order.
+
+    Certificate.  `_exact_table_checks` alone if exact_only (the little-group
+    route at H = 1), else `_orthogonal_mod_prime`.
+    """
+    lifts, shared = {}, {}  # term tuple -> value; (num, den) -> value
+
+    def value(terms: tuple[tuple[int, int], ...]) -> Cyclotomic:
+        v = lifts.get(terms)
+        if v is None:
+            v = root_sum(e, terms)
+            v = lifts[terms] = shared.setdefault((v._num, v._den), v)
+        return v
+
+    rows = lift(value)
     one = Cyclotomic.rational(1, e)
-    trivial = [row for row in lifted if all(v == one for v in row[1])]
+    trivial = [row for row in rows if all(v == one for v in row[1])]
     if len(trivial) != 1:
         raise OrthogonalityFailure("trivial character missing or duplicated")
-    rest = [row for row in lifted if row is not trivial[0]]
     codes = {id(v): v.encode() for v in shared.values()}  # shared keeps ids valid
-    rest.sort(key=lambda row: (row[0], tuple(map(codes.__getitem__, map(id, row[1])))))
-    ordered = trivial + rest
-
+    rows = trivial + sorted(
+        (row for row in rows if row is not trivial[0]),
+        key=lambda row: (row[0], tuple(map(codes.__getitem__, map(id, row[1])))),
+    )
     table = CharacterTable(
         conductor=e,
-        order=n,
-        dims=tuple(d for d, _ in ordered),
-        values=tuple(vals for _, vals in ordered),
+        order=group.order,
+        dims=tuple(d for d, _ in rows),
+        values=tuple(vals for _, vals in rows),
         class_sizes=classes.sizes,
         class_orders=classes.orders,
         inverse_class=classes.inverse_class,
         power_classes=classes.power_classes,
         class_reps=tuple(group.elements[g] for g in classes.reps),
     )
-    if not _orthogonal_mod_prime(table):
+    if exact_only:
+        if not _exact_table_checks(table):
+            raise OrthogonalityFailure("the diagonal table fails its exact checks")
+    elif not _orthogonal_mod_prime(table):
         raise OrthogonalityFailure("orthogonality relations fail mod p'")
     return table
 
@@ -448,9 +471,8 @@ def little_group_table(
         theta(g) = sum over t in T with t^-1 k t in H_l of
                    (t lambda)(a) rho(t^-1 k t).
 
-    (t lambda)(a) is read off the walk at t lambda, and each value is one
-    `root_sum` at e over the terms of these cosets, memoised by term tuple
-    as in the Dixon lift.
+    (t lambda)(a) is read off the walk at t lambda, and `_finish` sums the
+    terms of these cosets at e.
 
     Galois action.  theta is a character, so theta(g^a) = sigma_a theta(g):
     the eigenvalues of g^a are the a-th powers of those of g.  rep_k^a lies
@@ -462,9 +484,6 @@ def little_group_table(
     (Serre 2.3), so the whole table; no class constants and no Gram matrix
     are formed, and `_exact_table_checks` still runs.  Any other table must
     pass `_orthogonal_mod_prime`, as Dixon's does.
-
-    Order.  The rows are sorted by `dixon_table`'s key: the trivial
-    character (lambda = 1, rho = 1) first, then (dim, encoded values).
     """
     n, r, dim, c = group.order, classes.count, group.dim, group.conductor
     big_n = lcm(2, c)
@@ -550,7 +569,7 @@ def little_group_table(
     little: dict[tuple[int, ...], list[tuple[int, dict[int, tuple]]]] = {}
 
     def irr(stab: tuple[int, ...]) -> list[tuple[int, dict[int, tuple]]]:
-        """Irr(H_l) as (degree, {t: the terms of rho(t) at e}), trivial first."""
+        """Irr(H_l) as (degree, {t: the terms of rho(t) at e})."""
         if len(stab) == 1:
             return [(1, {0: ((0, 1),)})]
         if stab not in little:
@@ -568,38 +587,34 @@ def little_group_table(
             ]
         return little[stab]
 
-    lifts: dict[tuple[tuple[int, int], ...], Cyclotomic] = {}
-    shared: dict[tuple[tuple[int, ...], int], Cyclotomic] = {}
+    # the H-orbits in walk order: (H_l, [(t, t lambda at each class) per coset])
+    orbits: list[tuple[tuple[int, ...], list[tuple[int, tuple[int, ...]]]]] = []
+    placed: set[int] = set()
+    for pos, (_, cvec, _) in enumerate(walk):
+        if pos in placed:
+            continue
+        stab, cosets = [0], {pos: 0}  # cosets: t lambda -> t, with t = 0 the identity
+        for t in range(1, len(sigmas)):
+            image = index[signature([cvec[i] for i in sigmas[t]])]
+            if image == pos:
+                stab.append(t)
+            cosets.setdefault(image, t)
+        placed.update(cosets)
+        orbits.append((tuple(stab), [(t, walk[image][2]) for image, t in cosets.items()]))
+    count = sum(len(irr(stab)) for stab, _ in orbits)
+    if count != r:
+        raise OrthogonalityFailure(f"the little groups give {count} characters for {r} classes")
 
-    def value(terms: tuple[tuple[int, int], ...]) -> Cyclotomic:
-        v = lifts.get(terms)
-        if v is None:
-            v = root_sum(e, terms)
-            v = lifts[terms] = shared.setdefault((v._num, v._den), v)
-        return v
-
-    rows: list[tuple[int, tuple[Cyclotomic, ...]]] = []
-    if len(h_walk) == 1:
-        # G = A: each theta is a lambda, read off its node.  The orbit loop
-        # gives the same rows and objects, but builds a term tuple per entry,
-        # which makes it several times slower here (timings in CHANGES.md)
-        roots = [value(((t, 1),)) for t in range(e)]
-        rows = [(1, tuple(map(roots.__getitem__, row))) for _, _, row in walk]
-    else:
-        placed: set[int] = set()
-        for pos, (_, cvec, _) in enumerate(walk):
-            if pos in placed:
-                continue
-            stab: list[int] = []
-            cosets: dict[int, int] = {}  # t lambda -> t
-            for t, sigma in enumerate(sigmas):
-                image = index[signature([cvec[i] for i in sigma])]
-                if image == pos:
-                    stab.append(t)
-                cosets.setdefault(image, t)
-            placed.update(cosets)
-            moved = [(t, walk[image][2]) for image, t in cosets.items()]
-            for d, rho in irr(tuple(stab)):
+    def lift(value) -> list[tuple[int, tuple[Cyclotomic, ...]]]:
+        if len(h_walk) == 1:
+            # G = A: each theta is a lambda, read off its node.  The orbit loop
+            # gives the same rows and objects, but builds a term tuple per entry,
+            # which makes it several times slower here (timings in CHANGES.md)
+            roots = [value(((t, 1),)) for t in range(e)]
+            return [(1, tuple(map(roots.__getitem__, row))) for _, _, row in walk]
+        rows = []
+        for stab, moved in orbits:
+            for d, rho in irr(stab):
                 # by k: (t lambda at each class, rho(t^-1 k t)) for each coset t
                 # with t^-1 k t in H_l, that is in rho
                 meets = [
@@ -612,33 +627,10 @@ def little_group_table(
                     ]))
                     for j, k in enumerate(ks)
                 ]
-                rows.append((len(cosets) * d, tuple(vals)))
-    if len(rows) != r:
-        raise OrthogonalityFailure(
-            f"the little groups give {len(rows)} characters for {r} classes"
-        )
+                rows.append((len(moved) * d, tuple(vals)))
+        return rows
 
-    codes = {id(v): v.encode() for v in shared.values()}  # shared keeps ids valid
-    rows[1:] = sorted(
-        rows[1:], key=lambda row: (row[0], tuple(map(codes.__getitem__, map(id, row[1]))))
-    )
-    table = CharacterTable(
-        conductor=e,
-        order=n,
-        dims=tuple(d for d, _ in rows),
-        values=tuple(vals for _, vals in rows),
-        class_sizes=classes.sizes,
-        class_orders=classes.orders,
-        inverse_class=classes.inverse_class,
-        power_classes=classes.power_classes,
-        class_reps=tuple(group.elements[g] for g in classes.reps),
-    )
-    if len(h_walk) == 1:
-        if not _exact_table_checks(table):
-            raise OrthogonalityFailure("the diagonal table fails its exact checks")
-    elif not _orthogonal_mod_prime(table):
-        raise OrthogonalityFailure("orthogonality relations fail mod p'")
-    return table
+    return _finish(group, classes, e, lift, exact_only=len(h_walk) == 1)
 
 
 def _split_subspace(

@@ -572,6 +572,40 @@ def test_little_group_table_equals_dixon():
         assert _tables_agree(build_group(spec)), spec.name
 
 
+def test_little_group_table_takes_irr_in_any_row_order(monkeypatch):
+    # the trivial row is found by its values, not by its place: Irr(H_l)
+    # handed back with its rows reversed still gives Dixon's table on G,
+    # trivial row first
+    groups = [build_group(parse_spec(name)) for name in ("Gm3:2", "Gm6:2", "Gm6:3")]
+    expected = [dixon_table(g, conjugacy_classes(g)) for g in groups]
+    reversed_calls = []
+
+    def reversed_rows(g, classes):
+        reversed_calls.append(g.order)
+        table = dixon_table(g, classes)
+        return table._replace(dims=table.dims[::-1], values=table.values[::-1])
+
+    monkeypatch.setattr(chartab, "dixon_table", reversed_rows)
+    for g, want in zip(groups, expected):
+        table = little_group_table(g, conjugacy_classes(g))
+        assert table == want
+        assert all(v == 1 for v in table.values[0])
+    assert reversed_calls
+
+
+def test_little_group_table_refuses_a_duplicated_trivial_row(monkeypatch):
+    # every rho the trivial character: the orbit of lambda = 1 gives it
+    # once per row of Irr(H_l)
+    def trivial_rows(g, classes):
+        table = dixon_table(g, classes)
+        return table._replace(values=(table.values[0],) * table.count)
+
+    monkeypatch.setattr(chartab, "dixon_table", trivial_rows)
+    g = build_group(parse_spec("Gm3:2"))
+    with pytest.raises(OrthogonalityFailure, match="trivial character missing or duplicated"):
+        little_group_table(g, conjugacy_classes(g))
+
+
 def _refuse_everywhere(monkeypatch, fn):
     """Make every mckay3 namespace that binds fn raise when it is called."""
 

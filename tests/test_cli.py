@@ -67,8 +67,15 @@ def test_bad_spec_exits_2(capsys):
     assert "Hmn parameters" in err
 
 
+# non-ASCII digits, and parameters longer than int() reads (4300 digits
+# by default)
 @pytest.mark.parametrize(
-    "spec", ["SL2:cyclic:\u0663", "Hmn:\u0662,2", "Gm3:\uff13", "SL2:2T:alpha=\u0663"]
+    "spec",
+    ["SL2:cyclic:\u0663", "Hmn:\u0662,2", "Gm3:\uff13", "SL2:2T:alpha=\u0663"]
+    + [
+        pytest.param(spec.replace("N", "9" * 5000), id=spec.replace("N", "<5000 nines>"))
+        for spec in ("Hmn:N,1", "Gm3:N", "SL2:cyclic:N", "SL2:2T:alpha=N")
+    ],
 )
 def test_non_ascii_digits_exit_2(capsys, spec):
     code, out, err = _run(capsys, "verify", "--group", spec)
