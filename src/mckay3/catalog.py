@@ -443,8 +443,9 @@ def expected_profile(spec: GroupSpec) -> Profile | None:
 
 
 def _quiver_from_edges(dims, edges, add_loops=False) -> Quiver:
-    """Multiplicity matrix from a fusion edge list; optionally add the
-    diagonal (for three-dimensional reps of shape 1 + std)."""
+    """Multiplicity matrix from an arrow list (i, j), one arrow per entry;
+    optionally add the diagonal (for three-dimensional reps of shape
+    1 + std)."""
     r = len(dims)
     m = [[0] * r for _ in range(r)]
     for i, j in edges:
@@ -456,26 +457,21 @@ def _quiver_from_edges(dims, edges, add_loops=False) -> Quiver:
 
 
 def _torus_quiver(m: int, n: int) -> Quiver:
-    nodes = [(i, j) for i in range(m) for j in range(n)]
-    idx = {v: t for t, v in enumerate(nodes)}
-    r = len(nodes)
-    mat = [[0] * r for _ in range(r)]
-    for (i, j) in nodes:
-        for di, dj in ((1, 0), (0, 1), (-1, -1)):
-            mat[idx[(i, j)]][idx[((i + di) % m, (j + dj) % n)]] += 1
-    return Quiver((1,) * r, tuple(tuple(row) for row in mat), 3)
+    edges = [
+        (i * n + j, (i + di) % m * n + (j + dj) % n)
+        for i in range(m)
+        for j in range(n)
+        for di, dj in ((1, 0), (0, 1), (-1, -1))
+    ]
+    return _quiver_from_edges((1,) * (m * n), edges)
 
 
 def _sl2_quiver(subtype: str, k: int) -> Quiver:
     if subtype == "cyclic" or (subtype == "binD" and k == 1):
-        r = k if subtype == "cyclic" else 4
-        mat = [[0] * r for _ in range(r)]
-        for i in range(r):
-            mat[i][(i + 1) % r] += 1
-            mat[i][(i - 1) % r] += 1
-            mat[i][i] += 1
-        return Quiver((1,) * r, tuple(tuple(row) for row in mat), 3)
-    if subtype == "binD":
+        r = k if subtype == "cyclic" else 4  # the affine A_(r-1) cycle
+        dims = (1,) * r
+        edges = [(i, (i + 1) % r) for i in range(r)]
+    elif subtype == "binD":
         dims = (1, 1) + (2,) * (k - 1) + (1, 1)
         edges = [(0, 2), (1, 2)]
         edges += [(i, i + 1) for i in range(2, k)]
@@ -489,7 +485,7 @@ def _sl2_quiver(subtype: str, k: int) -> Quiver:
     else:  # 2I
         dims = (1, 2, 3, 4, 5, 6, 4, 2, 3)
         edges = [(i, i + 1) for i in range(7)] + [(5, 8)]
-    both = [(i, j) for (i, j) in edges] + [(j, i) for (i, j) in edges]
+    both = edges + [(j, i) for i, j in edges]
     return _quiver_from_edges(dims, both, add_loops=True)
 
 
@@ -565,13 +561,14 @@ def _block_shift_quiver(block_dims, block) -> Quiver:
     """Quiver of G x Z3 with the natural rep twisted by the scalar character:
     three copies of the block pattern, each feeding the next."""
     s = len(block_dims)
-    r = 3 * s
-    mat = [[0] * r for _ in range(r)]
-    for b in range(3):
-        for i in range(s):
-            for j in range(s):
-                mat[b * s + i][((b + 1) % 3) * s + j] = block[i][j]
-    return Quiver(tuple(block_dims) * 3, tuple(tuple(row) for row in mat), 3)
+    edges = [
+        (b * s + i, (b + 1) % 3 * s + j)
+        for b in range(3)
+        for i in range(s)
+        for j in range(s)
+        for _ in range(block[i][j])
+    ]
+    return _quiver_from_edges(tuple(block_dims) * 3, edges)
 
 
 # -- Clifford-Mackey counting for the monomial families ----------------------
@@ -671,8 +668,7 @@ def _little_group_quiver(m: int, full_s3: bool) -> Quiver:
     dims = tuple(len(kgrp) // len(stab) * tau[(0, 1, 2)] for _, stab, tau in nodes)
     if min(dims) <= 0:
         raise CatalogError("little-group node has a nonpositive dimension")
-    r = len(nodes)
-    mat = [[0] * r for _ in range(r)]
+    edges = []
     for row, (c, stab, tau) in enumerate(nodes):
         for i in {min(s[j] for s in stab) for j in range(3)}:
             fix = [s for s in stab if s[i] == i]
@@ -685,8 +681,8 @@ def _little_group_quiver(m: int, full_s3: bool) -> Quiver:
                 )
                 if total % len(fix) or total < 0:
                     raise CatalogError("Clifford-Mackey count is not a multiplicity")
-                mat[row][col] += total // len(fix)
-    return Quiver(dims, tuple(tuple(row) for row in mat), 3)
+                edges += [(row, col)] * (total // len(fix))
+    return _quiver_from_edges(dims, edges)
 
 
 def expected_adjacency(spec: GroupSpec) -> Quiver | None:

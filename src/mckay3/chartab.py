@@ -734,7 +734,7 @@ def _exact_table_checks(table: CharacterTable) -> bool:
         return False
     if any(n % s for s in sizes) or sum(d * d for d in table.dims) != n:
         return False
-    return all(table.values[i][0] == table.dims[i] for i in range(r))
+    return all(table.values[i][0].try_rational() == table.dims[i] for i in range(r))
 
 
 def _gram(table: CharacterTable, chi) -> list[list[Cyclotomic]]:

@@ -40,11 +40,9 @@ class DivisionByZero(ZeroDivisionError):
 
 @lru_cache(maxsize=None)
 def totient(n: int) -> int:
-    count = 0
-    for k in range(1, n + 1):
-        if gcd(k, n) == 1:
-            count += 1
-    return count
+    for p in prime_factors(n):  # phi(n) = n * prod (1 - 1/p); p divides each n
+        n = n // p * (p - 1)
+    return n
 
 
 @lru_cache(maxsize=None)
@@ -439,34 +437,27 @@ def common_conductor(*values: Cyclotomic) -> tuple[Cyclotomic, ...]:
 
 
 def dot(xs, ys) -> Cyclotomic:
-    """Fused exact inner product sum(x*y); the hot path of matrix products.
+    """Exact inner product sum(x*y), for `SquareMatrix.__mul__` and the
+    exact reference routes.
 
-    Every nonzero term is convolved into one vector over a running common
-    denominator, which is folded mod Phi_N and normalized once at the end.
+    Every nonzero term is scaled once to den, the lcm of the term
+    denominators, and convolved into one vector, which is folded mod Phi_N
+    and normalized once at the end.  A zero term may add a factor to den;
+    the normalization divides it out.
     """
-    xs = list(xs)
-    ys = list(ys)
-    conductor = xs[0].conductor
+    pairs = list(zip(xs, ys))
+    conductor = pairs[0][0].conductor
+    den = lcm(*[x._den * y._den for x, y in pairs])
     conv = [0] * (2 * totient(conductor) - 1)
-    acc_den = 1
-    for x, y in zip(xs, ys):
+    for x, y in pairs:
         if x.conductor != conductor or y.conductor != conductor:
             raise ConductorMismatch("dot() operands must share one conductor")
         a, b = x._num, y._num
-        if not (any(a) and any(b)):
-            continue
-        den = x._den * y._den
-        scale = 1
-        if den != acc_den:
-            # acc/acc_den + a*b/den over lcm(acc_den, den)
-            g = gcd(acc_den, den)
-            up, scale = den // g, acc_den // g
-            if up != 1:
-                conv = [c * up for c in conv]
-                acc_den *= up
-        nonzero = [(j, cb * scale) for j, cb in enumerate(b) if cb]
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in nonzero:
-                    conv[i + j] += ca * cb
-    return _normalize(conductor, _fold(conductor, conv), acc_den)
+        if any(a) and any(b):
+            scale = den // (x._den * y._den)
+            nonzero = [(j, cb * scale) for j, cb in enumerate(b) if cb]
+            for i, ca in enumerate(a):
+                if ca:
+                    for j, cb in nonzero:
+                        conv[i + j] += ca * cb
+    return _normalize(conductor, _fold(conductor, conv), den)

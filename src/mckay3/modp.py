@@ -14,17 +14,6 @@ from operator import mul
 CRT_START = 2**20
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def prime_factors(n: int) -> list[int]:
     """The distinct prime factors of n >= 1, ascending."""
     out = []
@@ -38,6 +27,10 @@ def prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+def is_prime(n: int) -> bool:
+    return prime_factors(n) == [n]
 
 
 def root_of_unity(q: int, n: int) -> int:

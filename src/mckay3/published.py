@@ -277,28 +277,24 @@ def audit_cartan(name: str, quiver: Quiver) -> CartanAudit | None:
     rec = PRINTED_CARTAN.get(name)
     if rec is None:
         return None
-    b = pre_cartan(quiver)
-    a = gen_cartan(b)
+    a = gen_cartan(pre_cartan(quiver))
     lit = rec.literal
     n = len(lit)
+    readings = []  # (status, recorded, computed), tried in this order
     if n == quiver.count and len(rec.dims) == n:
         if lit == _transpose(lit):
-            w = _matrix_iso(lit, rec.dims, a, quiver.dims)
-            if w is not None:
-                return CartanAudit(name, "matched-as-A", rec.expected_status, w, rec.notes)
+            readings.append(("matched-as-A", lit, a))
         m_ref = tuple(
             tuple((3 if i == j else 0) - lit[i][j] for j in range(n)) for i in range(n)
         )
         if all(v >= 0 for row in m_ref for v in row):
-            w = _matrix_iso(m_ref, rec.dims, quiver.matrix, quiver.dims)
-            if w is not None:
-                return CartanAudit(name, "matched-as-B", rec.expected_status, w, rec.notes)
+            readings.append(("matched-as-B", m_ref, quiver.matrix))
     if rec.corrected is not None:
-        w = _matrix_iso(rec.corrected, rec.dims, a, quiver.dims)
+        readings.append(("matched-with-erratum", rec.corrected, a))
+    for status, recorded, computed in readings:
+        w = _matrix_iso(recorded, rec.dims, computed, quiver.dims)
         if w is not None:
-            return CartanAudit(
-                name, "matched-with-erratum", rec.expected_status, w, rec.notes
-            )
+            return CartanAudit(name, status, rec.expected_status, w, rec.notes)
     return CartanAudit(name, "mismatch", rec.expected_status, None, rec.notes)
 
 

@@ -230,6 +230,24 @@ def test_expected_adjacency_is_balanced():
             assert sum(q.dims[j] * q.matrix[j][i] for j in range(r)) == 3 * q.dims[i]
 
 
+# SHA-256 of repr((spec.name, expected_adjacency(spec))), chained in this
+# order, over all_specs(12) and five degenerate specs: it pins every oracle
+# matrix of the torus rule, the affine diagrams, the fusion records, the
+# block shift and the little-group counts
+_ORACLE_SPECS = all_specs(12) + tuple(
+    parse_spec(s)
+    for s in ("SL2:cyclic:1", "SL2:cyclic:2", "SL2:binD:1", "Hmn:1,1", "Hmn:1,9")
+)
+_ORACLE_DIGEST = "20ac7a3b4b3235bc7b3b54ed3d7bbc4caefabc6e1f67d218868d49d7da9be701"
+
+
+def test_expected_adjacency_matches_its_digest():
+    digest = hashlib.sha256()
+    for spec in _ORACLE_SPECS:
+        digest.update(repr((spec.name, expected_adjacency(spec))).encode())
+    assert digest.hexdigest() == _ORACLE_DIGEST
+
+
 def test_torus_rule_on_h22():
     q = expected_adjacency(parse_spec("Hmn:2,2"))
     assert q.dims == (1, 1, 1, 1)

@@ -202,6 +202,11 @@ def test_dot_rejects_mixed_conductors():
         dot([root(1, 3)], [root(1, 4)])
 
 
+def test_totient_counts_the_units():
+    for n in range(1, 3000):
+        assert totient(n) == sum(gcd(k, n) == 1 for k in range(n)), n
+
+
 def test_cyclotomic_polynomial_values():
     assert cyclotomic_polynomial(1) == (-1, 1)
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)

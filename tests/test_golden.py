@@ -4,7 +4,8 @@ The pins are `verify --all --format json` with `elapsedMs` masked, and for
 each roster group `chartab`, `quiver`, `cartan --print A` and `info`, all in
 JSON.  `cli.main` runs in-process, and each command builds its own
 `pipeline.Analysis`, as in a fresh process.  Four wider tables have their
-own constants, `WIDE_CHARTAB_DIGESTS`, and two text tables have
+own constants, `WIDE_CHARTAB_DIGESTS`, eight binary dihedral and twisted
+tables have `DIXON_CHARTAB_DIGESTS`, and two text tables have
 `TEXT_CHARTAB_DIGESTS`.
 
 `python tests/test_golden.py --pin` rewrites `tests/golden_digests.json`.
@@ -85,6 +86,30 @@ def test_wide_tables_match_their_pins():
         for spec in WIDE_CHARTAB_DIGESTS
     }
     assert digests == WIDE_CHARTAB_DIGESTS
+
+
+# `chartab --group <spec> --format json` of the binary dihedral groups past
+# k = 6 and of twisted groups, none of which the roster holds: the tables
+# that a little-group route for SL2:binD or a central-product route for the
+# twists would take off Dixon
+DIXON_CHARTAB_DIGESTS = {
+    "SL2:binD:12": "91d6c4089a8d4b0665b20af9d107b0c1450a0ffd8fc722b20b25b5b92a16d6b2",
+    "SL2:binD:24": "50669ea7af3b29bd8ed2cc6925f44a53d10596e2191ce2f82db422e2c621eb44",
+    "SL2:binD:3:alpha=4": "6e08bede01e5b31730cef1dbd99d0fe3b06a5570b49d8808b4e9798f85422ca9",
+    "SL2:binD:4:alpha=3": "8de4b621b89b2545688a90421d5eed410c4ed9064ab836d4202cade5824075de",
+    "SL2:binD:6:alpha=8": "c9059f779452e92e131a7e564d82bb9d424a104894346d84399fb39a00a07eeb",
+    "SL2:2T:alpha=3": "014fdae2526bfa6d83f55614c550b6fb5203393706b093cf4f6332cb0c7f07ac",
+    "SL2:2O:alpha=2": "7860c430f6412d6a2abcaeb698534a40468b9442fadfd63451e1d4506f8f8d66",
+    "SL2:2I:alpha=3": "99fbf44b7e8f826000e0ee9002e8bfce0650890299e84f2c8ab58bcb9afd9f9c",
+}
+
+
+def test_dixon_tables_match_their_pins():
+    digests = {
+        spec: _sha256(_stdout("chartab", "--group", spec, "--format", "json"))
+        for spec in DIXON_CHARTAB_DIGESTS
+    }
+    assert digests == DIXON_CHARTAB_DIGESTS
 
 
 # `chartab --group <spec>` in the default text format: one wide diagonal

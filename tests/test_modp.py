@@ -78,6 +78,11 @@ def _old_fingerprint_primes(conductor, count=8):
     return out
 
 
+def test_is_prime_matches_the_definition():
+    for n in range(-1, 3000):
+        assert modp.is_prime(n) == (n >= 2 and all(n % d for d in range(2, n))), n
+
+
 def test_prime_one_mod_gives_the_dixon_prime():
     assert modp.prime_one_mod(60, isqrt(4 * 60)) == 61
     for e in range(1, 40):
