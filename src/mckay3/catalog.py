@@ -354,14 +354,16 @@ class Profile(NamedTuple):
     notes: tuple[str, ...] = ()
 
 
-def _profile_from_dims(dims, degenerate=False, notes=()) -> Profile:
+def _profile_from_dims(dims, note=None) -> Profile:
+    """The profile of a table with these dimensions; a degenerate group has
+    a note saying what it collapses to."""
     dims = tuple(sorted(dims))
     return Profile(
         order=sum(d * d for d in dims),
         class_count=len(dims),
         dims=dims,
-        degenerate=degenerate,
-        notes=tuple(notes),
+        degenerate=note is not None,
+        notes=() if note is None else (note,),
     )
 
 
@@ -381,22 +383,15 @@ _EXCEPTIONAL_DIMS = {
 def expected_profile(spec: GroupSpec) -> Profile | None:
     """Expected order, class count, and dimension multiset; None if unknown."""
     if spec.kind == "Hmn":
-        notes = ("trivial group",) if spec.m == spec.n == 1 else ()
-        return _profile_from_dims(
-            (1,) * (spec.m * spec.n),
-            degenerate=spec.m == spec.n == 1,
-            notes=notes,
-        )
+        note = "trivial group" if spec.m == spec.n == 1 else None
+        return _profile_from_dims((1,) * (spec.m * spec.n), note)
     if spec.kind == "Gm3":
         m = spec.m
         if m % 3 == 0:
             dims = (1,) * 9 + (3,) * ((m * m - 3) // 3)
         else:
             dims = (1,) * 3 + (3,) * ((m * m - 1) // 3)
-        deg = m == 1
-        return _profile_from_dims(
-            dims, degenerate=deg, notes=("cyclic of order 3",) if deg else ()
-        )
+        return _profile_from_dims(dims, "cyclic of order 3" if m == 1 else None)
     if spec.kind == "Gm6":
         m = spec.m
         if m % 3 == 0:
@@ -407,27 +402,20 @@ def expected_profile(spec: GroupSpec) -> Profile | None:
             dims = (1,) * 2 + (2,) + (3,) * (2 * (m - 1)) + (6,) * (
                 (m * m - 3 * m + 2) // 6
             )
-        notes = ()
-        if m == 1:
-            notes = ("isomorphic to the symmetric group S3",)
-        elif m == 2:
-            notes = ("isomorphic to the symmetric group S4",)
-        return _profile_from_dims(dims, degenerate=m <= 2, notes=notes)
+        note = {
+            1: "isomorphic to the symmetric group S3",
+            2: "isomorphic to the symmetric group S4",
+        }.get(m)
+        return _profile_from_dims(dims, note)
     if spec.kind == "SL2":
         if spec.alpha != 1:
             return None
         if spec.subtype == "cyclic":
-            deg = spec.k == 1
-            return _profile_from_dims(
-                (1,) * spec.k,
-                degenerate=deg,
-                notes=("trivial group",) if deg else (),
-            )
+            note = "trivial group" if spec.k == 1 else None
+            return _profile_from_dims((1,) * spec.k, note)
         if spec.subtype == "binD":
             if spec.k == 1:
-                return _profile_from_dims(
-                    (1,) * 4, degenerate=True, notes=("cyclic of order 4",)
-                )
+                return _profile_from_dims((1,) * 4, "cyclic of order 4")
             return _profile_from_dims((1,) * 4 + (2,) * (spec.k - 1))
         dims = {
             "2T": (1, 1, 1, 2, 2, 2, 3),
@@ -442,17 +430,12 @@ def expected_profile(spec: GroupSpec) -> Profile | None:
 # expected quivers
 
 
-def _quiver_from_edges(dims, edges, add_loops=False) -> Quiver:
-    """Multiplicity matrix from an arrow list (i, j), one arrow per entry;
-    optionally add the diagonal (for three-dimensional reps of shape
-    1 + std)."""
+def _quiver_from_edges(dims, edges) -> Quiver:
+    """Multiplicity matrix from an arrow list (i, j), one arrow per entry."""
     r = len(dims)
     m = [[0] * r for _ in range(r)]
     for i, j in edges:
         m[i][j] += 1
-    if add_loops:
-        for i in range(r):
-            m[i][i] += 1
     return Quiver(tuple(dims), tuple(tuple(row) for row in m), 3)
 
 
@@ -485,8 +468,10 @@ def _sl2_quiver(subtype: str, k: int) -> Quiver:
     else:  # 2I
         dims = (1, 2, 3, 4, 5, 6, 4, 2, 3)
         edges = [(i, i + 1) for i in range(7)] + [(5, 8)]
-    both = edges + [(j, i) for i, j in edges]
-    return _quiver_from_edges(dims, both, add_loops=True)
+    # V = 1 + std: the trivial summand puts a loop at every node, and std,
+    # self-dual, joins the affine diagram's neighbours both ways
+    loops = [(i, i) for i in range(len(dims))]
+    return _quiver_from_edges(dims, edges + [(j, i) for i, j in edges] + loops)
 
 
 # Fusion of the natural representation recorded as target lists, 1-indexed.

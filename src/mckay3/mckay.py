@@ -335,24 +335,22 @@ def export_dot(quiver: Quiver) -> str:
     for i, d in enumerate(quiver.dims):
         lines.append(f'  r{i} [label="r{i} ({d})"];')
     m = quiver.matrix
-    n = quiver.count
-    for i in range(n):
-        if m[i][i]:
-            label = f' [label="{m[i][i]}"]' if m[i][i] > 1 else ""
-            lines.append(f"  r{i} -> r{i}{label};")
-        for j in range(i + 1, n):
+
+    def arrow(a: int, b: int, k: int, *attrs: str) -> None:
+        """k arrows a -> b as one DOT edge; a count above 1 gets a label."""
+        if k > 1:
+            attrs += (f'label="{k}"',)
+        if k:
+            tail = f" [{', '.join(attrs)}]" if attrs else ""
+            lines.append(f"  r{a} -> r{b}{tail};")
+
+    for i in range(quiver.count):
+        arrow(i, i, m[i][i])
+        for j in range(i + 1, quiver.count):
             both = min(m[i][j], m[j][i])
-            if both:
-                label = f', label="{both}"' if both > 1 else ""
-                lines.append(f"  r{i} -> r{j} [dir=none{label}];")
-            if m[i][j] > both:
-                extra = m[i][j] - both
-                label = f' [label="{extra}"]' if extra > 1 else ""
-                lines.append(f"  r{i} -> r{j}{label};")
-            if m[j][i] > both:
-                extra = m[j][i] - both
-                label = f' [label="{extra}"]' if extra > 1 else ""
-                lines.append(f"  r{j} -> r{i}{label};")
+            arrow(i, j, both, "dir=none")
+            arrow(i, j, m[i][j] - both)
+            arrow(j, i, m[j][i] - both)
     lines.append("}")
     return "\n".join(lines) + "\n"
 

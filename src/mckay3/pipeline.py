@@ -156,61 +156,49 @@ class Analysis:
         return published.audit_cartan(self.spec.name, self.quiver)
 
 
-def _verdict(ok: bool) -> str:
-    return "pass" if ok else "fail"
-
-
 def verify(spec: catalog.GroupSpec, max_order: int) -> dict:
     """Every structural check on one group, as the `verify` report."""
     t0 = time.monotonic()
     an = Analysis(spec, max_order)
     table, quiver = an.table, an.quiver
-    checks: dict[str, str] = {}
-    discrepancies: list[dict] = []
-
-    # a table that failed orthogonality raised OrthogonalityFailure above
-    checks["orthogonality"] = "pass"
-    checks["sumOfSquares"] = _verdict(sum(d * d for d in table.dims) == table.order)
-    checks["integrality"] = _verdict(all(v >= 0 for row in quiver.matrix for v in row))
-
-    checks["dimensionBalance"] = _verdict(an.kernel[1] and an.kernel[2])
-
-    checks["psd"] = _verdict(an.psd)
-    checks["kernelDelta"] = _verdict(all(an.kernel))
-    checks["eigenvectorProp"] = _verdict(all(an.eigen))
-    checks["dualTranspose"] = _verdict(an.dual_transpose)
-
     profile = catalog.expected_profile(spec)
-    if profile is None:
-        checks["profileMatch"] = "skip"
-    else:
-        ok = (
-            profile.order == table.order
-            and profile.class_count == table.count
-            and profile.dims == tuple(sorted(table.dims))
-        )
-        checks["profileMatch"] = _verdict(ok)
-        if profile.degenerate:
-            discrepancies.append(
-                {
-                    "kind": "degenerate",
-                    "detail": "; ".join(profile.notes) or "collapses to a smaller group",
-                }
-            )
-
     expected = catalog.expected_adjacency(spec)
-    if expected is None:
-        checks["expectedQuiverMatch"] = "skip"
-    else:
-        checks["expectedQuiverMatch"] = _verdict(mckay.quiver_iso(quiver, expected) is not None)
-
     audit = an.audit
-    if audit is None:
-        checks["publishedMatrixMatch"] = "skip"
-    else:
-        checks["publishedMatrixMatch"] = _verdict(audit.as_expected)
-        for note in audit.notes:
-            discrepancies.append({"kind": "published-cartan", "detail": note})
+    recorded = published.PRINTED_TABLES.get(spec.name)
+    # report order; None where nothing is recorded to check against
+    verdicts = {
+        # a table that failed orthogonality raised OrthogonalityFailure above
+        "orthogonality": True,
+        "sumOfSquares": sum(d * d for d in table.dims) == table.order,
+        "integrality": all(v >= 0 for row in quiver.matrix for v in row),
+        "dimensionBalance": an.kernel[1] and an.kernel[2],
+        "psd": an.psd,
+        "kernelDelta": all(an.kernel),
+        "eigenvectorProp": all(an.eigen),
+        "dualTranspose": an.dual_transpose,
+        "profileMatch": None if profile is None else (
+            (profile.order, profile.class_count, profile.dims)
+            == (table.order, table.count, tuple(sorted(table.dims)))
+        ),
+        "expectedQuiverMatch": None if expected is None else (
+            mckay.quiver_iso(quiver, expected) is not None
+        ),
+        "publishedMatrixMatch": None if audit is None else audit.as_expected,
+        "publishedTableMatch": None if not recorded else all(
+            published.match_printed_table(table, printed) == should_match
+            for printed, should_match in recorded
+        ),
+    }
+    checks = {
+        name: "skip" if ok is None else "pass" if ok else "fail"
+        for name, ok in verdicts.items()
+    }
+
+    discrepancies = []
+    if profile is not None and profile.degenerate:
+        discrepancies.append({"kind": "degenerate", "detail": "; ".join(profile.notes)})
+    if audit is not None:
+        discrepancies += [{"kind": "published-cartan", "detail": n} for n in audit.notes]
         if audit.status == "mismatch":
             discrepancies.append(
                 {
@@ -219,18 +207,8 @@ def verify(spec: catalog.GroupSpec, max_order: int) -> dict:
                     "no dimension-preserving relabeling",
                 }
             )
-
-    recorded = published.PRINTED_TABLES.get(spec.name)
-    if not recorded:
-        checks["publishedTableMatch"] = "skip"
-    else:
-        ok = True
-        for printed, should_match in recorded:
-            if published.match_printed_table(table, printed) != should_match:
-                ok = False
-            for note in printed.notes:
-                discrepancies.append({"kind": "published-table", "detail": note})
-        checks["publishedTableMatch"] = _verdict(ok)
+    for printed, _ in recorded or ():
+        discrepancies += [{"kind": "published-table", "detail": n} for n in printed.notes]
 
     elapsed = int(round((time.monotonic() - t0) * 1000))
     return {

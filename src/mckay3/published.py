@@ -142,19 +142,13 @@ _B10_FIXED = tuple(
 )
 
 
-def _transpose(mat):
-    n = len(mat)
-    return tuple(tuple(mat[j][i] for j in range(n)) for i in range(n))
-
-
 def _assemble(layout, block):
     """Assemble a 3x3 grid of block labels ('6E', '-B', '-Bt') literally."""
     s = len(block)
-    bt = _transpose(block)
     grid = {
         "6E": tuple(tuple(6 if i == j else 0 for j in range(s)) for i in range(s)),
         "-B": tuple(tuple(-v for v in row) for row in block),
-        "-Bt": tuple(tuple(-v for v in row) for row in bt),
+        "-Bt": tuple(tuple(-v for v in row) for row in zip(*block)),
     }
     out = []
     for brow in layout:
@@ -259,15 +253,6 @@ class CartanAudit(NamedTuple):
         return self.status == self.expected_status
 
 
-def _matrix_iso(ref, ref_dims, target, target_dims):
-    n = len(target)
-    if len(ref) != n:
-        return None
-    q_target = Quiver(tuple(target_dims), tuple(tuple(r) for r in target), 3)
-    q_ref = Quiver(tuple(ref_dims), tuple(tuple(r) for r in ref), 3)
-    return quiver_iso(q_target, q_ref)
-
-
 def audit_cartan(name: str, quiver: Quiver) -> CartanAudit | None:
     """Compare a computed quiver against the recorded matrix for `name`.
 
@@ -282,7 +267,7 @@ def audit_cartan(name: str, quiver: Quiver) -> CartanAudit | None:
     n = len(lit)
     readings = []  # (status, recorded, computed), tried in this order
     if n == quiver.count and len(rec.dims) == n:
-        if lit == _transpose(lit):
+        if lit == tuple(zip(*lit)):
             readings.append(("matched-as-A", lit, a))
         m_ref = tuple(
             tuple((3 if i == j else 0) - lit[i][j] for j in range(n)) for i in range(n)
@@ -292,7 +277,7 @@ def audit_cartan(name: str, quiver: Quiver) -> CartanAudit | None:
     if rec.corrected is not None:
         readings.append(("matched-with-erratum", rec.corrected, a))
     for status, recorded, computed in readings:
-        w = _matrix_iso(recorded, rec.dims, computed, quiver.dims)
+        w = quiver_iso(Quiver(quiver.dims, computed), Quiver(rec.dims, recorded))
         if w is not None:
             return CartanAudit(name, status, rec.expected_status, w, rec.notes)
     return CartanAudit(name, "mismatch", rec.expected_status, None, rec.notes)

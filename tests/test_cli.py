@@ -538,6 +538,18 @@ def test_unwritable_out_exits_2(tmp_path):
     assert not target.exists()
 
 
+@pytest.mark.parametrize("out_flag", [("--out", ""), ("--out=",)], ids=["space", "equals"])
+def test_empty_out_path_is_unwritable(capsys, out_flag):
+    # "--out ''" is read by `_parse`, "--out=" by argparse; on both the empty
+    # path is an --out file that cannot be written, not a request for stdout
+    argv = ["info", "--group", "G7", *out_flag]
+    assert (cli._parse(argv) is None) == (out_flag == ("--out=",))
+    code, out, err = _run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write")
+
+
 def _failing_gram(table, chi, t):
     """An integer Gram matrix whose every entry, 1, is not divisible by |G|."""
     return [[1] * table.count for _ in range(table.count)]

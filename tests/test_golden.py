@@ -5,8 +5,9 @@ each roster group `chartab`, `quiver`, `cartan --print A` and `info`, all in
 JSON.  `cli.main` runs in-process, and each command builds its own
 `pipeline.Analysis`, as in a fresh process.  Four wider tables have their
 own constants, `WIDE_CHARTAB_DIGESTS`, eight binary dihedral and twisted
-tables have `DIXON_CHARTAB_DIGESTS`, and two text tables have
-`TEXT_CHARTAB_DIGESTS`.
+tables have `DIXON_CHARTAB_DIGESTS`, two text tables have
+`TEXT_CHARTAB_DIGESTS`, and the roster's default-format `quiver` (DOT),
+`info` and `verify --all` text have `ROSTER_TEXT_DIGESTS`.
 
 `python tests/test_golden.py --pin` rewrites `tests/golden_digests.json`.
 Re-pin only in a change whose stated purpose is to change a payload.
@@ -19,6 +20,29 @@ import json
 import re
 import sys
 from pathlib import Path
+
+# the default formats over the whole roster: `quiver --group <g>` (DOT) and
+# `info --group <g>` concatenated in `catalog.all_specs()` order, and
+# `verify --all` with its `elapsed <n> ms` lines masked
+ROSTER_TEXT_DIGESTS = {
+    "quiver": "5208945b044ab91f38d751e0f05d81383188bcc881c39dba42705d77dd262385",
+    "info": "039dc7ce736ffd44ccbf04ab2c31a4602886bc2b0b3a38921ef95294d31cdd7f",
+    "verify --all": "495840b33a75ba236ab6f37db60b099da18afacd121961e46698e3fb82cce060",
+}
+
+
+def test_roster_text_payloads_match_their_pins():
+    specs = catalog.all_specs()
+    verify_all = _stdout("verify", "--all")
+    digests = {
+        cmd: _sha256("".join(_stdout(cmd, "--group", spec.name) for spec in specs))
+        for cmd in ("quiver", "info")
+    }
+    digests["verify --all"] = _sha256(
+        re.sub(r"elapsed \d+ ms", "elapsed 0 ms", verify_all)
+    )
+    assert digests == ROSTER_TEXT_DIGESTS
+
 
 if __name__ == "__main__":  # run as a script: make the in-tree package importable
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
