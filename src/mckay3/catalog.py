@@ -27,6 +27,7 @@ from typing import NamedTuple
 from .chartab import CharacterTable
 from .exactnum import Cyclotomic, common_conductor, root, sqrt_constant
 from .matgroup import (
+    MAX_ORDER,
     FiniteMatrixGroup,
     OrderBoundExceeded,
     SquareMatrix,
@@ -312,22 +313,28 @@ def expected_order(spec: GroupSpec) -> int | None:
     return sum(d * d for d in _EXCEPTIONAL_DIMS[spec.kind])  # |G| = sum of d^2
 
 
-def build_group(spec: GroupSpec, max_order: int = 20000) -> FiniteMatrixGroup:
-    """Close the generators and cross-check determinants and the order.
+def check_order(spec: GroupSpec, max_order: int) -> int | None:
+    """The expected order of spec; raise OrderBoundExceeded if the group is
+    known, before any generator is built, to exceed max_order.
 
-    A spec whose order the catalog knows is held to max_order before any
-    generator is built, since a generator at a large conductor can itself
-    cost memory before the closure counts a single element.  So is a lower
-    bound on a twisted order: each SL2 generator is block-diagonal with
-    (1,1) entry conj(a)^2, a a primitive alpha-th root of unity, so
-    g -> g[0][0] maps the group onto a cyclic group of order
-    alpha / gcd(alpha, 2).
+    A generator at a large conductor can itself cost memory before the
+    closure counts a single element.  A twisted order is held to a lower
+    bound: each SL2 generator is block-diagonal with (1,1) entry
+    conj(a)^2, a a primitive alpha-th root of unity, so g -> g[0][0] maps
+    the group onto a cyclic group of order alpha / gcd(alpha, 2).
     """
     want = expected_order(spec)
     if (want or spec.alpha // gcd(spec.alpha, 2)) > max_order:
         raise OrderBoundExceeded(
             f"more than {max_order} elements; raise max_order if intended"
         )
+    return want
+
+
+def build_group(spec: GroupSpec, max_order: int = MAX_ORDER) -> FiniteMatrixGroup:
+    """Close the generators and cross-check determinants and the order,
+    after `check_order`."""
+    want = check_order(spec, max_order)
     gens = generators(spec)
     for g in gens:
         if g.det() != 1:
@@ -345,26 +352,20 @@ def build_group(spec: GroupSpec, max_order: int = 20000) -> FiniteMatrixGroup:
 
 
 class Profile(NamedTuple):
-    """What the character table of a catalog group must look like."""
+    """What the character table of a catalog group must look like: its
+    dimensions, ascending, and for a degenerate group a note saying what it
+    collapses to."""
 
-    order: int
-    class_count: int
     dims: tuple[int, ...]
-    degenerate: bool = False
-    notes: tuple[str, ...] = ()
+    note: str | None = None
 
+    @property
+    def order(self) -> int:
+        return sum(d * d for d in self.dims)
 
-def _profile_from_dims(dims, note=None) -> Profile:
-    """The profile of a table with these dimensions; a degenerate group has
-    a note saying what it collapses to."""
-    dims = tuple(sorted(dims))
-    return Profile(
-        order=sum(d * d for d in dims),
-        class_count=len(dims),
-        dims=dims,
-        degenerate=note is not None,
-        notes=() if note is None else (note,),
-    )
+    @property
+    def class_count(self) -> int:
+        return len(self.dims)
 
 
 _EXCEPTIONAL_DIMS = {
@@ -384,14 +385,14 @@ def expected_profile(spec: GroupSpec) -> Profile | None:
     """Expected order, class count, and dimension multiset; None if unknown."""
     if spec.kind == "Hmn":
         note = "trivial group" if spec.m == spec.n == 1 else None
-        return _profile_from_dims((1,) * (spec.m * spec.n), note)
+        return Profile((1,) * (spec.m * spec.n), note)
     if spec.kind == "Gm3":
         m = spec.m
         if m % 3 == 0:
             dims = (1,) * 9 + (3,) * ((m * m - 3) // 3)
         else:
             dims = (1,) * 3 + (3,) * ((m * m - 1) // 3)
-        return _profile_from_dims(dims, "cyclic of order 3" if m == 1 else None)
+        return Profile(dims, "cyclic of order 3" if m == 1 else None)
     if spec.kind == "Gm6":
         m = spec.m
         if m % 3 == 0:
@@ -406,24 +407,23 @@ def expected_profile(spec: GroupSpec) -> Profile | None:
             1: "isomorphic to the symmetric group S3",
             2: "isomorphic to the symmetric group S4",
         }.get(m)
-        return _profile_from_dims(dims, note)
+        return Profile(dims, note)
     if spec.kind == "SL2":
         if spec.alpha != 1:
             return None
         if spec.subtype == "cyclic":
             note = "trivial group" if spec.k == 1 else None
-            return _profile_from_dims((1,) * spec.k, note)
+            return Profile((1,) * spec.k, note)
         if spec.subtype == "binD":
-            if spec.k == 1:
-                return _profile_from_dims((1,) * 4, "cyclic of order 4")
-            return _profile_from_dims((1,) * 4 + (2,) * (spec.k - 1))
+            note = "cyclic of order 4" if spec.k == 1 else None
+            return Profile((1,) * 4 + (2,) * (spec.k - 1), note)
         dims = {
             "2T": (1, 1, 1, 2, 2, 2, 3),
             "2O": (1, 1, 2, 2, 2, 3, 3, 4),
             "2I": (1, 2, 2, 3, 3, 4, 4, 5, 6),
         }[spec.subtype]
-        return _profile_from_dims(dims)
-    return _profile_from_dims(_EXCEPTIONAL_DIMS[spec.kind])
+        return Profile(dims)
+    return Profile(_EXCEPTIONAL_DIMS[spec.kind])
 
 
 # ---------------------------------------------------------------------------

@@ -751,11 +751,11 @@ def _gram(table: CharacterTable, chi) -> list[list[Cyclotomic]]:
     return [[dot(u, f) for f in flipped] for u in weighted]
 
 
-def natural_character(
-    group: FiniteMatrixGroup, classes: ConjugacyClassSet
-) -> tuple[Cyclotomic, ...]:
-    """Traces of the matrix representatives: the defining character."""
-    return tuple(group.elements[g].trace() for g in classes.reps)
+def natural_character(table: CharacterTable) -> tuple[Cyclotomic, ...]:
+    """Traces of the table's class representatives: the defining character."""
+    if table.class_reps is None:
+        raise ValueError("table has no class representatives; pass chi")
+    return tuple(m.trace() for m in table.class_reps)
 
 
 def _check_class_function(table: CharacterTable, chi) -> None:

@@ -39,7 +39,7 @@ from math import lcm
 from . import catalog, mckay, pipeline
 from .catalog import CatalogError, SpecError
 from .chartab import NonIntegralMultiplicity, OrthogonalityFailure
-from .matgroup import OrderBoundExceeded
+from .matgroup import MAX_ORDER, OrderBoundExceeded
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +176,7 @@ def _cmd_info(args) -> tuple[int, list[str]]:
     an = pipeline.Analysis(spec, args.max_order)
     dims = sorted(an.table.dims)
     profile = catalog.expected_profile(spec)
-    degenerate = profile is not None and profile.degenerate
-    notes = list(profile.notes) if profile is not None else []
+    note = None if profile is None else profile.note
     if args.format == "json":
         payload = {
             "group": spec.name,
@@ -186,8 +185,8 @@ def _cmd_info(args) -> tuple[int, list[str]]:
             "conductor": an.table.conductor,
             "classCount": an.table.count,
             "dimMultiset": dims,
-            "degenerate": degenerate,
-            "notes": notes,
+            "degenerate": note is not None,
+            "notes": [] if note is None else [note],
         }
         return 0, _dump_json(payload)
     lines = [
@@ -198,8 +197,8 @@ def _cmd_info(args) -> tuple[int, list[str]]:
         f"classes    {an.table.count}",
         f"dims       {','.join(map(str, dims))}",
     ]
-    if degenerate:
-        lines.append(f"degenerate yes ({'; '.join(notes)})")
+    if note is not None:
+        lines.append(f"degenerate yes ({note})")
     return 0, ["\n".join(lines) + "\n"]
 
 
@@ -341,6 +340,8 @@ def _cmd_verify(args) -> tuple[int, list[str]]:
         specs = list(catalog.all_specs(max_m=args.max_m))
     else:
         specs = [catalog.parse_spec(args.group)]
+    for spec in specs:  # refuse an over-bound roster before building any group
+        catalog.check_order(spec, args.max_order)
     reports = [pipeline.verify(spec, args.max_order) for spec in specs]
     failures = sum(
         1 for rep in reports if any(v == "fail" for v in rep["checks"].values())
@@ -371,8 +372,8 @@ def _common(*formats):
     return (
         ("--format", {"choices": formats, "default": formats[0]}),
         ("--out", {"help": "write the payload to this file"}),
-        ("--max-order", {"type": int, "default": 20000,
-                         "help": "abort closure beyond this many elements (default 20000)"}),
+        ("--max-order", {"type": int, "default": MAX_ORDER,
+                         "help": "abort closure beyond this many elements (default %(default)s)"}),
     )
 
 
@@ -478,7 +479,3 @@ def main(argv=None) -> int:
     else:
         sys.stdout.writelines(pieces)
     return code
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

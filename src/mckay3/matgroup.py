@@ -36,6 +36,10 @@ class OrderBoundExceeded(RuntimeError):
     """Closure exceeded the element budget; the group may be infinite."""
 
 
+# the default element budget of `closure`, `catalog.build_group` and the CLI
+MAX_ORDER = 20000
+
+
 class SquareMatrix:
     __slots__ = ("dim", "conductor", "rows", "_key", "_det")
 
@@ -157,7 +161,7 @@ def to_common_conductor(mats) -> list[SquareMatrix]:
     return [m.promote(target) for m in mats]
 
 
-def closure(generators, max_order: int = 20000) -> "FiniteMatrixGroup":
+def closure(generators, max_order: int = MAX_ORDER) -> "FiniteMatrixGroup":
     """Multiplicative closure of the generators, in deterministic order.
 
     Elements appear identity-first, then level by level of the breadth-first

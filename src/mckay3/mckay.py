@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from .chartab import (
     CharacterTable, NonIntegralMultiplicity, _check_class_function, _integer_gram,
-    _residue_rows, galois_orbits,
+    _residue_rows, galois_orbits, natural_character,
 )
 from .exactnum import ConductorMismatch, Cyclotomic, root_sum
 from .modp import integer_charpoly, matmul, prime_one_mod
@@ -61,9 +61,7 @@ def adjacency(table: CharacterTable, chi=None) -> Quiver:
     chi a character, so M is exact.
     """
     if chi is None:
-        if table.class_reps is None:
-            raise ValueError("table has no class representatives; pass chi")
-        chi = tuple(m.trace() for m in table.class_reps)
+        chi = natural_character(table)
     _check_class_function(table, chi)
     n = chi[0].try_rational()
     if n is None or n.denominator != 1 or n < 0:
@@ -241,7 +239,7 @@ def quiver_iso(q1: Quiver, q2: Quiver) -> tuple[int, ...] | None:
     and is pruned; the first witness found is the same as without it.
     """
     n = q1.count
-    if q2.count != n or sorted(q1.dims) != sorted(q2.dims):
+    if sorted(q1.dims) != sorted(q2.dims):  # so also if q2.count != n
         return None
     c1 = _refine_colors(q1)
     c2 = _refine_colors(q2)

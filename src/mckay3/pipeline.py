@@ -53,7 +53,7 @@ class Analysis:
     @cached_property
     def chi(self) -> tuple[chartab.Cyclotomic, ...]:
         """The natural character; the `chartab` and `info` commands never read it."""
-        return chartab.natural_character(self.group, self.classes)
+        return chartab.natural_character(self.table)
 
     @cached_property
     def quiver(self) -> mckay.Quiver:
@@ -195,8 +195,8 @@ def verify(spec: catalog.GroupSpec, max_order: int) -> dict:
     }
 
     discrepancies = []
-    if profile is not None and profile.degenerate:
-        discrepancies.append({"kind": "degenerate", "detail": "; ".join(profile.notes)})
+    if profile is not None and profile.note is not None:
+        discrepancies.append({"kind": "degenerate", "detail": profile.note})
     if audit is not None:
         discrepancies += [{"kind": "published-cartan", "detail": n} for n in audit.notes]
         if audit.status == "mismatch":

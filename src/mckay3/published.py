@@ -50,8 +50,8 @@ class PrintedCartan(NamedTuple):
     # happens to be isomorphic to the true quiver, dimensions are what
     # expose it)
     dims: tuple[int, ...]
-    corrected: tuple[tuple[int, ...], ...] | None
     expected_status: str
+    corrected: tuple[tuple[int, ...], ...] | None = None
     notes: tuple[str, ...] = ()
 
 
@@ -167,7 +167,6 @@ PRINTED_CARTAN: dict[str, PrintedCartan] = {
         name="Hmn:2,2",
         literal=_H22,
         dims=(1,) * 4,
-        corrected=None,
         expected_status="matched-as-B",
         notes=("recorded with diagonal 3, so it is B = 3I - M, not B + B^t",),
     ),
@@ -175,14 +174,12 @@ PRINTED_CARTAN: dict[str, PrintedCartan] = {
         name="Hmn:3,2",
         literal=_H32,
         dims=(1,) * 6,
-        corrected=None,
         expected_status="matched-as-A",
     ),
     "Hmn:3,3": PrintedCartan(
         name="Hmn:3,3",
         literal=_H33,
         dims=(1,) * 9,
-        corrected=None,
         expected_status="mismatch",
         notes=(
             "row sums are 1,0,0,0,1,-1,1,0,0; a Cartan matrix of this group "
@@ -193,14 +190,12 @@ PRINTED_CARTAN: dict[str, PrintedCartan] = {
         name="Hmn:3,4",
         literal=_H34,
         dims=(1,) * 12,
-        corrected=None,
         expected_status="matched-as-A",
     ),
     "G7": PrintedCartan(
         name="G7",
         literal=_G7,
         dims=(1, 3, 3, 4, 5),
-        corrected=None,
         expected_status="mismatch",
         notes=(
             "derived from a fusion list that is not dimension-balanced "
@@ -212,14 +207,12 @@ PRINTED_CARTAN: dict[str, PrintedCartan] = {
         name="G8",
         literal=_G8,
         dims=(1, 6, 7, 8, 3, 3),
-        corrected=None,
         expected_status="matched-as-A",
     ),
     "G9": PrintedCartan(
         name="G9",
         literal=_assemble((("6E", "-B", "-B"), ("-Bt", "6E", "-B"), ("-B", "-Bt", "6E")), _B9),
         dims=(1, 3, 3, 4, 5) * 3,
-        corrected=None,
         expected_status="matched-as-A",
         notes=(
             "the upper-right block is labeled -B where the shift structure "
@@ -231,8 +224,8 @@ PRINTED_CARTAN: dict[str, PrintedCartan] = {
         name="G10",
         literal=_assemble(_G10_LAYOUT, _B10),
         dims=(1, 6, 7, 8, 3, 3) * 3,
-        corrected=_assemble(_G10_LAYOUT, _B10_FIXED),
         expected_status="matched-with-erratum",
+        corrected=_assemble(_G10_LAYOUT, _B10_FIXED),
         notes=(
             "block entry (5,5) recorded as 1, but the order-168 quiver has no "
             "loop there; with 0 the matrix matches",
@@ -269,9 +262,7 @@ def audit_cartan(name: str, quiver: Quiver) -> CartanAudit | None:
     if n == quiver.count and len(rec.dims) == n:
         if lit == tuple(zip(*lit)):
             readings.append(("matched-as-A", lit, a))
-        m_ref = tuple(
-            tuple((3 if i == j else 0) - lit[i][j] for j in range(n)) for i in range(n)
-        )
+        m_ref = pre_cartan(Quiver(rec.dims, lit))  # B = 3I - M is its own inverse
         if all(v >= 0 for row in m_ref for v in row):
             readings.append(("matched-as-B", m_ref, quiver.matrix))
     if rec.corrected is not None:

@@ -37,5 +37,6 @@ def small_tables():
     for name in _SMALL:
         g = build_group(parse_spec(name))
         classes = conjugacy_classes(g)
-        out[name] = (dixon_table(g, classes), natural_character(g, classes))
+        table = dixon_table(g, classes)
+        out[name] = (table, natural_character(table))
     return out

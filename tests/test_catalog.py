@@ -183,9 +183,20 @@ def test_profiles_satisfy_sum_of_squares():
         assert profile.class_count == len(profile.dims)
 
 
+def test_closed_form_orders_match_the_profile_dimensions():
+    # two independent formulas per family: |G| in closed form, and the
+    # sum of the squares of the listed dimensions
+    specs = all_specs(20)
+    assert len(specs) == 465
+    for spec in specs:
+        profile = expected_profile(spec)
+        assert expected_order(spec) == profile.order, spec.name
+        assert list(profile.dims) == sorted(profile.dims), spec.name
+
+
 def test_degenerate_flags():
     degenerate = {
-        s.name for s in all_specs() if expected_profile(s).degenerate
+        s.name for s in all_specs() if expected_profile(s).note is not None
     }
     assert degenerate == {
         "Hmn:1,1",

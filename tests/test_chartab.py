@@ -107,9 +107,8 @@ def test_values_conjugate_through_inverse_class(a4_table):
 
 
 def test_natural_character_decomposes(s3_table):
-    g, t = s3_table
-    classes = conjugacy_classes(g)
-    chi = natural_character(g, classes)
+    _, t = s3_table
+    chi = natural_character(t)
     assert chi[0] == 3
     m = decompose_product(t, chi)
     # pi tensor trivial = pi = sign + standard in this signed embedding
@@ -517,6 +516,18 @@ def test_tables_match_by_reps_needs_representatives(small_tables, side):
     pair[side] = table._replace(class_reps=None)
     with pytest.raises(ValueError, match="^both tables need class representatives$"):
         tables_match_by_reps(*pair)
+
+
+@pytest.mark.parametrize("field", ["class_sizes", "class_orders"])
+def test_tables_match_by_reps_compares_column_metadata(small_tables, field):
+    # the same representatives and rows, with the non-identity entries of
+    # one column field reversed: only that field tells the tables apart
+    table = small_tables["G7"][0]
+    meta = getattr(table, field)
+    assert meta[1:] != meta[:0:-1]
+    altered = table._replace(**{field: meta[:1] + meta[:0:-1]})
+    assert tables_match_by_reps(table, table)
+    assert not tables_match_by_reps(table, altered)
 
 
 @given(st.integers(1, 4), st.integers(1, 4))

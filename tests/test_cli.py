@@ -225,6 +225,22 @@ def test_large_twist_exits_3_before_the_generators(capsys, monkeypatch):
     assert "more than 20000 elements" in err
 
 
+# G12 (order 1080) is over the first bound; Gm6:58 (order 20184) is the
+# only spec of the second roster over the default bound, after 3,479 others
+@pytest.mark.parametrize(
+    "argv", [("--max-order", "1000"), ("--max-m", "58")], ids=" ".join
+)
+def test_verify_all_refuses_an_over_bound_roster_before_any_group(capsys, monkeypatch, argv):
+    def no_analysis(spec, max_order):
+        raise AssertionError(f"{spec.name} analysed before the roster was checked")
+
+    monkeypatch.setattr(pipeline, "Analysis", no_analysis)
+    code, out, err = _run(capsys, "verify", "--all", *argv)
+    assert code == 3
+    assert out == ""
+    assert re.fullmatch(r"error: more than \d+ elements; [^\n]*\n", err)
+
+
 def test_cartan_csv_matches_expected(capsys):
     code, out, _ = _run(
         capsys, "cartan", "--group", "Hmn:2,2", "--print", "B", "--format", "csv"

@@ -400,7 +400,8 @@ def test_abelian_table_verdicts_match_the_exact_loop():
 def test_adjacency_matches_the_exact_decomposition_and_rejects_a_swapped_chi(small_tables):
     g = build_group(parse_spec("Hmn:4,5"))
     classes = chartab.conjugacy_classes(g)
-    diagonal = (chartab.little_group_table(g, classes), chartab.natural_character(g, classes))
+    t = chartab.little_group_table(g, classes)
+    diagonal = (t, chartab.natural_character(t))
     for t, chi in (*small_tables.values(), diagonal):
         assert [list(row) for row in adjacency(t, chi).matrix] == (
             chartab.decompose_product(t, chi)
@@ -551,6 +552,12 @@ def test_quiver_iso_enforces_dimensions():
     mat = ((0, 1), (0, 0))
     assert quiver_iso(Quiver((1, 2), mat), Quiver((1, 2), mat)) is not None
     assert quiver_iso(Quiver((1, 2), mat), Quiver((2, 1), mat)) is None
+    # equal bare digraphs whose dimension multisets differ, and a vertex
+    # count that differs
+    empty = ((0, 0), (0, 0))
+    assert quiver_iso(Quiver((1, 1), empty), Quiver((1, 1), empty)) == (0, 1)
+    assert quiver_iso(Quiver((1, 1), empty), Quiver((2, 2), empty)) is None
+    assert quiver_iso(Quiver((1, 1), empty), Quiver((1,), ((0,),))) is None
 
 
 def test_quiver_iso_rejects_on_colour_refinement(monkeypatch):
